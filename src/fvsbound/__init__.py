@@ -70,7 +70,6 @@ from .planar import (
     apply_merger,
     embed,
     faces_of,
-    find_any_nice_merger,
     find_guaranteed_merger,
     plane_subgraph,
     split_high_degree_vertex,

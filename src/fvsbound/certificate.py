@@ -32,7 +32,6 @@ class ReductionStep:
     removed_edges: frozenset[tuple[int, int]] = frozenset()
     added_edges: frozenset[tuple[int, int]] = frozenset()
     designated: tuple[int, ...] = ()
-    flagged: bool = False
     note: str = ""
 
 
@@ -57,10 +56,6 @@ class FvsCertificate:
     @property
     def bound(self) -> Fraction:
         return Fraction(self.bound_num, self.bound_den)
-
-    @property
-    def flagged(self) -> bool:
-        return any(step.flagged for step in self.trace)
 
     def meets_bound(self) -> bool:
         return self.size * self.bound_den <= self.bound_num

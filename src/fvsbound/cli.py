@@ -4,7 +4,8 @@ Exit codes are part of the contract so CI can assert on them:
   0  success (and, for solve/verify, the set validates and meets its bound)
   1  verify: the set is not a feedback vertex set
   2  bad arguments, parse failure, or input outside the algorithm's domain
-  3  a produced certificate failed validation (must never happen)
+  3  a produced certificate failed validation or an internal invariant
+     broke (must never happen)
   4  verify: valid set, requested bound violated
 
 Primary stdout output is byte-identical across identical invocations; wall
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from .certificate import BoundKind, FvsCertificate
 from .cubic import solve_cubic
-from .errors import FvsError, ParseError, PreconditionViolated
+from .errors import FvsError, InternalInvariantBroken, ParseError, PreconditionViolated
 from .fileio import GraphFile, read_graph, write_graph
 from .girth import SolverConfig, solve_planar_unweighted, solve_planar_weighted, trivial_baseline
 from .graph import (
@@ -190,6 +191,8 @@ def cmd_solve(args) -> int:
         cert, alg = _solve_with(args.alg, gf, args.g)
     except (PreconditionViolated, ParseError) as exc:
         return _fail(str(exc), 2)
+    except InternalInvariantBroken as exc:
+        return _fail(str(exc), 3)
     valid = cert.validate(gf.graph)
     _print(f"algorithm = {alg}")
     _print(f"S = {' '.join(str(v) for v in sorted(cert.fvs))}")
@@ -201,7 +204,7 @@ def cmd_solve(args) -> int:
         with open(args.trace, "w", encoding="ascii") as fh:
             for step in cert.trace:
                 fh.write(_format_step(step) + "\n")
-    if not valid or cert.flagged:
+    if not valid:
         return 3
     return 0
 
@@ -219,8 +222,6 @@ def _format_step(step) -> str:
             f"{u}-{v}" for u, v in sorted(step.added_edges)))
     if step.designated:
         parts.append(f"designated={','.join(map(str, step.designated))}")
-    if step.flagged:
-        parts.append("FLAGGED")
     return " ".join(parts)
 
 
@@ -260,12 +261,16 @@ def cmd_verify(args) -> int:
         num, den = g.n + 2, 3
         label = "(n+2)/3"
     else:
-        gr = girth(g)
+        # Weighted files get the weighted bound 3g|S| <= 4W that solve certifies.
+        weighted = any(w != 1 for w in g.edge_weights().values())
+        label = "4W/3g" if weighted else "4m/3g"
+        gr = weighted_girth(g) if weighted else girth(g)
         if gr == float("inf"):
-            _print("bound 4m/3g holds trivially: forest")
+            _print(f"bound {label} holds trivially: forest")
             return 0
-        num, den = 4 * g.m, 3 * int(gr)
-        label = "4m/3g"
+        if gr < 3:
+            return _fail(f"minimum cycle weight {int(gr)} is below 3", 2)
+        num, den = 4 * g.total_weight(), 3 * int(gr)
     if len(fvs) * den <= num:
         _print(f"bound {label} = {_fmt_fraction(num, den)} satisfied")
         return 0

@@ -40,7 +40,6 @@ class RuleId(enum.Enum):
     R5_TWO_EDGE_CUT = "R5_two_edge_cut"
     R6_TRIANGLE = "R6_triangle"
     R7_GENERIC = "R7_generic"
-    ORACLE_FALLBACK = "oracle_fallback"
 
 
 def _third(g: Graph, v: int, excluded: tuple[int, ...]) -> int:
@@ -181,6 +180,18 @@ def _build(g: Graph, drop: list[int], add: list[tuple[int, int]],
     return new, step
 
 
+def _remove_triangle(g: Graph, rule: RuleId, match: tuple[int, ...],
+                     apex: int, p: int, q: int):
+    """Remove the triangle apex-p-q, join the outer neighbors of p and q, designate apex."""
+    a = _third(g, p, (apex, q))
+    b = _third(g, q, (apex, p))
+    if a == b or g.has_edge(a, b):
+        raise InternalInvariantBroken(
+            f"{rule.value} on {match}: outer neighbors of triangle {apex}-{p}-{q} "
+            "must be distinct and non-adjacent")
+    return _build(g, [apex, p, q], [(a, b)], rule, match, (apex,))
+
+
 def _apply_r1(g: Graph, match: tuple[int, ...]):
     v, u, w = match
     if not g.has_edge(u, w):
@@ -202,11 +213,7 @@ def _apply_r2(g: Graph, match: tuple[int, ...]):
     x, y, z, zp = match
     if g.has_edge(z, zp):
         raise InternalInvariantBroken("triangles close into K4")
-    v = _third(g, z, (x, y))
-    if g.has_edge(v, zp):
-        raise InternalInvariantBroken(
-            "third neighbor of z adjacent to z': impossible in a cubic 2-connected graph")
-    return _build(g, [x, y, z], [(v, zp)], RuleId.R2_ADJACENT_TRIANGLES, match, (x,))
+    return _remove_triangle(g, RuleId.R2_ADJACENT_TRIANGLES, match, x, z, y)
 
 
 def _apply_r3(g: Graph, match: tuple[int, ...]):
@@ -220,7 +227,7 @@ def _apply_r3(g: Graph, match: tuple[int, ...]):
         zpp = _third(g, zp, (v, w))
         return _build(g, [w, y, zp], [(x, v), (v, zpp)],
                       RuleId.R3_TRIANGLE_SQUARE, match, (w,))
-    return _build(g, [x, y, w], [(v, w3)], RuleId.R3_TRIANGLE_SQUARE, match, (x,))
+    return _remove_triangle(g, RuleId.R3_TRIANGLE_SQUARE, match, x, y, w)
 
 
 def _apply_r4(g: Graph, match: tuple[int, ...]):
@@ -260,34 +267,16 @@ def _apply_r5(g: Graph, match: tuple[int, ...]):
         raise InternalInvariantBroken(
             "neighbors of the cut endpoint leave the minimum side")
     if g.has_edge(w, x):
-        x3 = _third(g, x, (v, w))
-        if x3 == u or g.has_edge(u, x3):
-            raise InternalInvariantBroken("u and x' must be distinct and non-adjacent")
-        return _build(g, [v, w, x], [(u, x3)], RuleId.R5_TWO_EDGE_CUT, match, (w,))
+        return _remove_triangle(g, RuleId.R5_TWO_EDGE_CUT, match, w, v, x)
     w0, w1 = sorted(nb for nb in g.neighbors(w) if nb != v)
     if w0 not in side1 or w1 not in side1:
         raise InternalInvariantBroken(
             "second-level neighbors leave the minimum side")
-    if g.has_edge(w0, w1):
-        a = _third(g, w0, (w, w1))
-        b = _third(g, w1, (w, w0))
-        if a == b or g.has_edge(a, b):
-            raise InternalInvariantBroken("w0' and w1' must be distinct and non-adjacent")
-        return _build(g, [w, w0, w1], [(a, b)], RuleId.R5_TWO_EDGE_CUT, match, (w,))
     w00, w01 = sorted(nb for nb in g.neighbors(w0) if nb != w)
-    if g.has_edge(w00, w01):
-        a = _third(g, w00, (w0, w01))
-        b = _third(g, w01, (w0, w00))
-        if a == b or g.has_edge(a, b):
-            raise InternalInvariantBroken("w00' and w01' must be distinct and non-adjacent")
-        return _build(g, [w0, w00, w01], [(a, b)], RuleId.R5_TWO_EDGE_CUT, match, (w0,))
     w10, w11 = sorted(nb for nb in g.neighbors(w1) if nb != w)
-    if g.has_edge(w10, w11):
-        a = _third(g, w10, (w1, w11))
-        b = _third(g, w11, (w1, w10))
-        if a == b or g.has_edge(a, b):
-            raise InternalInvariantBroken("w10' and w11' must be distinct and non-adjacent")
-        return _build(g, [w1, w10, w11], [(a, b)], RuleId.R5_TWO_EDGE_CUT, match, (w1,))
+    for apex, p, q in ((w, w0, w1), (w0, w00, w01), (w1, w10, w11)):
+        if g.has_edge(p, q):
+            return _remove_triangle(g, RuleId.R5_TWO_EDGE_CUT, match, apex, p, q)
     if {w00, w01} == {w10, w11}:
         raise InternalInvariantBroken("doubled 4-cycle survived to the cut rule")
     return _build(g, [w, w0, w1], [(w00, w01), (w10, w11)],
@@ -296,12 +285,7 @@ def _apply_r5(g: Graph, match: tuple[int, ...]):
 
 def _apply_r6(g: Graph, match: tuple[int, ...]):
     u, v, w = match
-    tu = _third(g, u, (v, w))
-    tv = _third(g, v, (u, w))
-    if tu == tv or g.has_edge(tu, tv):
-        raise InternalInvariantBroken(
-            "triangle third neighbors must be distinct and non-adjacent")
-    return _build(g, [u, v, w], [(tu, tv)], RuleId.R6_TRIANGLE, match, (w,))
+    return _remove_triangle(g, RuleId.R6_TRIANGLE, match, w, u, v)
 
 
 def _apply_r7(g: Graph, match: tuple[int, ...]):
@@ -375,10 +359,10 @@ def base_case(g: Graph) -> FvsCertificate:
 def solve_cubic(g: Graph) -> FvsCertificate:
     """Feedback vertex set with 3|S| <= n + 2 for a 2-connected subcubic graph.
 
-    Deterministic: same input graph (same ids), same trace. If a reduction
-    ever leaves the class (a bug, not a property of valid inputs), the solver
-    falls back to the exact oracle for the offending subinstance and flags
-    the trace.
+    Deterministic: same input graph (same ids), same trace. A reduction that
+    leaves the class raises InternalInvariantBroken: the rewrite proofs rule
+    that out on valid input, so it signals a bug, never a property of the
+    input.
     """
     _require_in_class(g)
     chosen: set[int] = set()
@@ -386,28 +370,12 @@ def solve_cubic(g: Graph) -> FvsCertificate:
     cur = g
     while cur.n > BASE_CASE_MAX_N:
         rule, match = find_rule(cur)
-        try:
-            cur_next, step = apply_rule(cur, rule, match)
-        except InternalInvariantBroken as exc:
-            result = min_fvs_exact(cur)
-            if result.node_budget_hit:
-                raise InternalInvariantBroken(
-                    f"fallback oracle ran out of budget after: {exc}") from exc
-            chosen |= result.witness
-            trace.append(ReductionStep(
-                rule=RuleId.ORACLE_FALLBACK.value, matched=match,
-                removed_vertices=frozenset(cur.vertices),
-                designated=tuple(sorted(result.witness)),
-                flagged=True, note=str(exc)))
-            cur = None
-            break
+        cur, step = apply_rule(cur, rule, match)
         chosen |= set(step.designated)
         trace.append(step)
-        cur = cur_next
-    if cur is not None:
-        base = base_case(cur)
-        chosen |= base.fvs
-        trace.extend(base.trace)
+    base = base_case(cur)
+    chosen |= base.fvs
+    trace.extend(base.trace)
     cert = FvsCertificate(fvs=frozenset(chosen),
                           bound_kind=BoundKind.CUBIC_N_PLUS_2_OVER_3,
                           bound_num=g.n + 2, bound_den=3, trace=tuple(trace))

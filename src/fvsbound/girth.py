@@ -32,18 +32,13 @@ from .cubic import solve_cubic
 from .graph import Graph, connected_components, cut_vertices, girth, is_forest, validate_fvs, weighted_girth
 from .oracle import min_fvs_exact
 from .planar import (
-    MergerSpec,
     PlaneGraph,
     apply_merger,
-    find_any_nice_merger,
     find_guaranteed_merger,
     plane_subgraph,
     split_high_degree_vertex,
     suppress_degree2_vertex,
 )
-
-MERGER_GUARANTEED = "guaranteed_only"
-MERGER_ANY_NICE = "any_nice_merger"
 
 
 @dataclass(frozen=True)
@@ -52,13 +47,10 @@ class SolverConfig:
 
     g: int
     validate_every_step: bool = False
-    merger_mode: str = MERGER_GUARANTEED
 
     def __post_init__(self):
         if self.g < 3:
             raise PreconditionViolated("g must be at least 3")
-        if self.merger_mode not in (MERGER_GUARANTEED, MERGER_ANY_NICE):
-            raise PreconditionViolated(f"unknown merger mode {self.merger_mode!r}")
 
 
 def doubled_potential(g: Graph) -> int:
@@ -71,12 +63,11 @@ def _measure(g: Graph) -> tuple[int, int]:
 
 
 class _Run:
-    """Mutable per-solve state: trace, debug knobs, merger budget."""
+    """Mutable per-solve state: trace and debug knobs."""
 
-    def __init__(self, cfg: SolverConfig, initial_m: int):
+    def __init__(self, cfg: SolverConfig):
         self.cfg = cfg
         self.trace: list[ReductionStep] = []
-        self.mergers_left = initial_m
 
     def check_child(self, parent_measure: tuple[int, int], child: Graph) -> None:
         if not self.cfg.validate_every_step:
@@ -100,7 +91,7 @@ def solve_planar_weighted(pg: PlaneGraph, cfg: SolverConfig) -> FvsCertificate:
     if graph.m and weighted_girth(graph) < cfg.g:
         raise PreconditionViolated(
             f"some cycle weighs less than g = {cfg.g}")
-    run = _Run(cfg, graph.m)
+    run = _Run(cfg)
     fvs = _solve(pg, run)
     total = graph.total_weight()
     cert = FvsCertificate(fvs=frozenset(fvs),
@@ -166,16 +157,15 @@ def _solve(pg: PlaneGraph, run: _Run) -> set[int]:
         return _solve_side(pg, side1, run, parent_measure) | \
             _solve_side(pg, side2, run, parent_measure)
 
-    # P2: a lone cycle needs one vertex; otherwise a guaranteed merger (or, in
-    # the accelerated mode, any nice merger) trades its crucial vertex for a
-    # 3g/4 drop in total weight.
+    # P2: a lone cycle needs one vertex; otherwise a guaranteed merger trades
+    # its crucial vertex for a 3g/4 drop in total weight.
     if all(graph.degree(v) == 2 for v in graph.vertices):
         v = min(graph.vertices)
         run.trace.append(ReductionStep(
             rule="P2_merge", matched=(v,), designated=(v,),
             note="single cycle"))
         return {v}
-    spec = _find_merger(pg, run)
+    spec = find_guaranteed_merger(pg, run.cfg.g)
     if spec is not None:
         if 4 * spec.removed_weight < 3 * run.cfg.g:
             raise InternalInvariantBroken("merger is not nice")
@@ -243,20 +233,6 @@ def _solve_side(pg: PlaneGraph, side: set[int], run: _Run,
     sub = plane_subgraph(pg, side)
     run.check_child(parent_measure, sub.graph)
     return _solve(sub, run)
-
-
-def _find_merger(pg: PlaneGraph, run: _Run) -> MergerSpec | None:
-    spec = find_guaranteed_merger(pg, run.cfg.g)
-    if spec is not None:
-        return spec
-    if run.cfg.merger_mode == MERGER_ANY_NICE and run.mergers_left > 0:
-        spec = find_any_nice_merger(pg, run.cfg.g)
-        if spec is not None:
-            # Cap speculative mergers at the initial edge count, then fall
-            # back to proof-backed ones only.
-            run.mergers_left -= 1
-        return spec
-    return None
 
 
 def solve_planar_unweighted(pg: PlaneGraph) -> FvsCertificate:

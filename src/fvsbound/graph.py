@@ -182,34 +182,9 @@ def validate_fvs(g: Graph, s: Iterable[int]) -> bool:
 
 
 def girth(g: Graph) -> int | float:
-    """Length of a shortest cycle; ``INFINITE`` for forests.
-
-    Per-vertex BFS: every non-tree edge scanned closes a walk whose length
-    bounds the girth from above, and a BFS from a vertex of a shortest cycle
-    attains it.
-    """
-    best = INFINITE
-    for root in g.vertices:
-        dist = {root: 0}
-        frontier = [root]
-        parent = {root: -1}
-        while frontier:
-            nxt = []
-            for v in frontier:
-                dv = dist[v]
-                if 2 * dv >= best - 1:
-                    continue
-                for u in g.neighbors(v):
-                    if u not in dist:
-                        dist[u] = dv + 1
-                        parent[u] = v
-                        nxt.append(u)
-                    elif parent[v] != u and parent[u] != v:
-                        cand = dv + dist[u] + 1
-                        if cand < best:
-                            best = cand
-            frontier = nxt
-    return best
+    """Length of a shortest cycle; ``INFINITE`` for forests."""
+    cycle = shortest_cycle(g)
+    return INFINITE if cycle is None else len(cycle)
 
 
 def weighted_girth(g: Graph) -> int | float:
@@ -334,19 +309,26 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
 
 
-def cut_vertices(g: Graph) -> list[int]:
-    """All articulation points, ascending. Iterative Hopcroft-Tarjan."""
-    visited: set[int] = set()
+def _lowpoint_dfs(g: Graph) -> tuple[list[int], list[EdgeKey], int]:
+    """Cut vertices and bridges, both sorted, plus the number of components.
+
+    One iterative Hopcroft-Tarjan lowpoint DFS per component (Tarjan, SIAM
+    J. Comput. 1972): a non-root v is a cut vertex iff some tree child c has
+    low[c] >= disc[v], the root iff it has two or more tree children, and a
+    tree edge (v, c) is a bridge iff low[c] > disc[v].
+    """
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     cuts: set[int] = set()
+    cut_edges: list[EdgeKey] = []
+    components = 0
     timer = 0
     for root in g.vertices:
-        if root in visited:
+        if root in disc:
             continue
+        components += 1
         root_children = 0
         stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(g.neighbors(root)))]
-        visited.add(root)
         disc[root] = low[root] = timer
         timer += 1
         while stack:
@@ -354,12 +336,12 @@ def cut_vertices(g: Graph) -> list[int]:
             advanced = False
             for u in it:
                 if u == parent:
+                    # Simple graph: the only v-parent edge is the tree edge.
                     continue
-                if u in visited:
+                if u in disc:
                     if disc[u] < low[v]:
                         low[v] = disc[u]
                 else:
-                    visited.add(u)
                     disc[u] = low[u] = timer
                     timer += 1
                     if v == root:
@@ -375,57 +357,29 @@ def cut_vertices(g: Graph) -> list[int]:
                         low[pv] = low[v]
                     if pv != root and low[v] >= disc[pv]:
                         cuts.add(pv)
+                    if low[v] > disc[pv]:
+                        cut_edges.append(edge_key(pv, v))
         if root_children >= 2:
             cuts.add(root)
-    return sorted(cuts)
+    return sorted(cuts), sorted(cut_edges), components
+
+
+def cut_vertices(g: Graph) -> list[int]:
+    """All articulation points, ascending."""
+    return _lowpoint_dfs(g)[0]
 
 
 def bridges(g: Graph) -> list[EdgeKey]:
     """All cut edges, sorted."""
-    visited: set[int] = set()
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    out: list[EdgeKey] = []
-    timer = 0
-    for root in g.vertices:
-        if root in visited:
-            continue
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(g.neighbors(root)))]
-        visited.add(root)
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for u in it:
-                if u == parent:
-                    # Simple graph: the only v-parent edge is the tree edge.
-                    continue
-                if u in visited:
-                    if disc[u] < low[v]:
-                        low[v] = disc[u]
-                else:
-                    visited.add(u)
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    stack.append((u, v, iter(g.neighbors(u))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                    if low[v] > disc[pv]:
-                        out.append(edge_key(pv, v))
-        # root done
-    return sorted(out)
+    return _lowpoint_dfs(g)[1]
 
 
 def is_two_connected(g: Graph) -> bool:
     """2-connected per the convention |V| > 2, connected, no cut vertex."""
-    return g.n >= 3 and is_connected(g) and not cut_vertices(g)
+    if g.n < 3:
+        return False
+    cuts, _, components = _lowpoint_dfs(g)
+    return components == 1 and not cuts
 
 
 def has_two_edge_cut(g: Graph) -> bool:

@@ -14,7 +14,6 @@ honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 import networkx as nx
@@ -258,53 +257,6 @@ def find_guaranteed_merger(pg: PlaneGraph, g_min: int) -> MergerSpec | None:
                 "guaranteed merger is not nice; a cycle lighter than the "
                 "minimum weight must have slipped in")
         return MergerSpec(f0=fa, f1=face.id, f2=fb, crucial=crucial,
-                          removed_edges=removed, removed_weight=weight)
-    return None
-
-
-def find_any_nice_merger(pg: PlaneGraph, g_min: int) -> MergerSpec | None:
-    """First nice merger over all mergeable face triples, in face-id order.
-
-    Heuristic accelerator: any nice merger preserves the certified bound, not
-    just the proof-backed one.
-    """
-    graph = pg.graph
-    if not is_two_connected(graph):
-        raise PreconditionViolated("merger search requires a 2-connected graph")
-    edge_faces = pg.edge_face_map()
-    shares: dict[tuple[int, int], bool] = {}
-    for e, incident in edge_faces.items():
-        if len(incident) == 2 and incident[0] != incident[1]:
-            shares[tuple(sorted(incident))] = True
-    vertex_faces: dict[int, set[int]] = {v: set() for v in graph.vertices}
-    for face in pg.faces:
-        for v in face.boundary_vertices:
-            vertex_faces[v].add(face.id)
-    for trio in combinations(range(len(pg.faces)), 3):
-        fa, fb, fc = trio
-        # Some labeling must put a middle face sharing edges with both others.
-        pair_ab = shares.get((fa, fb), False)
-        pair_ac = shares.get((fa, fc), False)
-        pair_bc = shares.get((fb, fc), False)
-        middles = []
-        if pair_ab and pair_ac:
-            middles.append((fb, fa, fc))
-        if pair_ab and pair_bc:
-            middles.append((fa, fb, fc))
-        if pair_ac and pair_bc:
-            middles.append((fa, fc, fb))
-        if not middles:
-            continue
-        common = [v for v in sorted(graph.vertices)
-                  if {fa, fb, fc} <= vertex_faces[v]]
-        if not common:
-            continue
-        removed = _merger_removed_edges(pg, set(trio))
-        weight = sum(graph.weight(u, v) for u, v in removed)
-        if 4 * weight < 3 * g_min:
-            continue
-        f0, f1, f2 = middles[0]
-        return MergerSpec(f0=f0, f1=f1, f2=f2, crucial=common[0],
                           removed_edges=removed, removed_weight=weight)
     return None
 

@@ -3,7 +3,9 @@
 import csv
 
 from fvsbound.cli import main
-from fvsbound.fileio import read_graph
+from fvsbound.errors import InternalInvariantBroken
+from fvsbound.fileio import read_graph, write_graph
+from fvsbound.graph import Graph
 from fvsbound.instances import make_named
 from fvsbound.oracle import min_fvs_exact
 
@@ -12,6 +14,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def write_pendant_triangle(path):
+    """A unit-weight triangle with five weight-0 pendant edges at vertex 0."""
+    edges = [(0, 1, 1), (1, 2, 1), (0, 2, 1)] + [(0, k, 0) for k in range(3, 8)]
+    write_graph(str(path), Graph(range(8), edges), name="pendant-triangle")
 
 
 class TestGen:
@@ -108,6 +116,21 @@ class TestSolve:
         code, _ = run(capsys, "solve", str(path), "--alg", "planar", "--g", "6")
         assert code == 2  # larger than the true girth
 
+    def test_broken_invariant_exits_3(self, tmp_path, capsys, monkeypatch):
+        import fvsbound.cubic as cubic_module
+
+        def sabotaged(graph, rule, match):
+            raise InternalInvariantBroken("injected for testing")
+
+        monkeypatch.setattr(cubic_module, "apply_rule", sabotaged)
+        path = tmp_path / "d.g"
+        run(capsys, "gen", "dodecahedron", str(path))
+        code = main(["solve", str(path), "--alg", "cubic"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "error: injected for testing" in err
+        assert "Traceback" not in err
+
     def test_exact(self, tmp_path, capsys):
         path = tmp_path / "c.g"
         run(capsys, "gen", "cube", str(path))
@@ -158,6 +181,37 @@ class TestVerify:
         fvs.write_text("0 1 2 3 4 5\n")  # valid but bigger than 4m/3g = 4
         code, _ = run(capsys, "verify", str(path), str(fvs), "--bound", "planar")
         assert code == 4
+
+    def test_weighted_file_gets_weighted_bound(self, tmp_path, capsys):
+        # weight 3, minimum cycle weight 3: the bound is 4*3 / (3*3) = 4/3
+        path = tmp_path / "w.g"
+        write_pendant_triangle(path)
+        fvs = tmp_path / "s.txt"
+        fvs.write_text("0 3 4\n")
+        code, out = run(capsys, "verify", str(path), str(fvs), "--bound", "planar")
+        assert code == 4
+        assert "bound 4W/3g = 4/3 VIOLATED" in out
+
+    def test_weighted_solve_then_verify(self, tmp_path, capsys):
+        path = tmp_path / "w.g"
+        write_pendant_triangle(path)
+        trace = tmp_path / "t.txt"
+        code, out = run(capsys, "solve", str(path), "--alg", "planar", "--trace", str(trace))
+        assert code == 0
+        assert "bound = 4/3 (planar_weighted)" in out
+        fvs = tmp_path / "s.txt"
+        fvs.write_text(out.split("S = ", 1)[1].split("\n", 1)[0] + "\n")
+        code, out = run(capsys, "verify", str(path), str(fvs), "--bound", "planar")
+        assert code == 0
+        assert "bound 4W/3g = 4/3 satisfied" in out
+
+    def test_weighted_light_cycle_rejected(self, tmp_path, capsys):
+        path = tmp_path / "w.g"
+        write_graph(str(path), Graph(range(3), [(0, 1, 1), (1, 2, 1), (0, 2, 0)]))
+        fvs = tmp_path / "s.txt"
+        fvs.write_text("0\n")
+        code, _ = run(capsys, "verify", str(path), str(fvs), "--bound", "planar")
+        assert code == 2
 
     def test_cubic_bound(self, tmp_path, capsys):
         path = tmp_path / "k4.g"

@@ -245,25 +245,16 @@ class TestSolveCubic:
                 assert len(step.removed_vertices) >= 1
                 assert set(step.designated) <= step.removed_vertices
 
-    def test_oracle_fallback_flags_trace(self, monkeypatch):
-        # force one bogus rule application; the solver must fall back to the
-        # oracle for the whole subinstance and mark the certificate
+    def test_broken_rule_application_propagates(self, monkeypatch):
+        # a rule that leaves the class is a bug: no fallback may hide it
         import fvsbound.cubic as cubic_module
-        g = random_cubic_2connected(12, 5)
-        real_apply = cubic_module.apply_rule
-        calls = {"n": 0}
 
         def sabotaged(graph, rule, match):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise InternalInvariantBroken("injected for testing")
-            return real_apply(graph, rule, match)
+            raise InternalInvariantBroken("injected for testing")
 
         monkeypatch.setattr(cubic_module, "apply_rule", sabotaged)
-        cert = cubic_module.solve_cubic(g)
-        assert cert.flagged
-        assert cert.validate(g)
-        assert cert.trace[-1].rule == RuleId.ORACLE_FALLBACK.value
+        with pytest.raises(InternalInvariantBroken, match="injected"):
+            cubic_module.solve_cubic(random_cubic_2connected(12, 5))
 
     def test_r4_instances_solve_within_bound(self):
         for g in (r4_two_equal_instance(), r4_all_distinct_instance()):
@@ -308,7 +299,6 @@ class TestSolveCubic:
             cert = solve_cubic(g)
             assert validate_fvs(g, cert.fvs)
             assert 3 * cert.size <= n + 2
-            assert not cert.flagged
 
     def test_property_random_subcubic(self):
         # subdividing edges of cubic graphs yields 2-connected graphs of

@@ -7,7 +7,6 @@ import pytest
 
 from fvsbound.errors import OracleTooLarge, PreconditionViolated
 from fvsbound.girth import (
-    MERGER_ANY_NICE,
     SolverConfig,
     conjecture_gap_report,
     doubled_potential,
@@ -15,7 +14,7 @@ from fvsbound.girth import (
     solve_planar_weighted,
     trivial_baseline,
 )
-from fvsbound.graph import Graph, girth, validate_fvs, weighted_girth
+from fvsbound.graph import Graph, validate_fvs, weighted_girth
 from fvsbound.instances import disjoint_cycles, make_named, random_planar_girth
 from fvsbound.oracle import min_fvs_exact
 from fvsbound.planar import embed, faces_of
@@ -45,10 +44,6 @@ class TestConfig:
     def test_rejects_small_g(self):
         with pytest.raises(PreconditionViolated):
             SolverConfig(g=2)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(PreconditionViolated):
-            SolverConfig(g=3, merger_mode="nope")
 
     def test_doubled_potential(self):
         assert doubled_potential(wheel(5)) == 10  # hub 2*5-5, rim 5 * 1
@@ -111,18 +106,6 @@ class TestSolveWeighted:
         cert = solve_planar_weighted(plane(g), SolverConfig(g=4, validate_every_step=True))
         assert cert.validate(g)
         assert any(s.rule == "P2_merge" and s.removed_edges for s in cert.trace)
-
-    def test_any_nice_merger_mode(self):
-        for seed in range(6):
-            g, rot = random_planar_girth(18, 4, seed)
-            pg = faces_of(g, rot)
-            base = solve_planar_unweighted(pg)
-            cert = solve_planar_weighted(
-                pg, SolverConfig(g=int(girth(g)), merger_mode=MERGER_ANY_NICE,
-                                 validate_every_step=True))
-            assert validate_fvs(g, cert.fvs)
-            assert 3 * int(girth(g)) * cert.size <= 4 * g.m
-            assert base.validate(g)
 
     def test_random_weighted_instances(self):
         rng = random.Random(303)

@@ -3,6 +3,7 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from fvsbound.errors import MemberNotInGraph, PreconditionViolated
 from fvsbound.graph import (
     Graph,
+    bridges,
     connectivity_le3,
     cut_vertices,
+    edge_key,
     girth,
     has_two_edge_cut,
     is_forest,
@@ -138,6 +141,7 @@ class TestGirth:
                 assert cyc is not None and len(cyc) == expected
                 for i, v in enumerate(cyc):
                     assert g.has_edge(v, cyc[(i + 1) % len(cyc)])
+            assert girth(g) == (float("inf") if cyc is None else len(cyc))
 
 
 class TestWeightedGirth:
@@ -226,6 +230,21 @@ class TestConnectivity:
 
     def test_cut_vertices_path(self):
         assert cut_vertices(path_graph(3)) == [1]
+
+    def test_lowpoint_queries_match_networkx(self):
+        rng = random.Random(8)
+        disconnected = isolated = 0
+        for _ in range(300):
+            g = random_simple_graph(rng.randint(1, 14), rng, rng.choice((0.1, 0.2, 0.35)))
+            nxg = nx.Graph()
+            nxg.add_nodes_from(g.vertices)
+            nxg.add_edges_from(g.edges())
+            assert cut_vertices(g) == sorted(nx.articulation_points(nxg))
+            assert bridges(g) == sorted(edge_key(u, v) for u, v in nx.bridges(nxg))
+            assert is_two_connected(g) == (g.n >= 3 and nx.is_biconnected(nxg))
+            disconnected += not nx.is_connected(nxg)
+            isolated += any(g.degree(v) == 0 for v in g.vertices)
+        assert disconnected >= 50 and isolated >= 50
 
     def test_matches_bruteforce_randomized(self):
         rng = random.Random(5)

@@ -19,7 +19,6 @@ from fvsbound.planar import (
     apply_merger,
     embed,
     faces_of,
-    find_any_nice_merger,
     find_guaranteed_merger,
     plane_subgraph,
     split_high_degree_vertex,
@@ -245,21 +244,6 @@ class TestMergerCycleProperty:
             after = apply_merger(pg, spec)
             if after.graph.m:
                 assert weighted_girth(after.graph) >= before
-
-
-class TestAnyNiceMerger:
-    def test_finds_nice_triple_on_k4(self):
-        pg = plane(make_named("k4").graph)
-        spec = find_any_nice_merger(pg, 3)
-        assert spec is not None
-        assert 4 * spec.removed_weight >= 3 * 3
-        after = apply_merger(pg, spec)
-        assert after.graph.m < pg.graph.m
-
-    def test_respects_niceness_threshold(self):
-        pg = plane(make_named("k4").graph)
-        # total weight is 6; no triple can remove >= 3*100/4 = 75
-        assert find_any_nice_merger(pg, 100) is None
 
 
 class TestSplit:
