@@ -61,17 +61,29 @@ def _match_r1(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def _match_r2(g: Graph) -> tuple[int, ...] | None:
+_Triangles = list[tuple[int, int, list[int]]]
+
+
+def _triangle_edges(g: Graph) -> _Triangles:
+    """Edges on a triangle, ascending, each with its sorted common neighbors."""
+    out = []
     for x, y in g.edges():
-        common = sorted(set(g.neighbors(x)) & set(g.neighbors(y)))
+        ny = g.neighbors(y)
+        common = [w for w in g.neighbors(x) if w in ny]
+        if common:
+            out.append((x, y, common))
+    return out
+
+
+def _match_r2(g: Graph, triangles: _Triangles) -> tuple[int, ...] | None:
+    for x, y, common in triangles:
         if len(common) >= 2:
             return (x, y, common[0], common[1])
     return None
 
 
-def _match_r3(g: Graph) -> tuple[int, ...] | None:
-    for a, b in g.edges():
-        common = sorted(set(g.neighbors(a)) & set(g.neighbors(b)))
+def _match_r3(g: Graph, triangles: _Triangles) -> tuple[int, ...] | None:
+    for a, b, common in triangles:
         if len(common) != 1:
             continue
         w = common[0]
@@ -87,7 +99,7 @@ def _match_r3(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def _match_r4(g: Graph) -> tuple[int, ...] | None:
+def _match_r4(g: Graph, triangles: _Triangles) -> tuple[int, ...] | None:
     seen: dict[tuple[int, ...], int] = {}
     for v in g.vertices:
         if g.degree(v) != 3:
@@ -99,7 +111,7 @@ def _match_r4(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def _match_r5(g: Graph) -> tuple[int, ...] | None:
+def _match_r5(g: Graph, triangles: _Triangles) -> tuple[int, ...] | None:
     if not has_two_edge_cut(g):
         return None
     cut = min_side_two_edge_cut(g)
@@ -111,11 +123,10 @@ def _match_r5(g: Graph) -> tuple[int, ...] | None:
     return (v, u)
 
 
-def _match_r6(g: Graph) -> tuple[int, ...] | None:
-    for x, y in g.edges():
-        common = sorted(set(g.neighbors(x)) & set(g.neighbors(y)))
-        if common:
-            return tuple(sorted((x, y, common[0])))
+def _match_r6(g: Graph, triangles: _Triangles) -> tuple[int, ...] | None:
+    if triangles:
+        x, y, common = triangles[0]
+        return tuple(sorted((x, y, common[0])))
     return None
 
 
@@ -126,7 +137,6 @@ def _match_r7(g: Graph) -> tuple[int, ...]:
 
 
 _MATCHERS = (
-    (RuleId.R1_DEGREE2, _match_r1),
     (RuleId.R2_ADJACENT_TRIANGLES, _match_r2),
     (RuleId.R3_TRIANGLE_SQUARE, _match_r3),
     (RuleId.R4_TWO_SQUARES, _match_r4),
@@ -140,10 +150,15 @@ def find_rule(g: Graph) -> tuple[RuleId, tuple[int, ...]]:
 
     R7 is total on the graphs the solver feeds it (cubic, 3-connected,
     triangle-free, no doubled 4-cycles); the matcher itself is well-defined
-    on any graph with min degree 2.
+    on any graph with min degree 2. R2, R3 and R6 read one list of triangle
+    edges, built only once R1 has failed.
     """
+    match = _match_r1(g)
+    if match is not None:
+        return RuleId.R1_DEGREE2, match
+    triangles = _triangle_edges(g)
     for rule, matcher in _MATCHERS:
-        match = matcher(g)
+        match = matcher(g, triangles)
         if match is not None:
             return rule, match
     return RuleId.R7_GENERIC, _match_r7(g)
@@ -157,7 +172,7 @@ def _build(g: Graph, drop: list[int], add: list[tuple[int, int]],
            designated: tuple[int, ...]) -> tuple[Graph, ReductionStep]:
     drop_set = set(drop)
     removed_edges = frozenset(
-        e for e in g.edges() if e[0] in drop_set or e[1] in drop_set)
+        edge_key(v, u) for v in drop_set for u in g.neighbors(v))
     try:
         new = g.rewired(drop_vertices=drop, add_edges=add)
     except ValueError as exc:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .certificate import BoundKind, FvsCertificate, ReductionStep
 from .errors import InternalInvariantBroken, OracleTooLarge, PreconditionViolated
 from .cubic import solve_cubic
-from .graph import Graph, connected_components, cut_vertices, girth, is_forest, validate_fvs, weighted_girth
+from .graph import Graph, connected_components, cut_vertices, girth, is_forest, peel_degree_le1, validate_fvs, weighted_girth
 from .oracle import min_fvs_exact
 from .planar import (
     PlaneGraph,
@@ -110,20 +110,7 @@ def _solve(pg: PlaneGraph, run: _Run) -> set[int]:
     parent_measure = _measure(graph)
 
     # P0: vertices of degree <= 1 lie on no cycle.
-    degree = {v: graph.degree(v) for v in graph.vertices}
-    queue = [v for v, d in degree.items() if d <= 1]
-    dropped: set[int] = set()
-    while queue:
-        v = queue.pop()
-        if v in dropped:
-            continue
-        dropped.add(v)
-        for u in graph.neighbors(v):
-            if u in dropped:
-                continue
-            degree[u] -= 1
-            if degree[u] <= 1:
-                queue.append(u)
+    dropped = peel_degree_le1(graph)
     if dropped:
         run.trace.append(ReductionStep(
             rule="P0_prune", matched=tuple(sorted(dropped)),

@@ -178,6 +178,24 @@ def validate_fvs(g: Graph, s: Iterable[int]) -> bool:
     return is_forest(g.without_vertices(s_set))
 
 
+def peel_degree_le1(g: Graph) -> set[int]:
+    """Vertices removed by repeatedly deleting vertices of degree <= 1.
+
+    They lie on no cycle; the rest is the 2-core. One queue pass, O(n + m).
+    """
+    degree = {v: g.degree(v) for v in g.vertices}
+    queue = [v for v, d in degree.items() if d <= 1]
+    peeled = set(queue)
+    while queue:
+        for u in g.neighbors(queue.pop()):
+            if u not in peeled:
+                degree[u] -= 1
+                if degree[u] <= 1:
+                    peeled.add(u)
+                    queue.append(u)
+    return peeled
+
+
 # -- cycles and girth -------------------------------------------------------
 
 
@@ -382,16 +400,19 @@ def is_two_connected(g: Graph) -> bool:
     return components == 1 and not cuts
 
 
-def has_two_edge_cut(g: Graph) -> bool:
-    """True iff a connected bridgeless graph has a 2-edge cut-set.
+def _two_edge_cuts(g: Graph) -> Iterator[tuple[tuple[EdgeKey, EdgeKey], list[set[int]]]]:
+    """Every 2-edge cut-set of a connected bridgeless graph, with its two sides.
 
-    DFS covering structure: a tree edge covered by exactly one back edge forms
-    a cut with it; two tree edges form a cut iff covered by the same back-edge
-    set, detected by per-edge XOR signatures and confirmed by an explicit
-    disconnection check (signature equality is necessary, so no cut is missed).
+    Cycle-space labelling (Pritchard & Thurimella, ACM TALG 2011): each DFS
+    back edge gets a random 64-bit label, each tree edge the XOR of the labels
+    of the back edges covering it. Two edges form a cut-set iff they lie on
+    the same fundamental cycles, so every cut pair shares a label; labels may
+    collide, so each candidate pair is confirmed by removal. Raises before
+    yielding anything if the graph is disconnected or has a bridge (a tree
+    edge that no back edge covers).
     """
     if g.n < 2:
-        return False
+        return
     root = g.vertices[0]
     disc: dict[int, int] = {root: 0}
     parent: dict[int, int] = {root: -1}
@@ -399,6 +420,7 @@ def has_two_edge_cut(g: Graph) -> bool:
     rng = random.Random(0x5EED)
     acc_xor = {v: 0 for v in g.vertices}
     acc_cnt = {v: 0 for v in g.vertices}
+    groups: dict[int, list[EdgeKey]] = {}
     timer = 1
     stack: list[tuple[int, Iterator[int]]] = [(root, iter(g.neighbors(root)))]
     while stack:
@@ -416,6 +438,7 @@ def has_two_edge_cut(g: Graph) -> bool:
                     acc_xor[u] ^= tag
                     acc_cnt[v] += 1
                     acc_cnt[u] -= 1
+                    groups.setdefault(tag, []).append(edge_key(u, v))
                 continue
             disc[u] = timer
             timer += 1
@@ -428,37 +451,37 @@ def has_two_edge_cut(g: Graph) -> bool:
             postorder.append(v)
     if len(disc) != g.n:
         raise PreconditionViolated("graph must be connected")
-    # Children precede parents in postorder; afterwards acc_*[v] describes the
-    # back edges covering the tree edge (parent[v], v).
-    for v in postorder:
+    # Children precede parents in postorder and the root comes last, so
+    # acc_*[v] is final when v is reached: the label and cover count of the
+    # tree edge (parent[v], v).
+    for v in postorder[:-1]:
         p = parent[v]
-        if p != -1:
-            acc_xor[p] ^= acc_xor[v]
-            acc_cnt[p] += acc_cnt[v]
-    groups: dict[int, list[int]] = {}
-    for v in disc:
-        if v == root:
-            continue
-        cnt = acc_cnt[v]
-        if cnt == 0:
+        if acc_cnt[v] == 0:
             raise PreconditionViolated("graph must be 2-edge-connected (bridge found)")
-        if cnt == 1:
-            return True
-        groups.setdefault(acc_xor[v], []).append(v)
-    for sig, members in groups.items():
-        for a, b in combinations(members, 2):
-            e1 = edge_key(parent[a], a)
-            e2 = edge_key(parent[b], b)
-            if not is_connected(g.without_edges([e1, e2])):
-                return True
-    return False
+        acc_xor[p] ^= acc_xor[v]
+        acc_cnt[p] += acc_cnt[v]
+        groups.setdefault(acc_xor[v], []).append(edge_key(p, v))
+    for members in groups.values():
+        for pair in combinations(members, 2):
+            sides = connected_components(g.without_edges(pair))
+            if len(sides) == 2:
+                yield pair, sides
+
+
+def has_two_edge_cut(g: Graph) -> bool:
+    """True iff a connected bridgeless graph has a 2-edge cut-set.
+
+    Stops at the first cut of the cycle-space labelling (Pritchard &
+    Thurimella, ACM TALG 2011). Raises PreconditionViolated if the graph is
+    disconnected or has a bridge.
+    """
+    return next(_two_edge_cuts(g), None) is not None
 
 
 @dataclass(frozen=True)
 class CutStructure:
     """A small cut with the two vertex sets it separates."""
 
-    kind: str  # "vertex-cut" | "edge-cut"
     members: frozenset
     sides: tuple[frozenset[int], frozenset[int]]
 
@@ -466,36 +489,19 @@ class CutStructure:
 def min_side_two_edge_cut(g: Graph) -> CutStructure | None:
     """The 2-edge cut-set whose smaller side is minimum; None if 3-edge-connected.
 
-    Ties broken by the lexicographically smallest sorted smaller side. The
-    graph must be 2-edge-connected.
+    Ties broken by the lexicographically smallest sorted smaller side, then
+    the sorted pair, over all cuts of the cycle-space labelling (Pritchard &
+    Thurimella, ACM TALG 2011). Raises PreconditionViolated if the graph is
+    disconnected or has a bridge.
     """
-    if not is_connected(g) or bridges(g):
-        raise PreconditionViolated("graph must be 2-edge-connected")
-    if not has_two_edge_cut(g):
-        return None
-    best: tuple[int, tuple[int, ...], tuple[EdgeKey, EdgeKey]] | None = None
-    best_sides: tuple[frozenset[int], frozenset[int]] | None = None
-    seen_pairs: set[frozenset[EdgeKey]] = set()
-    for e in g.edges():
-        reduced = g.without_edges([e])
-        for f in bridges(reduced):
-            pair = frozenset((e, f))
-            if pair in seen_pairs:
-                continue
-            seen_pairs.add(pair)
-            comps = connected_components(g.without_edges([e, f]))
-            if len(comps) != 2:
-                continue
-            c1, c2 = comps
-            if (len(c1), tuple(sorted(c1))) > (len(c2), tuple(sorted(c2))):
-                c1, c2 = c2, c1
-            key = (len(c1), tuple(sorted(c1)), tuple(sorted(pair)))
-            if best is None or key < best:
-                best = key
-                best_sides = (frozenset(c1), frozenset(c2))
-    assert best is not None and best_sides is not None
-    return CutStructure(kind="edge-cut", members=frozenset(best[2]),
-                        sides=best_sides)
+    best = None
+    for pair, sides in _two_edge_cuts(g):
+        small, big = sorted(sides, key=lambda c: (len(c), sorted(c)))
+        key = (len(small), sorted(small), sorted(pair))
+        if best is None or key < best[0]:
+            best = (key, CutStructure(members=frozenset(pair),
+                                      sides=(frozenset(small), frozenset(big))))
+    return None if best is None else best[1]
 
 
 def connectivity_le3(g: Graph) -> tuple[int, int]:
@@ -526,8 +532,4 @@ def _edge_connectivity_le3(g: Graph) -> int:
         return 0
     if bridges(g):
         return 1
-    if g.m >= 2 and has_two_edge_cut(g):
-        return 2
-    if g.m < 2:
-        return 1 if g.m == 1 else 0
-    return 3
+    return 2 if has_two_edge_cut(g) else 3

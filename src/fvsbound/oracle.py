@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import TooLarge
-from .graph import Graph, is_forest, shortest_cycle, validate_fvs
+from .graph import Graph, is_forest, peel_degree_le1, shortest_cycle, validate_fvs
 
 DEFAULT_NODE_BUDGET = 2_000_000
 NAIVE_MAX_N = 12
@@ -34,12 +34,9 @@ class OracleResult:
 
 
 def _prune_forest_parts(g: Graph) -> Graph:
-    """Strip degree <= 1 vertices; they lie on no cycle."""
-    while True:
-        drop = [v for v in g.vertices if g.degree(v) <= 1]
-        if not drop:
-            return g
-        g = g.without_vertices(drop)
+    """Strip what peeling degree <= 1 vertices removes; it lies on no cycle."""
+    drop = peel_degree_le1(g)
+    return g.without_vertices(drop) if drop else g
 
 
 def _packing_lower_bound(g: Graph) -> int:

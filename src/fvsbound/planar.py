@@ -195,9 +195,10 @@ class MergerSpec:
     removed_weight: int
 
 
-def _merger_removed_edges(pg: PlaneGraph, fids: set[int]) -> frozenset[EdgeKey]:
+def _merger_removed_edges(edge_faces: dict[EdgeKey, tuple[int, ...]],
+                          fids: set[int]) -> frozenset[EdgeKey]:
     removed = []
-    for e, incident in pg.edge_face_map().items():
+    for e, incident in edge_faces.items():
         if len(incident) == 2 and incident[0] != incident[1] \
                 and set(incident) <= fids:
             removed.append(e)
@@ -223,8 +224,9 @@ def find_guaranteed_merger(pg: PlaneGraph, g_min: int) -> MergerSpec | None:
         branch = sum(1 for v in face.boundary_vertices if graph.degree(v) >= 3)
         if branch > 2:
             continue
+        boundary = face.boundary_edges
         neighbor_fids = set()
-        for e in face.boundary_edges:
+        for e in boundary:
             neighbor_fids.update(edge_faces[e])
         neighbor_fids.discard(face.id)
         if len(neighbor_fids) != 2:
@@ -234,23 +236,18 @@ def find_guaranteed_merger(pg: PlaneGraph, g_min: int) -> MergerSpec | None:
         fa, fb = sorted(neighbor_fids)
         crucial = None
         for v in sorted(face.boundary_vertices):
-            touches_a = touches_b = False
+            touched = set()
             for u in graph.neighbors(v):
                 e = edge_key(u, v)
-                if e not in face.boundary_edges:
-                    continue
-                other = [f for f in edge_faces[e] if f != face.id]
-                if fa in other:
-                    touches_a = True
-                if fb in other:
-                    touches_b = True
-            if touches_a and touches_b:
+                if e in boundary:
+                    touched.update(edge_faces[e])
+            if fa in touched and fb in touched:
                 crucial = v
                 break
         if crucial is None:
             raise InternalInvariantBroken(
                 f"face {face.id}: no vertex meets both adjacent faces")
-        removed = _merger_removed_edges(pg, {face.id, fa, fb})
+        removed = _merger_removed_edges(edge_faces, {face.id, fa, fb})
         weight = sum(graph.weight(u, v) for u, v in removed)
         if 4 * weight < 3 * g_min:
             raise InternalInvariantBroken(
@@ -280,7 +277,7 @@ def apply_merger(pg: PlaneGraph, spec: MergerSpec) -> PlaneGraph:
                 f"crucial vertex {spec.crucial} is not on the boundary of face {fid}")
     if not (b0 & b1) or not (b1 & b2):
         raise InvalidMerger("middle face must share an edge with both others")
-    expected = _merger_removed_edges(pg, fids)
+    expected = _merger_removed_edges(pg.edge_face_map(), fids)
     if spec.removed_edges != expected:
         raise InvalidMerger("removed_edges does not match the three faces' shared edges")
     stripped = graph.without_edges(spec.removed_edges)

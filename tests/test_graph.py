@@ -17,9 +17,11 @@ from fvsbound.graph import (
     edge_key,
     girth,
     has_two_edge_cut,
+    is_connected,
     is_forest,
     is_two_connected,
     min_side_two_edge_cut,
+    peel_degree_le1,
     shortest_cycle,
     validate_fvs,
     weighted_girth,
@@ -297,8 +299,16 @@ class TestTwoEdgeCuts:
         assert best.sides[0] == frozenset({1})
 
     def test_requires_two_edge_connected(self):
-        with pytest.raises(PreconditionViolated):
-            min_side_two_edge_cut(path_graph(4))
+        # In the bridged graph a DFS from 0 meets tree edges covered by a
+        # single back edge before it reaches the bridge (2, 3).
+        bridged = Graph(range(6), [(0, 1), (1, 2), (2, 0), (2, 3),
+                                   (3, 4), (4, 5), (5, 3)])
+        split = Graph(range(6), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        for g in (path_graph(4), bridged, split):
+            with pytest.raises(PreconditionViolated):
+                has_two_edge_cut(g)
+            with pytest.raises(PreconditionViolated):
+                min_side_two_edge_cut(g)
 
     def test_existence_matches_bruteforce(self):
         rng = random.Random(17)
@@ -313,22 +323,46 @@ class TestTwoEdgeCuts:
 
     def test_min_side_matches_bruteforce(self):
         rng = random.Random(18)
-        checked = 0
-        while checked < 120:
-            g = random_max_deg3_graph(rng.randint(4, 10), rng)
-            vc, ec = connectivity_le3(g)
-            if ec != 2:
-                continue
-            checked += 1
+        graphs = [cycle_graph(n) for n in range(3, 10)]
+        while len(graphs) < 7 + 400:
+            g = random_max_deg3_graph(rng.randint(4, 12), rng)
+            if is_connected(g) and not bridges(g):
+                graphs.append(g)
+        with_cut = tied = 0
+        for g in graphs:
             cut = min_side_two_edge_cut(g)
-            assert cut is not None
-            expected = min(
-                min(len(a), len(b)) for _, (a, b) in all_two_edge_cuts(g))
-            assert len(cut.sides[0]) == expected
+            keyed = []
+            for pair, sides in all_two_edge_cuts(g):
+                small, big = sorted(sides, key=lambda c: (len(c), sorted(c)))
+                keyed.append(((len(small), sorted(small), sorted(pair)), pair, small, big))
+            if not keyed:
+                assert cut is None
+                continue
+            with_cut += 1
+            (size, _, _), pair, small, big = min(keyed, key=lambda k: k[0])
+            tied += sum(k[0][0] == size for k in keyed) > 1
+            assert cut.members == pair
+            assert cut.sides == (frozenset(small), frozenset(big))
             # the reported members really disconnect into the reported sides
             rest = g.without_edges(cut.members)
             comps = sorted(sorted(c) for c in brute_components(rest))
             assert sorted(map(sorted, cut.sides)) == comps
+        assert with_cut >= 300 and tied >= 200
+
+
+class TestPeel:
+    def test_matches_networkx_two_core(self):
+        rng = random.Random(19)
+        forests = isolated = 0
+        for _ in range(300):
+            g = random_simple_graph(rng.randint(1, 14), rng, rng.choice((0.05, 0.15, 0.3)))
+            nxg = nx.Graph()
+            nxg.add_nodes_from(g.vertices)
+            nxg.add_edges_from(g.edges())
+            assert peel_degree_le1(g) == set(nxg) - set(nx.k_core(nxg, 2))
+            forests += is_forest(g)
+            isolated += any(g.degree(v) == 0 for v in g.vertices)
+        assert forests >= 50 and isolated >= 50
 
 
 class TestTwoConnected:
