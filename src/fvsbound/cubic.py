@@ -21,7 +21,6 @@ from .errors import InternalInvariantBroken, PreconditionViolated
 from .graph import (
     Graph,
     edge_key,
-    has_two_edge_cut,
     is_two_connected,
     min_side_two_edge_cut,
     validate_fvs,
@@ -112,10 +111,9 @@ def _match_r4(g: Graph, triangles: _Triangles) -> tuple[int, ...] | None:
 
 
 def _match_r5(g: Graph, triangles: _Triangles) -> tuple[int, ...] | None:
-    if not has_two_edge_cut(g):
-        return None
     cut = min_side_two_edge_cut(g)
-    assert cut is not None
+    if cut is None:
+        return None
     e = min(sorted(cut.members))
     small_side = cut.sides[0]
     v = e[0] if e[0] in small_side else e[1]

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .certificate import BoundKind, FvsCertificate, ReductionStep
 from .errors import InternalInvariantBroken, OracleTooLarge, PreconditionViolated
 from .cubic import solve_cubic
-from .graph import Graph, connected_components, cut_vertices, girth, is_forest, peel_degree_le1, validate_fvs, weighted_girth
+from .graph import Graph, bridges, connected_components, cut_vertices, girth, peel_degree_le1, validate_fvs, weighted_girth
 from .oracle import min_fvs_exact
 from .planar import (
     PlaneGraph,
@@ -122,17 +122,18 @@ def _solve(pg: PlaneGraph, run: _Run) -> set[int]:
         run.check_child(parent_measure, graph)
         parent_measure = _measure(graph)
 
-    # P1: decompose across components or at a cut vertex; the two sides only
-    # share the cut vertex, so their sets union to a feedback vertex set.
+    # P1: decompose across components or at a cut vertex; the sides share at
+    # most the cut vertex, so their sets union to a feedback vertex set.
     comps = connected_components(graph)
     if len(comps) > 1:
-        side1 = comps[0]
-        side2 = set(graph.vertices) - side1
-        run.trace.append(ReductionStep(
-            rule="P1_decompose", matched=(min(side1),),
-            note="disconnected"))
-        return _solve_side(pg, side1, run, parent_measure) | \
-            _solve_side(pg, side2, run, parent_measure)
+        fvs: set[int] = set()
+        for comp in comps:
+            if comp is not comps[-1]:
+                run.trace.append(ReductionStep(
+                    rule="P1_decompose", matched=(min(comp),),
+                    note="disconnected"))
+            fvs |= _solve_side(pg, comp, run, parent_measure)
+        return fvs
     cuts = cut_vertices(graph)
     if cuts:
         x = cuts[0]
@@ -247,29 +248,25 @@ def trivial_baseline(pg: PlaneGraph) -> FvsCertificate:
 
     Certifies g|S| <= 2*weight(G): each removal merges faces, and a plane
     graph with heavy cycles has at most 2*weight/g faces on its cyclic
-    components.
+    components. The face count is the proof, not the algorithm: a vertex lies
+    on two or more faces exactly when it ends a non-bridge edge (that edge
+    borders two faces, the darts at a vertex with only bridges share one face
+    walk, and an isolated vertex borders none). So each round removes the
+    smallest such vertex, until only bridges, a forest, remain.
     """
     graph = pg.graph
     total = graph.total_weight()
     wg = weighted_girth(graph)
-    cur = pg
+    cur = graph
     chosen: set[int] = set()
     steps: list[ReductionStep] = []
-    while not is_forest(cur.graph):
-        on_faces: dict[int, set[int]] = {}
-        for face in cur.faces:
-            for v in face.boundary_vertices:
-                on_faces.setdefault(v, set()).add(face.id)
-        candidates = [v for v, fs in on_faces.items() if len(fs) >= 2]
-        if not candidates:
-            raise InternalInvariantBroken(
-                "cyclic graph without a vertex on two faces")
-        v = min(candidates)
+    while non_bridges := set(cur.edges()) - set(bridges(cur)):
+        v = min(non_bridges)[0]  # edge keys are (smaller, larger)
         chosen.add(v)
         steps.append(ReductionStep(rule="baseline_remove", matched=(v,),
                                    removed_vertices=frozenset([v]),
                                    designated=(v,)))
-        cur = plane_subgraph(cur, set(cur.graph.vertices) - {v})
+        cur = cur.without_vertices([v])
     if wg == float("inf"):
         num, den = 2 * total, 1
     else:

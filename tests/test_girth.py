@@ -168,6 +168,13 @@ class TestSolveUnweighted:
             assert cert.size == k
             assert cert.validate(g)
 
+    def test_many_components_split_in_one_step(self):
+        # The split must not take one recursion level per component.
+        g = disjoint_cycles(1200, 3)
+        cert = solve_planar_unweighted(plane(g))
+        assert cert.size == 1200
+        assert cert.validate(g)
+
 
 class TestBaseline:
     def test_c5(self):

@@ -12,8 +12,9 @@ import pytest
 from fvsbound.cli import _format_step
 from fvsbound.cubic import solve_cubic
 from fvsbound.girth import solve_planar_unweighted, trivial_baseline
-from fvsbound.instances import make_named, random_cubic_2connected, random_planar_girth
-from fvsbound.planar import faces_of
+from fvsbound.graph import Graph
+from fvsbound.instances import disjoint_cycles, make_named, random_cubic_2connected, random_planar_girth
+from fvsbound.planar import embed, faces_of
 
 
 def canonical_text(cert) -> str:
@@ -27,6 +28,16 @@ def _named_plane(name):
     return faces_of(inst.graph, inst.rotation)
 
 
+def _embedded(g):
+    return faces_of(g, embed(g))
+
+
+# The path 0-1 joins a triangle and a square, with a pendant path 3-9-10 and
+# an isolated vertex 11. The baseline takes {2, 5}; a pick from the 2-core,
+# which keeps the path 0-1, would start at 0.
+BRIDGED = Graph(range(12), [(2, 0), (0, 1), (1, 5), (2, 3), (3, 4), (4, 2), (5, 6),
+                            (6, 7), (7, 8), (8, 5), (3, 9), (9, 10)])
+
 CASES = {
     **{f"cubic-{name}": (lambda name=name: solve_cubic(make_named(name).graph))
        for name in ("k4", "k33", "cube", "dodecahedron", "prism", "petersen")},
@@ -38,6 +49,11 @@ CASES = {
        (lambda g=g: solve_planar_unweighted(faces_of(*random_planar_girth(60, g, 1))))
        for g in (3, 5)},
     "trivial-dodecahedron": lambda: trivial_baseline(_named_plane("dodecahedron")),
+    **{f"trivial-random-g{g}":
+       (lambda g=g: trivial_baseline(faces_of(*random_planar_girth(60, g, 1))))
+       for g in (3, 5)},
+    "trivial-bridged": lambda: trivial_baseline(_embedded(BRIDGED)),
+    "planar-disjoint-cycles-4x5": lambda: solve_planar_unweighted(_embedded(disjoint_cycles(4, 5))),
 }
 
 GOLDEN = {
@@ -53,12 +69,16 @@ GOLDEN = {
     "planar-c5": "4f4053df74a135e0d81ce5e80497c1cb21fa64a5d0c3f40c37cc01fd8d48a617",
     "planar-chain4": "e9552a141c30c062ca473201fda580677e891bb782cdf478963f2725a0a730b5",
     "planar-cube": "b0108605ef4c43c4850c3d960e515b8f74bff44cc1d84c6fa893eec19d5dc3e3",
+    "planar-disjoint-cycles-4x5": "3d7603bdc1a86b1aae59214c5e428b3009595fdf94bfb6ba6b364123f86163a4",
     "planar-dodecahedron": "23a81b36fe01e8f57345b1bb03c117a802af0bd8ba11505729a0aab51844070d",
     "planar-k4": "9b2b92ce7ed36cc2fb2b453c2f0c37ae99fe07f31d6e62877957b63eb0ad2bcb",
     "planar-prism": "9583a159e01dd560002c15dcf28459195aef6b43623375c521168d84ef9980db",
     "planar-random-g3": "768255d94211594d0625a14d2f4d219dd1fc49961063565ade6c9b091d6d0e8f",
     "planar-random-g5": "a7e72f3ba485fb9182b3d93c1a8cf9bd818a6bfb6ab039a89e01ab86931d3dc7",
+    "trivial-bridged": "2088bedd7a370d96a619dd23456c24b6b3f8c1640c330fa128e1767d2c129e2a",
     "trivial-dodecahedron": "be25d553a3990232a06290011954dfea9f247ced9d2d450981259608aa8389ce",
+    "trivial-random-g3": "80ee6dcddf24be8d751c8739bd187868a775a2af09e7bf5e87e608a3e9288c1c",
+    "trivial-random-g5": "1e233c7aef4ffc59ac529fa597b0483a1664c9f75b7b1f522b5f0701497bd013",
 }
 
 

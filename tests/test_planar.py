@@ -12,7 +12,7 @@ from fvsbound.errors import (
     WouldCreateParallelEdge,
 )
 from fvsbound.girth import doubled_potential
-from fvsbound.graph import Graph, is_forest, weighted_girth
+from fvsbound.graph import Graph, bridges, is_forest, weighted_girth
 from fvsbound.instances import make_named, random_planar_girth
 from fvsbound.planar import (
     RotationSystem,
@@ -36,6 +36,27 @@ def plane(g):
     rot = embed(g)
     assert rot is not None
     return faces_of(g, rot)
+
+
+def random_plane_with_bridges(rng):
+    """A random plane graph with deleted edges, pendant trees, isolated
+    vertices and shuffled ids, built on the rotation of a random plane graph."""
+    g, rot = random_planar_girth(rng.randint(4, 30), rng.choice([3, 4, 5]), rng.randrange(10**6))
+    g = g.without_edges(rng.sample(g.edges(), rng.randint(0, g.m // 2)))
+    order = {v: list(ring) for v, ring in rot.restricted_to(g).order.items()}
+    edges = g.edges()
+    for _ in range(rng.randint(0, 6)):
+        v, w = rng.choice(sorted(order)), max(order) + 1
+        order[v].insert(rng.randint(0, len(order[v])), w)
+        order[w] = [v]
+        edges.append((v, w))
+    for _ in range(rng.randint(0, 2)):
+        order[max(order) + 1] = []
+    ids = rng.sample(range(3 * len(order)), len(order))
+    label = dict(zip(sorted(order), ids))
+    h = Graph(ids, [(label[u], label[v]) for u, v in edges])
+    return faces_of(h, RotationSystem({label[v]: tuple(label[u] for u in ring)
+                                       for v, ring in order.items()}))
 
 
 def chorded_c6():
@@ -96,6 +117,22 @@ class TestFacesOf:
         rot = RotationSystem({0: (1, 2, 3), 1: (0, 2, 3), 2: (1, 0, 3), 3: (2, 0, 1)})
         with pytest.raises(NonPlanarRotation):
             faces_of(k4, rot)
+
+    def test_two_faces_iff_non_bridge_endpoint(self):
+        rng = random.Random(11)
+        seen_bridge = seen_isolated = 0
+        for _ in range(300):
+            pg = random_plane_with_bridges(rng)
+            on_faces = {v: set() for v in pg.graph.vertices}
+            for face in pg.faces:
+                for v in face.boundary_vertices:
+                    on_faces[v].add(face.id)
+            cut = set(bridges(pg.graph))
+            cyclic = {v for e in pg.graph.edges() if e not in cut for v in e}
+            assert {v for v, fs in on_faces.items() if len(fs) >= 2} == cyclic
+            seen_bridge += bool(cut)
+            seen_isolated += any(pg.graph.degree(v) == 0 for v in pg.graph.vertices)
+        assert seen_bridge > 200 and seen_isolated > 100
 
     def test_deterministic_face_ids(self):
         g = make_named("cube").graph
