@@ -312,7 +312,7 @@ def cmd_batch(args) -> int:
                 any_failed = True
             _print(f"{path.name}: ok |S|={cert.size} "
                    f"bound={_fmt_fraction(cert.bound_num, cert.bound_den)}")
-        except (FvsError, OSError) as exc:
+        except (FvsError, OSError, RecursionError) as exc:
             row["valid"] = "error"
             any_failed = True
             _print(f"{path.name}: error {exc}")

@@ -8,8 +8,13 @@ order; a rule only ever fires on a graph where all earlier rules fail, which
 is exactly what makes each rewrite sound. Graphs with at most
 ``BASE_CASE_MAX_N`` vertices are closed out by the exact oracle.
 
-All matches are scanned in ascending vertex/edge order, so identical inputs
-produce identical traces.
+The rewrites run on one private mutable working graph (``_Work``), changed
+in place. A rewrite touches at most about ten vertices, so the indices the
+matchers read (degree-2 vertices, triangle edges, degree-3 vertices grouped
+by neighborhood) are recomputed only on the dirty set: the surviving
+neighbors of the dropped vertices plus the endpoints of the added edges.
+Every match is the lexicographically first one in ascending vertex/edge
+order, so identical inputs produce identical traces.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import enum
 from .certificate import BoundKind, FvsCertificate, ReductionStep
 from .errors import InternalInvariantBroken, PreconditionViolated
 from .graph import (
+    EdgeKey,
     Graph,
     edge_key,
     is_two_connected,
@@ -41,7 +47,126 @@ class RuleId(enum.Enum):
     R7_GENERIC = "R7_generic"
 
 
-def _third(g: Graph, v: int, excluded: tuple[int, ...]) -> int:
+class _Work:
+    """The solver's mutable graph, with the match indices kept current.
+
+    ``adj`` maps each vertex to its sorted neighbor tuple. It is built once in
+    ascending vertex order and vertices are only ever deleted, so it stays
+    ascending. It offers the read API of ``Graph`` that the matchers, the
+    appliers and the graph queries use. ``rewrite`` changes it in place and
+    then re-indexes only the dirty set D, the surviving neighbors of the
+    dropped vertices plus the endpoints of the added edges:
+
+    - ``deg2``: the degree-2 vertices (R1);
+    - ``tri``: each edge on a triangle with its sorted common neighbors (R2,
+      R3, R6); only edges at D can change;
+    - ``groups``: degree-3 vertices keyed by their neighbor tuple, and
+      ``twins``, the keys held by two or more of them (R4).
+    """
+
+    __slots__ = ("adj", "deg2", "tri", "groups", "twins", "_weights")
+
+    def __init__(self, g: Graph):
+        self.adj = {v: g.neighbors(v) for v in g.vertices}
+        self._weights = g.edge_weights()
+        self.deg2: set[int] = set()
+        self.tri: dict[EdgeKey, list[int]] = {}
+        self.groups: dict[tuple[int, ...], set[int]] = {}
+        self.twins: set[tuple[int, ...]] = set()
+        self._index(self.adj)
+
+    @property
+    def n(self) -> int:
+        return len(self.adj)
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(self.adj)
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        return self.adj[v]
+
+    def degree(self, v: int) -> int:
+        return len(self.adj[v])
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.adj.get(u, ())
+
+    def max_degree(self) -> int:
+        return max(map(len, self.adj.values()), default=0)
+
+    def freeze(self) -> Graph:
+        """The current graph as an immutable Graph; added edges weigh 1."""
+        weights = self._weights
+        return Graph(self.adj, [(v, u, weights.get((v, u), 1))
+                                for v, ns in self.adj.items() for u in ns if v < u])
+
+    def rewrite(self, drop: list[int], add: list[tuple[int, int]]) -> None:
+        """Remove vertices, then add edges among the survivors, in place.
+
+        Raises ValueError, before changing anything, on a loop, a parallel
+        edge, or an endpoint that is not in the reduced graph.
+        """
+        adj = self.adj
+        gone = set(drop)
+        missing = gone - adj.keys()
+        if missing:
+            raise ValueError(f"vertices {sorted(missing)} not in graph")
+        dirty = {u: {x for x in adj[u] if x not in gone}
+                 for v in gone for u in adj[v] if u not in gone}
+        for u, v in add:
+            if u == v:
+                raise ValueError(f"loop at vertex {u}")
+            for x in (u, v):
+                if x not in dirty:
+                    if x in gone or x not in adj:
+                        raise ValueError(f"vertex {x} not in the reduced graph")
+                    dirty[x] = set(adj[x])
+            if v in dirty[u]:
+                raise ValueError(f"parallel edge ({u}, {v})")
+            dirty[u].add(v)
+            dirty[v].add(u)
+        self._unindex(gone.union(dirty))
+        for v in gone:
+            del adj[v]
+        for v, ns in dirty.items():
+            adj[v] = tuple(sorted(ns))
+        self._index(dirty)
+
+    def _unindex(self, vertices) -> None:
+        for v in vertices:
+            ns = self.adj[v]
+            if len(ns) == 2:
+                self.deg2.discard(v)
+            elif len(ns) == 3:
+                group = self.groups[ns]
+                group.discard(v)
+                if len(group) < 2:
+                    self.twins.discard(ns)
+                if not group:
+                    del self.groups[ns]
+            for u in ns:
+                self.tri.pop(edge_key(u, v), None)
+
+    def _index(self, vertices) -> None:
+        adj = self.adj
+        for v in vertices:
+            ns = adj[v]
+            if len(ns) == 2:
+                self.deg2.add(v)
+            elif len(ns) == 3:
+                group = self.groups.setdefault(ns, set())
+                group.add(v)
+                if len(group) >= 2:
+                    self.twins.add(ns)
+            for u in ns:
+                nu = adj[u]
+                common = [w for w in ns if w in nu]
+                if common:
+                    self.tri[edge_key(u, v)] = common
+
+
+def _third(g: _Work, v: int, excluded: tuple[int, ...]) -> int:
     rest = [u for u in g.neighbors(v) if u not in excluded]
     if len(rest) != 1:
         raise InternalInvariantBroken(
@@ -52,37 +177,18 @@ def _third(g: Graph, v: int, excluded: tuple[int, ...]) -> int:
 # -- matchers ------------------------------------------------------------------
 
 
-def _match_r1(g: Graph) -> tuple[int, ...] | None:
-    for v in g.vertices:
-        if g.degree(v) == 2:
-            u, w = g.neighbors(v)
-            return (v, u, w)
-    return None
+_Triangles = list[tuple[EdgeKey, list[int]]]
 
 
-_Triangles = list[tuple[int, int, list[int]]]
-
-
-def _triangle_edges(g: Graph) -> _Triangles:
-    """Edges on a triangle, ascending, each with its sorted common neighbors."""
-    out = []
-    for x, y in g.edges():
-        ny = g.neighbors(y)
-        common = [w for w in g.neighbors(x) if w in ny]
-        if common:
-            out.append((x, y, common))
-    return out
-
-
-def _match_r2(g: Graph, triangles: _Triangles) -> tuple[int, ...] | None:
-    for x, y, common in triangles:
+def _match_r2(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
+    for (x, y), common in triangles:
         if len(common) >= 2:
             return (x, y, common[0], common[1])
     return None
 
 
-def _match_r3(g: Graph, triangles: _Triangles) -> tuple[int, ...] | None:
-    for a, b, common in triangles:
+def _match_r3(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
+    for (a, b), common in triangles:
         if len(common) != 1:
             continue
         w = common[0]
@@ -98,19 +204,17 @@ def _match_r3(g: Graph, triangles: _Triangles) -> tuple[int, ...] | None:
     return None
 
 
-def _match_r4(g: Graph, triangles: _Triangles) -> tuple[int, ...] | None:
-    seen: dict[tuple[int, ...], int] = {}
-    for v in g.vertices:
-        if g.degree(v) != 3:
-            continue
-        key = g.neighbors(v)
-        if key in seen:
-            return (seen[key], v) + key
-        seen[key] = v
-    return None
+def _match_r4(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
+    # An ascending scan stops at the first vertex sharing its neighbor tuple
+    # with an earlier one: the group whose second-smallest member is least.
+    if not g.twins:
+        return None
+    firsts = [(sorted(g.groups[key])[:2], key) for key in g.twins]
+    (v, x), key = min(firsts, key=lambda pair: pair[0][1])
+    return (v, x) + key
 
 
-def _match_r5(g: Graph, triangles: _Triangles) -> tuple[int, ...] | None:
+def _match_r5(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
     cut = min_side_two_edge_cut(g)
     if cut is None:
         return None
@@ -121,17 +225,11 @@ def _match_r5(g: Graph, triangles: _Triangles) -> tuple[int, ...] | None:
     return (v, u)
 
 
-def _match_r6(g: Graph, triangles: _Triangles) -> tuple[int, ...] | None:
+def _match_r6(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
     if triangles:
-        x, y, common = triangles[0]
+        (x, y), common = triangles[0]
         return tuple(sorted((x, y, common[0])))
     return None
-
-
-def _match_r7(g: Graph) -> tuple[int, ...]:
-    v = g.vertices[0]
-    nbrs = g.neighbors(v)
-    return (v, nbrs[0], nbrs[1])
 
 
 _MATCHERS = (
@@ -143,57 +241,61 @@ _MATCHERS = (
 )
 
 
-def find_rule(g: Graph) -> tuple[RuleId, tuple[int, ...]]:
+def find_rule(g: Graph | _Work) -> tuple[RuleId, tuple[int, ...]]:
     """First matching rule in R1..R7 order with its lexicographically first match.
 
     R7 is total on the graphs the solver feeds it (cubic, 3-connected,
     triangle-free, no doubled 4-cycles); the matcher itself is well-defined
-    on any graph with min degree 2. R2, R3 and R6 read one list of triangle
-    edges, built only once R1 has failed.
+    on any graph with min degree 2. A Graph is wrapped in a fresh working
+    graph; the solver passes its own, whose indices are already current.
     """
-    match = _match_r1(g)
-    if match is not None:
-        return RuleId.R1_DEGREE2, match
-    triangles = _triangle_edges(g)
+    work = g if isinstance(g, _Work) else _Work(g)
+    if work.deg2:
+        v = min(work.deg2)
+        u, w = work.adj[v]
+        return RuleId.R1_DEGREE2, (v, u, w)
+    triangles = sorted(work.tri.items())
     for rule, matcher in _MATCHERS:
-        match = matcher(g, triangles)
+        match = matcher(work, triangles)
         if match is not None:
             return rule, match
-    return RuleId.R7_GENERIC, _match_r7(g)
+    v = next(iter(work.adj))
+    nbrs = work.adj[v]
+    return RuleId.R7_GENERIC, (v, nbrs[0], nbrs[1])
 
 
 # -- rule application ----------------------------------------------------------
 
 
-def _build(g: Graph, drop: list[int], add: list[tuple[int, int]],
+def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
            rule: RuleId, match: tuple[int, ...],
-           designated: tuple[int, ...]) -> tuple[Graph, ReductionStep]:
+           designated: tuple[int, ...]) -> ReductionStep:
     drop_set = set(drop)
     removed_edges = frozenset(
         edge_key(v, u) for v in drop_set for u in g.neighbors(v))
+    n_before = g.n
     try:
-        new = g.rewired(drop_vertices=drop, add_edges=add)
+        g.rewrite(drop, add)
     except ValueError as exc:
         raise InternalInvariantBroken(
             f"{rule.value} on {match}: reduced graph is not simple ({exc})")
-    if new.n >= g.n:
+    if g.n >= n_before:
         raise InternalInvariantBroken(f"{rule.value} did not shrink the graph")
-    if new.max_degree() > 3:
+    if g.max_degree() > 3:
         raise InternalInvariantBroken(
             f"{rule.value} on {match}: reduced graph exceeds degree 3")
-    if not is_two_connected(new):
+    if not is_two_connected(g):
         raise InternalInvariantBroken(
             f"{rule.value} on {match}: reduced graph is not 2-connected")
-    step = ReductionStep(
+    return ReductionStep(
         rule=rule.value, matched=match,
         removed_vertices=frozenset(drop_set),
         removed_edges=removed_edges,
         added_edges=frozenset(edge_key(u, v) for u, v in add),
         designated=designated)
-    return new, step
 
 
-def _remove_triangle(g: Graph, rule: RuleId, match: tuple[int, ...],
+def _remove_triangle(g: _Work, rule: RuleId, match: tuple[int, ...],
                      apex: int, p: int, q: int):
     """Remove the triangle apex-p-q, join the outer neighbors of p and q, designate apex."""
     a = _third(g, p, (apex, q))
@@ -205,7 +307,7 @@ def _remove_triangle(g: Graph, rule: RuleId, match: tuple[int, ...],
     return _build(g, [apex, p, q], [(a, b)], rule, match, (apex,))
 
 
-def _apply_r1(g: Graph, match: tuple[int, ...]):
+def _apply_r1(g: _Work, match: tuple[int, ...]):
     v, u, w = match
     if not g.has_edge(u, w):
         return _build(g, [v], [(u, w)], RuleId.R1_DEGREE2, match, ())
@@ -222,14 +324,14 @@ def _apply_r1(g: Graph, match: tuple[int, ...]):
     return _build(g, [u, v, w], add, RuleId.R1_DEGREE2, match, (u,))
 
 
-def _apply_r2(g: Graph, match: tuple[int, ...]):
+def _apply_r2(g: _Work, match: tuple[int, ...]):
     x, y, z, zp = match
     if g.has_edge(z, zp):
         raise InternalInvariantBroken("triangles close into K4")
     return _remove_triangle(g, RuleId.R2_ADJACENT_TRIANGLES, match, x, z, y)
 
 
-def _apply_r3(g: Graph, match: tuple[int, ...]):
+def _apply_r3(g: _Work, match: tuple[int, ...]):
     x, y, w, z, v = match
     w3 = _third(g, w, (x, y))
     if g.has_edge(v, w3):
@@ -243,7 +345,7 @@ def _apply_r3(g: Graph, match: tuple[int, ...]):
     return _remove_triangle(g, RuleId.R3_TRIANGLE_SQUARE, match, x, y, w)
 
 
-def _apply_r4(g: Graph, match: tuple[int, ...]):
+def _apply_r4(g: _Work, match: tuple[int, ...]):
     v, x, u, w, y = match
     thirds = {s: _third(g, s, (v, x)) for s in (u, w, y)}
     distinct = set(thirds.values())
@@ -269,7 +371,7 @@ def _apply_r4(g: Graph, match: tuple[int, ...]):
                   RuleId.R4_TWO_SQUARES, match, (v, x))
 
 
-def _apply_r5(g: Graph, match: tuple[int, ...]):
+def _apply_r5(g: _Work, match: tuple[int, ...]):
     v, u = match
     cut = min_side_two_edge_cut(g)
     if cut is None or edge_key(u, v) not in cut.members:
@@ -296,12 +398,12 @@ def _apply_r5(g: Graph, match: tuple[int, ...]):
                   RuleId.R5_TWO_EDGE_CUT, match, (w,))
 
 
-def _apply_r6(g: Graph, match: tuple[int, ...]):
+def _apply_r6(g: _Work, match: tuple[int, ...]):
     u, v, w = match
     return _remove_triangle(g, RuleId.R6_TRIANGLE, match, w, u, v)
 
 
-def _apply_r7(g: Graph, match: tuple[int, ...]):
+def _apply_r7(g: _Work, match: tuple[int, ...]):
     v, x, y = match
     if g.has_edge(x, y):
         raise InternalInvariantBroken("triangle survived to the generic rule")
@@ -326,15 +428,19 @@ _APPLIERS = {
 }
 
 
-def apply_rule(g: Graph, rule: RuleId,
-               match: tuple[int, ...]) -> tuple[Graph, ReductionStep]:
+def apply_rule(g: Graph | _Work, rule: RuleId,
+               match: tuple[int, ...]) -> tuple[Graph | _Work, ReductionStep]:
     """Apply one rule to its match; the result is checked to stay in class.
 
+    A Graph is left as it is and the reduced graph is returned as a new
+    Graph; the solver's working graph is rewritten in place and returned.
     Raises InternalInvariantBroken when the reduced graph leaves the class of
     simple 2-connected subcubic graphs; the rewrite proofs guarantee closure,
     so that only ever signals a bug (or a match from a stale graph).
     """
-    return _APPLIERS[rule](g, match)
+    work = g if isinstance(g, _Work) else _Work(g)
+    step = _APPLIERS[rule](work, match)
+    return (work if work is g else work.freeze()), step
 
 
 # -- solver --------------------------------------------------------------------
@@ -372,6 +478,13 @@ def base_case(g: Graph) -> FvsCertificate:
 def solve_cubic(g: Graph) -> FvsCertificate:
     """Feedback vertex set with 3|S| <= n + 2 for a 2-connected subcubic graph.
 
+    The rewrites run on one working graph copied from ``g`` and changed in
+    place; after each one only the dirty set (surviving neighbors of the
+    dropped vertices, endpoints of the added edges) is re-indexed for the
+    matchers. Each step still checks the whole reduced graph: simple,
+    smaller, maximum degree 3 and 2-connected. The base case and the final
+    check run on immutable Graphs.
+
     Deterministic: same input graph (same ids), same trace. A reduction that
     leaves the class raises InternalInvariantBroken: the rewrite proofs rule
     that out on valid input, so it signals a bug, never a property of the
@@ -380,13 +493,13 @@ def solve_cubic(g: Graph) -> FvsCertificate:
     _require_in_class(g)
     chosen: set[int] = set()
     trace: list[ReductionStep] = []
-    cur = g
+    cur = _Work(g)
     while cur.n > BASE_CASE_MAX_N:
         rule, match = find_rule(cur)
         cur, step = apply_rule(cur, rule, match)
         chosen |= set(step.designated)
         trace.append(step)
-    base = base_case(cur)
+    base = base_case(cur.freeze())
     chosen |= base.fvs
     trace.extend(base.trace)
     cert = FvsCertificate(fvs=frozenset(chosen),

@@ -4,6 +4,12 @@ Vertex ids are stable opaque integers: reductions never renumber, so sets
 computed on a reduced graph are directly sets of the original graph. Edge
 weights are non-negative integers (weight 0 is legal). Infinite girth is
 reported as ``math.inf`` rather than a sentinel integer.
+
+The connectivity queries ``connected_components``, ``is_two_connected``,
+``cut_vertices``, ``bridges``, ``has_two_edge_cut`` and
+``min_side_two_edge_cut`` read a graph only through ``n``, ``vertices``
+(ascending) and ``neighbors`` (sorted), so the cubic solver can ask them
+about its mutable working graph without building a ``Graph``.
 """
 
 from __future__ import annotations
@@ -116,8 +122,9 @@ class Graph:
         missing = keep_set - self._adj.keys()
         if missing:
             raise MemberNotInGraph(f"vertices {sorted(missing)} not in graph")
-        edges = [(u, v, w) for u, v, w in self._edge_items()
-                 if u in keep_set and v in keep_set]
+        weights = self._weights
+        edges = [(v, u, weights[(v, u)]) for v in keep_set for u in self._adj[v]
+                 if v < u and u in keep_set]
         return Graph(keep_set, edges)
 
     def without_vertices(self, drop: Iterable[int]) -> "Graph":
@@ -304,6 +311,12 @@ def _walk_cycle(parent: dict[int, int], v: int, u: int) -> list[int] | None:
 
 def connected_components(g: Graph) -> list[set[int]]:
     """Components ordered by their smallest vertex id."""
+    return _components(g, ())
+
+
+def _components(g: Graph, skip: Iterable[EdgeKey]) -> list[set[int]]:
+    """Components of g with the edges ``skip`` left out."""
+    skipped = {(u, v) for e in skip for u, v in (e, e[::-1])}
     seen: set[int] = set()
     comps = []
     for root in g.vertices:
@@ -315,7 +328,7 @@ def connected_components(g: Graph) -> list[set[int]]:
         while stack:
             v = stack.pop()
             for u in g.neighbors(v):
-                if u not in seen:
+                if u not in seen and (v, u) not in skipped:
                     seen.add(u)
                     comp.add(u)
                     stack.append(u)
@@ -407,19 +420,20 @@ def _two_edge_cuts(g: Graph) -> Iterator[tuple[tuple[EdgeKey, EdgeKey], list[set
     back edge gets a random 64-bit label, each tree edge the XOR of the labels
     of the back edges covering it. Two edges form a cut-set iff they lie on
     the same fundamental cycles, so every cut pair shares a label; labels may
-    collide, so each candidate pair is confirmed by removal. Raises before
-    yielding anything if the graph is disconnected or has a bridge (a tree
-    edge that no back edge covers).
+    collide, so each candidate pair is confirmed by a component search that
+    skips both edges. Raises before yielding anything if the graph is
+    disconnected or has a bridge (a tree edge that no back edge covers).
     """
     if g.n < 2:
         return
-    root = g.vertices[0]
+    vertices = g.vertices
+    root = vertices[0]
     disc: dict[int, int] = {root: 0}
     parent: dict[int, int] = {root: -1}
     postorder: list[int] = []
     rng = random.Random(0x5EED)
-    acc_xor = {v: 0 for v in g.vertices}
-    acc_cnt = {v: 0 for v in g.vertices}
+    acc_xor = dict.fromkeys(vertices, 0)
+    acc_cnt = dict.fromkeys(vertices, 0)
     groups: dict[int, list[EdgeKey]] = {}
     timer = 1
     stack: list[tuple[int, Iterator[int]]] = [(root, iter(g.neighbors(root)))]
@@ -463,7 +477,7 @@ def _two_edge_cuts(g: Graph) -> Iterator[tuple[tuple[EdgeKey, EdgeKey], list[set
         groups.setdefault(acc_xor[v], []).append(edge_key(p, v))
     for members in groups.values():
         for pair in combinations(members, 2):
-            sides = connected_components(g.without_edges(pair))
+            sides = _components(g, pair)
             if len(sides) == 2:
                 yield pair, sides
 

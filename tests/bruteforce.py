@@ -1,7 +1,9 @@
 """Independent brute-force oracles for cross-checking the production code.
 
 Everything here is deliberately naive: exhaustive enumeration over cycles,
-cuts, and subsets. Nothing imports solver internals beyond the Graph type.
+cuts, and subsets, and a full rescan of the graph for each cubic rule match.
+Nothing imports solver internals beyond the Graph type, the rule ids and
+the 2-edge-cut query.
 """
 
 from __future__ import annotations
@@ -9,7 +11,9 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from fvsbound.graph import Graph, is_connected
+from fvsbound.cubic import RuleId
+from fvsbound.graph import Graph, is_connected, min_side_two_edge_cut
+from fvsbound.instances import random_cubic_2connected
 
 
 def enumerate_simple_cycles(g: Graph) -> list[tuple[int, ...]]:
@@ -130,3 +134,115 @@ def random_max_deg3_graph(n: int, rng: random.Random) -> Graph:
 def random_simple_graph(n: int, rng: random.Random, p: float = 0.35) -> Graph:
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return Graph(range(n), edges)
+
+
+# -- cubic solver fixtures ---------------------------------------------------
+
+
+def r5_gadget_pair():
+    """Two 10-vertex cubic gadgets joined by a 2-edge cut at (0,10), (9,19).
+
+    Each gadget has one triangle at its cut vertex, so the cut rule lands in
+    its triangle branch (the cut endpoint's other two neighbors are adjacent).
+    """
+    local = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 5), (3, 6), (4, 7),
+             (4, 8), (5, 7), (5, 9), (6, 8), (6, 9), (7, 8)]
+    edges = local + [(u + 10, v + 10) for u, v in local] + [(0, 10), (9, 19)]
+    return Graph(range(20), edges)
+
+
+def r4_two_equal_instance():
+    """n=14 cubic graph whose first match is the doubled 4-cycle, two-equal case."""
+    block_a = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5), (4, 5), (3, 6)]
+    block_b = [(7, 9), (7, 10), (7, 11), (8, 9), (8, 10), (8, 11), (9, 12),
+               (11, 12), (10, 13)]
+    joins = [(5, 13), (12, 6), (6, 13)]
+    return Graph(range(14), block_a + block_b + joins)
+
+
+def r4_all_distinct_instance():
+    """n=16 cubic graph whose first match is the doubled 4-cycle, all-distinct case."""
+    block_a = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5), (3, 6), (4, 7)]
+    block_b = [(8, 10), (8, 11), (8, 12), (9, 10), (9, 11), (9, 12), (10, 13),
+               (11, 14), (12, 15)]
+    joins = [(5, 6), (13, 14), (5, 14), (6, 15), (7, 13), (7, 15)]
+    return Graph(range(16), block_a + block_b + joins)
+
+
+def cut_joined_pair(rng: random.Random, trial: int) -> Graph:
+    """Two random cubic graphs, one edge cut from each, rejoined crosswise.
+
+    The two new edges form a 2-edge cut whenever the result is 2-connected.
+    """
+    a = random_cubic_2connected(2 * rng.randint(6, 10), trial)
+    b = random_cubic_2connected(2 * rng.randint(6, 10), trial + 100)
+    ea = a.edges()[rng.randrange(a.m)]
+    eb = b.edges()[rng.randrange(b.m)]
+    offset = max(a.vertices) + 1
+    edges = [e for e in a.edges() if e != ea]
+    edges += [(u + offset, v + offset) for u, v in b.edges() if (u, v) != eb]
+    edges += [(ea[0], eb[0] + offset), (ea[1], eb[1] + offset)]
+    return Graph(range(a.n + b.n), edges)
+
+
+def subdivided(g: Graph, rng: random.Random, count: int) -> Graph:
+    """Subdivide ``count`` sampled edges of g in sample order, new ids from max + 1."""
+    nxt = max(g.vertices) + 1
+    for u, v in rng.sample(g.edges(), count):
+        g = g.without_edges([(u, v)]).with_edges([(u, nxt), (nxt, v)])
+        nxt += 1
+    return g
+
+
+# -- reference cubic rule matcher --------------------------------------------
+
+
+def reference_find_rule(g: Graph) -> tuple[RuleId, tuple[int, ...]]:
+    """First matching rule in R1..R7 order, by rescanning the whole graph.
+
+    Every matcher walks vertices or edges in ascending order and returns the
+    first hit, so the match is the lexicographically first one by definition.
+    """
+    for v in g.vertices:
+        if g.degree(v) == 2:
+            u, w = g.neighbors(v)
+            return RuleId.R1_DEGREE2, (v, u, w)
+    triangles = []
+    for x, y in g.edges():
+        common = [w for w in g.neighbors(x) if w in g.neighbors(y)]
+        if common:
+            triangles.append((x, y, common))
+    for x, y, common in triangles:
+        if len(common) >= 2:
+            return RuleId.R2_ADJACENT_TRIANGLES, (x, y, common[0], common[1])
+    for a, b, common in triangles:
+        if len(common) != 1:
+            continue
+        w = common[0]
+        for x, y in ((a, b), (b, a)):
+            for z in g.neighbors(x):
+                if z in (y, w):
+                    continue
+                for v in g.neighbors(y):
+                    if v not in (x, w, z) and g.has_edge(z, v):
+                        return RuleId.R3_TRIANGLE_SQUARE, (x, y, w, z, v)
+    seen: dict[tuple[int, ...], int] = {}
+    for v in g.vertices:
+        if g.degree(v) != 3:
+            continue
+        key = g.neighbors(v)
+        if key in seen:
+            return RuleId.R4_TWO_SQUARES, (seen[key], v) + key
+        seen[key] = v
+    cut = min_side_two_edge_cut(g)
+    if cut is not None:
+        e = min(cut.members)
+        v = e[0] if e[0] in cut.sides[0] else e[1]
+        u = e[1] if v == e[0] else e[0]
+        return RuleId.R5_TWO_EDGE_CUT, (v, u)
+    if triangles:
+        x, y, common = triangles[0]
+        return RuleId.R6_TRIANGLE, tuple(sorted((x, y, common[0])))
+    v = g.vertices[0]
+    nbrs = g.neighbors(v)
+    return RuleId.R7_GENERIC, (v, nbrs[0], nbrs[1])

@@ -261,6 +261,30 @@ class TestBatch:
         assert rows[0]["valid"] == "error"
         assert rows[1]["valid"] == "yes"
 
+    def test_recursion_error_recorded_and_nonzero(self, tmp_path, capsys, monkeypatch):
+        import fvsbound.cli as cli_module
+
+        solve_cubic = cli_module.solve_cubic
+
+        def deep_on_dodecahedron(g):
+            if g.n == 20:
+                raise RecursionError("maximum recursion depth exceeded")
+            return solve_cubic(g)
+
+        monkeypatch.setattr(cli_module, "solve_cubic", deep_on_dodecahedron)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("cube", "dodecahedron"):
+            run(capsys, "gen", name, str(corpus / f"{name}.g"))
+        out_csv = tmp_path / "report.csv"
+        code = main(["batch", str(corpus), "--csv", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == 1
+        rows = list(csv.DictReader(out_csv.open()))
+        assert [(r["instance"], r["valid"]) for r in rows] == [
+            ("cube.g", "yes"), ("dodecahedron.g", "error")]
+        assert "Traceback" not in captured.out + captured.err
+
     def test_empty_dir(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

@@ -1,12 +1,15 @@
 """Reduction rules and the certified subcubic solver."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from fvsbound.certificate import BoundKind
 from fvsbound.cubic import (
+    BASE_CASE_MAX_N,
     RuleId,
+    _Work,
     apply_rule,
     base_case,
     find_rule,
@@ -17,6 +20,16 @@ from fvsbound.graph import Graph, is_two_connected, validate_fvs
 from fvsbound.instances import make_named, random_cubic_2connected, triangle_replace
 from fvsbound.oracle import min_fvs_exact, min_fvs_naive
 
+from bruteforce import (
+    cut_joined_pair,
+    r4_all_distinct_instance,
+    r4_two_equal_instance,
+    r5_gadget_pair,
+    random_max_deg3_graph,
+    reference_find_rule,
+    subdivided,
+)
+
 
 def cycle_graph(n):
     return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
@@ -24,36 +37,6 @@ def cycle_graph(n):
 
 def chorded_c6():
     return cycle_graph(6).with_edges([(0, 3)])
-
-
-def r5_gadget_pair():
-    """Two 10-vertex cubic gadgets joined by a 2-edge cut at (0,10), (9,19).
-
-    Each gadget has one triangle at its cut vertex, so the cut rule lands in
-    its triangle branch (the cut endpoint's other two neighbors are adjacent).
-    """
-    local = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 5), (3, 6), (4, 7),
-             (4, 8), (5, 7), (5, 9), (6, 8), (6, 9), (7, 8)]
-    edges = local + [(u + 10, v + 10) for u, v in local] + [(0, 10), (9, 19)]
-    return Graph(range(20), edges)
-
-
-def r4_two_equal_instance():
-    """n=14 cubic graph whose first match is the doubled 4-cycle, two-equal case."""
-    block_a = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5), (4, 5), (3, 6)]
-    block_b = [(7, 9), (7, 10), (7, 11), (8, 9), (8, 10), (8, 11), (9, 12),
-               (11, 12), (10, 13)]
-    joins = [(5, 13), (12, 6), (6, 13)]
-    return Graph(range(14), block_a + block_b + joins)
-
-
-def r4_all_distinct_instance():
-    """n=16 cubic graph whose first match is the doubled 4-cycle, all-distinct case."""
-    block_a = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5), (3, 6), (4, 7)]
-    block_b = [(8, 10), (8, 11), (8, 12), (9, 10), (9, 11), (9, 12), (10, 13),
-               (11, 14), (12, 15)]
-    joins = [(5, 6), (13, 14), (5, 14), (6, 15), (7, 13), (7, 15)]
-    return Graph(range(16), block_a + block_b + joins)
 
 
 class TestFindRule:
@@ -273,16 +256,7 @@ class TestSolveCubic:
         rng = random.Random(77)
         r5_seen = 0
         for trial in range(15):
-            a = random_cubic_2connected(2 * rng.randint(6, 10), trial)
-            b = random_cubic_2connected(2 * rng.randint(6, 10), trial + 100)
-            ea = a.edges()[rng.randrange(a.m)]
-            eb = b.edges()[rng.randrange(b.m)]
-            offset = max(a.vertices) + 1
-            edges = [e for e in a.edges() if e != ea]
-            edges += [(u + offset, v + offset) for u, v in b.edges()
-                      if (u, v) != eb]
-            edges += [(ea[0], eb[0] + offset), (ea[1], eb[1] + offset)]
-            g = Graph(range(a.n + b.n), edges)
+            g = cut_joined_pair(rng, trial)
             if not is_two_connected(g):
                 continue
             cert = solve_cubic(g)
@@ -306,10 +280,7 @@ class TestSolveCubic:
         rng = random.Random(43)
         for trial in range(60):
             g = random_cubic_2connected(2 * rng.randint(3, 20), trial)
-            nxt = max(g.vertices) + 1
-            for e in rng.sample(g.edges(), rng.randint(1, g.m // 2)):
-                g = g.without_edges([e]).with_edges([(e[0], nxt), (nxt, e[1])])
-                nxt += 1
+            g = subdivided(g, rng, rng.randint(1, g.m // 2))
             assert is_two_connected(g) and g.max_degree() == 3
             cert = solve_cubic(g)
             assert validate_fvs(g, cert.fvs)
@@ -342,3 +313,85 @@ class TestSolveCubic:
                 assert validate_fvs(g, lifted)
                 assert min_fvs_exact(g).phi <= sub_opt + len(step.designated)
         assert fired >= 2
+
+
+def assert_indices_current(work):
+    fresh = _Work(work.freeze())
+    assert work.deg2 == fresh.deg2
+    assert work.tri == fresh.tri
+    assert work.groups == fresh.groups
+    assert work.twins == fresh.twins
+
+
+class TestWorkingGraph:
+    """The in-place rewrites and dirty-set indices against a full rescan."""
+
+    @staticmethod
+    def step_through(g):
+        work = _Work(g)
+        frozen = work.freeze()
+        assert frozen == g
+        while work.n > BASE_CASE_MAX_N:
+            rule, match = find_rule(work)
+            assert (rule, match) == reference_find_rule(frozen)
+            _, step = apply_rule(work, rule, match)
+            expected = frozen.rewired(drop_vertices=step.removed_vertices,
+                                      add_edges=step.added_edges)
+            frozen = work.freeze()
+            assert frozen == expected
+            assert_indices_current(work)
+            yield rule
+
+    def corpus(self):
+        rng = random.Random(59)
+        for trial in range(25):
+            yield random_cubic_2connected(2 * rng.randint(6, 100), trial)
+        for trial in range(15):
+            g = random_cubic_2connected(2 * rng.randint(3, 30), trial + 200)
+            yield subdivided(g, rng, rng.randint(1, g.m // 2))
+        for trial in range(8):
+            yield triangle_replace(random_cubic_2connected(2 * rng.randint(2, 12), trial + 300))
+        rng = random.Random(77)
+        for trial in range(15):
+            g = cut_joined_pair(rng, trial)
+            if is_two_connected(g):
+                yield g
+
+    def test_matches_reference_rescan_at_every_step(self):
+        fired = set()
+        for g in self.corpus():
+            fired.update(self.step_through(g))
+        assert fired == set(RuleId) - {RuleId.R0_BASE}
+
+    def test_indices_match_a_rebuild_after_random_rewrites(self):
+        # Rewrites no rule makes, such as dropping one of two vertices with
+        # the same neighbors, must leave the indices current too.
+        rng = random.Random(67)
+        for _ in range(300):
+            work = _Work(random_max_deg3_graph(rng.randint(4, 14), rng))
+            for _ in range(3):
+                vertices = work.vertices
+                drop = rng.sample(vertices, rng.randint(0, min(3, len(vertices))))
+                rest = [v for v in vertices if v not in drop]
+                absent = [e for e in combinations(rest, 2) if not work.has_edge(*e)]
+                add = rng.sample(absent, min(len(absent), rng.randint(0, 3)))
+                expected = work.freeze().rewired(drop_vertices=drop, add_edges=add)
+                work.rewrite(drop, add)
+                assert work.freeze() == expected
+                assert_indices_current(work)
+
+    def test_graph_arguments_are_left_unchanged(self):
+        g = r5_gadget_pair()
+        before = Graph(g.vertices, g.edges())
+        rule, match = find_rule(g)
+        reduced, _ = apply_rule(g, rule, match)
+        assert g == before
+        assert isinstance(reduced, Graph) and reduced.n < g.n
+
+    def test_rewrite_rejects_non_simple_results(self):
+        for drop, add in (([], [(0, 0)]), ([], [(0, 1)]), ([0], [(0, 5)]),
+                          ([], [(1, 99)]), ([99], [])):
+            work = _Work(make_named("petersen").graph)
+            with pytest.raises(ValueError):
+                work.rewrite(drop, add)
+            assert work.freeze() == make_named("petersen").graph

@@ -6,6 +6,7 @@ chosen vertex, match order or rule firing changes the digest.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -13,8 +14,16 @@ from fvsbound.cli import _format_step
 from fvsbound.cubic import solve_cubic
 from fvsbound.girth import solve_planar_unweighted, trivial_baseline
 from fvsbound.graph import Graph
-from fvsbound.instances import disjoint_cycles, make_named, random_cubic_2connected, random_planar_girth
+from fvsbound.instances import (
+    disjoint_cycles,
+    make_named,
+    random_cubic_2connected,
+    random_planar_girth,
+    triangle_replace,
+)
 from fvsbound.planar import embed, faces_of
+
+from bruteforce import r4_all_distinct_instance, r4_two_equal_instance, r5_gadget_pair, subdivided
 
 
 def canonical_text(cert) -> str:
@@ -38,13 +47,27 @@ def _embedded(g):
 BRIDGED = Graph(range(12), [(2, 0), (0, 1), (1, 5), (2, 3), (3, 4), (4, 2), (5, 6),
                             (6, 7), (7, 8), (8, 5), (3, 9), (9, 10)])
 
+
+def _subdivided_cubic():
+    g = random_cubic_2connected(40, 3)
+    return subdivided(g, random.Random(3), g.m // 3)
+
+
 CASES = {
     **{f"cubic-{name}": (lambda name=name: solve_cubic(make_named(name).graph))
        for name in ("k4", "k33", "cube", "dodecahedron", "prism", "petersen")},
     **{f"planar-{name}": (lambda name=name: solve_planar_unweighted(_named_plane(name)))
        for name in ("k4", "cube", "dodecahedron", "prism", "c5", "chain4")},
     **{f"cubic-random-n{n}": (lambda n=n: solve_cubic(random_cubic_2connected(n, 1)))
-       for n in (12, 50, 200)},
+       for n in (12, 50, 200, 800)},
+    # Fires R1, R3, R5 and R6.
+    "cubic-triangle-replaced-n30":
+        lambda: solve_cubic(triangle_replace(random_cubic_2connected(30, 2))),
+    # Fires R1, R4, R6 and R7.
+    "cubic-subdivided-n40": lambda: solve_cubic(_subdivided_cubic()),
+    "cubic-r4-two-equal": lambda: solve_cubic(r4_two_equal_instance()),
+    "cubic-r4-all-distinct": lambda: solve_cubic(r4_all_distinct_instance()),
+    "cubic-r5-gadget-pair": lambda: solve_cubic(r5_gadget_pair()),
     **{f"planar-random-g{g}":
        (lambda g=g: solve_planar_unweighted(faces_of(*random_planar_girth(60, g, 1))))
        for g in (3, 5)},
@@ -63,9 +86,15 @@ GOLDEN = {
     "cubic-k4": "c05cdb4870e90b1548014b2cdb40c82b635cfd3dfab1d423aeffd801c9aaf477",
     "cubic-petersen": "ab63ddfb3e6ff403db63ce40f36fb3d883937685666999d8b0c0b61a6864c9b5",
     "cubic-prism": "61a2646d1b2f589dfaff393bd7b4742ccfc4312868011764bb385a5dae593ebe",
+    "cubic-r4-all-distinct": "2b52d43515a68fc0554868a69780e13710e275ec12e6d917d36ea787414c90a5",
+    "cubic-r4-two-equal": "7908a3d5ccbe993bd494ea49c28b7873c8f99bc3542b9417b9c17a7db96df602",
+    "cubic-r5-gadget-pair": "919042b06783dd4e7e6714459b197d394455eb4d377dd37c05eb43f9bd82e7f8",
     "cubic-random-n12": "847800d943fc4f8d83cd93ac2bbe5a5a2ecedeb3c8f62d3e5dc8f353b2016a90",
     "cubic-random-n200": "f4525ed947ca20157929ea73312df3ab78669147134f00214e1eba8e379daa60",
     "cubic-random-n50": "26cd6a8159f6e51cda3a81bdfc1f7d3740aab4f0ca919dc08a5b7aad70e636a3",
+    "cubic-random-n800": "8bb62ee2f44e73deff7627df6210b3a24bf6327e67d43f37fb59c49b84e8e52a",
+    "cubic-subdivided-n40": "4172ff429d7a95ec8f5a6348400eba48292663668aa2f88a42693d54707e1f6a",
+    "cubic-triangle-replaced-n30": "efaf3d8e4b51d8af6b10ac6769bbc0d8ffceacd6b0e751c5beea8b3501de4006",
     "planar-c5": "4f4053df74a135e0d81ce5e80497c1cb21fa64a5d0c3f40c37cc01fd8d48a617",
     "planar-chain4": "e9552a141c30c062ca473201fda580677e891bb782cdf478963f2725a0a730b5",
     "planar-cube": "b0108605ef4c43c4850c3d960e515b8f74bff44cc1d84c6fa893eec19d5dc3e3",

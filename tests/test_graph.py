@@ -80,6 +80,20 @@ class TestGraphBasics:
         assert g.vertices == (1, 2, 3, 4)
         assert g.has_edge(1, 4)
 
+    def test_subgraph_keeps_exactly_the_induced_edges(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            n = rng.randint(0, 14)
+            ids = rng.sample(range(100), n)
+            pairs = [(u, v) for u, v in combinations(ids, 2) if rng.random() < 0.3]
+            g = Graph(ids, [(u, v, rng.randint(0, 5)) for u, v in pairs])
+            keep = rng.sample(ids, rng.randint(0, n))
+            induced = [(u, v, g.weight(u, v)) for u, v in g.edges()
+                       if u in keep and v in keep]
+            assert g.subgraph(keep) == Graph(keep, induced)
+        with pytest.raises(MemberNotInGraph):
+            cycle_graph(4).subgraph([0, 7])
+
 
 class TestForestAndFvs:
     def test_empty_graph_is_forest(self):
