@@ -4,8 +4,8 @@ Exit codes are part of the contract so CI can assert on them:
   0  success (and, for solve/verify, the set validates and meets its bound)
   1  verify: the set is not a feedback vertex set
   2  bad arguments, parse failure, or input outside the algorithm's domain
-  3  a produced certificate failed validation or an internal invariant
-     broke (must never happen)
+  3  a produced certificate failed validation, an internal invariant broke
+     (must never happen), or the solver nested past the recursion limit
   4  verify: valid set, requested bound violated
 
 Primary stdout output is byte-identical across identical invocations; wall
@@ -23,7 +23,8 @@ from pathlib import Path
 
 from .certificate import BoundKind, FvsCertificate
 from .cubic import solve_cubic
-from .errors import FvsError, InternalInvariantBroken, ParseError, PreconditionViolated
+from .errors import (FvsError, InternalInvariantBroken, InvalidRotation, NonPlanarRotation,
+                     ParseError, PreconditionViolated)
 from .fileio import GraphFile, read_graph, write_graph
 from .girth import SolverConfig, solve_planar_unweighted, solve_planar_weighted, trivial_baseline
 from .graph import (
@@ -104,12 +105,12 @@ def cmd_gen(args) -> int:
 def cmd_stats(args) -> int:
     try:
         gf = read_graph(args.path)
+        pg = _plane_graph_or_none(gf)
     except (FvsError, OSError) as exc:
         return _fail(str(exc), 2)
     g = gf.graph
     gr = girth(g)
     vc, ec = connectivity_le3(g)
-    rotation = gf.rotation if gf.rotation is not None else embed(g)
     _print(f"n = {g.n}")
     _print(f"m = {g.m}")
     _print(f"girth = {'infinite' if gr == float('inf') else int(gr)}")
@@ -118,10 +119,9 @@ def cmd_stats(args) -> int:
         _print(f"weighted_girth = {'infinite' if wg == float('inf') else int(wg)}")
     _print(f"vertex_connectivity = {'3+' if vc == 3 else vc}")
     _print(f"edge_connectivity = {'3+' if ec == 3 else ec}")
-    if rotation is None:
+    if pg is None:
         _print("planar = no (bounds suppressed)")
         return 0
-    pg = faces_of(g, rotation)
     _print("planar = yes")
     _print(f"faces = {pg.face_count()}")
     if gr == float("inf"):
@@ -138,10 +138,14 @@ def cmd_stats(args) -> int:
 
 
 def _plane_graph_or_none(gf: GraphFile) -> PlaneGraph | None:
+    """The file's embedding, else one found for the graph; None if non-planar."""
     rotation = gf.rotation if gf.rotation is not None else embed(gf.graph)
     if rotation is None:
         return None
-    return faces_of(gf.graph, rotation)
+    try:
+        return faces_of(gf.graph, rotation)
+    except (InvalidRotation, NonPlanarRotation) as exc:
+        raise PreconditionViolated(f"input rotation: {exc}") from None
 
 
 def _solve_with(alg: str, gf: GraphFile, g_override: int | None) -> tuple[FvsCertificate, str]:
@@ -191,7 +195,7 @@ def cmd_solve(args) -> int:
         cert, alg = _solve_with(args.alg, gf, args.g)
     except (PreconditionViolated, ParseError) as exc:
         return _fail(str(exc), 2)
-    except InternalInvariantBroken as exc:
+    except (InternalInvariantBroken, RecursionError) as exc:
         return _fail(str(exc), 3)
     valid = cert.validate(gf.graph)
     _print(f"algorithm = {alg}")
@@ -244,7 +248,7 @@ def cmd_verify(args) -> int:
     try:
         gf = read_graph(args.graph)
         fvs = _read_fvs_file(args.fvs)
-    except (FvsError, OSError) as exc:
+    except (FvsError, OSError, UnicodeDecodeError) as exc:
         return _fail(str(exc), 2)
     g = gf.graph
     try:

@@ -64,8 +64,7 @@ def read_graph(path: str) -> GraphFile:
     """Read a graph file; raises ParseError with the offending line number."""
     if str(path).endswith(".json"):
         return _read_json(path)
-    with open(path, encoding="ascii") as fh:
-        raw_lines = fh.read().splitlines()
+    raw_lines = _read_ascii(path).splitlines()
     header_n: int | None = None
     name: str | None = None
     meta: dict[str, str] = {}
@@ -143,6 +142,16 @@ def read_graph(path: str) -> GraphFile:
     return GraphFile(graph=graph, rotation=rot, name=name, meta=meta)
 
 
+def _read_ascii(path: str) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1,
+                         f"non-ASCII byte 0x{data[exc.start]:02x}") from None
+
+
 def _is_int(token: str) -> bool:
     return token.lstrip("-").isdigit()
 
@@ -166,11 +175,10 @@ def _write_json(path: str, graph: Graph, rotation: RotationSystem | None,
 
 def _read_json(path: str) -> GraphFile:
     try:
-        with open(path, encoding="ascii") as fh:
-            payload = json.load(fh)
+        payload = json.loads(_read_ascii(path))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}")
-    if payload.get("format") != "fvsbound-graph":
+    if not isinstance(payload, dict) or payload.get("format") != "fvsbound-graph":
         raise ParseError(1, "not an fvsbound-graph JSON file")
     if payload.get("version") != FORMAT_VERSION:
         raise ParseError(1, f"unsupported version {payload.get('version')}")
@@ -182,8 +190,8 @@ def _read_json(path: str) -> GraphFile:
             rotation = RotationSystem(
                 {int(v): tuple(ns) for v, ns in sorted(rot_raw.items(),
                                                        key=lambda kv: int(kv[0]))})
-    except (KeyError, TypeError, ValueError) as exc:
+        return GraphFile(graph=graph, rotation=rotation,
+                         name=payload.get("name"),
+                         meta=dict(payload.get("meta") or {}))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(1, f"malformed payload: {exc}")
-    return GraphFile(graph=graph, rotation=rotation,
-                     name=payload.get("name"),
-                     meta=dict(payload.get("meta") or {}))

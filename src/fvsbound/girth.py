@@ -10,15 +10,17 @@ each only when all earlier ones cannot:
       with at most two branch vertices and keep its crucial vertex,
   P3  split a vertex of degree >= 4 into an adjacent pair joined by a
       weight-0 edge,
-  P4  suppress a degree-2 vertex into a summed-weight edge,
+  P4  suppress every degree-2 vertex, each into a summed-weight edge,
   P5  the graph is now 2-connected cubic and plane: hand off to the subcubic
       solver, whose n-bound converts into the weight bound via Euler's
       formula.
 
-The recursion strictly shrinks (total weight, doubled degree potential)
-lexicographically, which is what guarantees termination: mergers remove
-weight, splits and suppressions each cost one unit of potential, and
-decompositions drop whole vertex sets.
+Every step strictly shrinks (total weight, doubled degree potential)
+lexicographically, which guarantees termination: mergers remove weight,
+splits and suppressions each cost one unit of potential, and decompositions
+drop whole vertex sets. The rules run as one loop over the current graph.
+P1 recurses for each component and for the first side of a cut vertex, and
+P3 on the split graph, whose solution it lifts back to the split vertex.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from fractions import Fraction
 from .certificate import BoundKind, FvsCertificate, ReductionStep
 from .errors import InternalInvariantBroken, OracleTooLarge, PreconditionViolated
 from .cubic import solve_cubic
-from .graph import Graph, bridges, connected_components, cut_vertices, girth, peel_degree_le1, validate_fvs, weighted_girth
+from .graph import (Graph, bridges, connected_components, cut_vertices, girth, is_two_connected,
+                    peel_degree_le1, validate_fvs, weighted_girth)
 from .oracle import min_fvs_exact
 from .planar import (
     PlaneGraph,
@@ -69,15 +72,16 @@ class _Run:
         self.cfg = cfg
         self.trace: list[ReductionStep] = []
 
-    def check_child(self, parent_measure: tuple[int, int], child: Graph) -> None:
-        if not self.cfg.validate_every_step:
-            return
-        if child.m and weighted_girth(child) < self.cfg.g:
-            raise InternalInvariantBroken(
-                "a rule produced a cycle lighter than g")
-        if _measure(child) >= parent_measure:
-            raise InternalInvariantBroken(
-                "termination measure failed to decrease")
+    def check_child(self, parent: Graph, child: PlaneGraph) -> PlaneGraph:
+        """Under ``validate_every_step``, re-check the girth and the measure drop."""
+        if self.cfg.validate_every_step:
+            if child.graph.m and weighted_girth(child.graph) < self.cfg.g:
+                raise InternalInvariantBroken(
+                    "a rule produced a cycle lighter than g")
+            if _measure(child.graph) >= _measure(parent):
+                raise InternalInvariantBroken(
+                    "termination measure failed to decrease")
+        return child
 
 
 def solve_planar_weighted(pg: PlaneGraph, cfg: SolverConfig) -> FvsCertificate:
@@ -104,123 +108,115 @@ def solve_planar_weighted(pg: PlaneGraph, cfg: SolverConfig) -> FvsCertificate:
 
 
 def _solve(pg: PlaneGraph, run: _Run) -> set[int]:
-    graph = pg.graph
-    if graph.n == 0:
-        return set()
-    parent_measure = _measure(graph)
-
-    # P0: vertices of degree <= 1 lie on no cycle.
-    dropped = peel_degree_le1(graph)
-    if dropped:
-        run.trace.append(ReductionStep(
-            rule="P0_prune", matched=tuple(sorted(dropped)),
-            removed_vertices=frozenset(dropped)))
-        if len(dropped) == graph.n:
-            return set()
-        pg = plane_subgraph(pg, set(graph.vertices) - dropped)
+    chosen: set[int] = set()
+    while True:
         graph = pg.graph
-        run.check_child(parent_measure, graph)
-        parent_measure = _measure(graph)
+        if graph.n == 0:
+            return chosen
 
-    # P1: decompose across components or at a cut vertex; the sides share at
-    # most the cut vertex, so their sets union to a feedback vertex set.
-    comps = connected_components(graph)
-    if len(comps) > 1:
-        fvs: set[int] = set()
-        for comp in comps:
-            if comp is not comps[-1]:
-                run.trace.append(ReductionStep(
-                    rule="P1_decompose", matched=(min(comp),),
-                    note="disconnected"))
-            fvs |= _solve_side(pg, comp, run, parent_measure)
-        return fvs
-    cuts = cut_vertices(graph)
-    if cuts:
-        x = cuts[0]
-        pieces = connected_components(graph.without_vertices([x]))
-        side1 = pieces[0] | {x}
-        side2 = (set(graph.vertices) - pieces[0])
+        # P0: vertices of degree <= 1 lie on no cycle.
+        dropped = peel_degree_le1(graph)
+        if dropped:
+            run.trace.append(ReductionStep(
+                rule="P0_prune", matched=tuple(sorted(dropped)),
+                removed_vertices=frozenset(dropped)))
+            pg = run.check_child(graph, plane_subgraph(pg, set(graph.vertices) - dropped))
+            continue
+
+        # P1: decompose across components or at a cut vertex; the sides share
+        # at most the cut vertex, so their sets union to a feedback vertex set.
+        comps = connected_components(graph)
+        if len(comps) > 1:
+            for comp in comps:
+                if comp is not comps[-1]:
+                    run.trace.append(ReductionStep(
+                        rule="P1_decompose", matched=(min(comp),),
+                        note="disconnected"))
+                chosen |= _solve(run.check_child(graph, plane_subgraph(pg, comp)), run)
+            return chosen
+        cuts = cut_vertices(graph)
+        if cuts:
+            x = cuts[0]
+            pieces = connected_components(graph.without_vertices([x]))
+            run.trace.append(ReductionStep(
+                rule="P1_decompose", matched=(x,)))
+            chosen |= _solve(run.check_child(graph, plane_subgraph(pg, pieces[0] | {x})), run)
+            pg = run.check_child(graph, plane_subgraph(pg, set(graph.vertices) - pieces[0]))
+            continue
+
+        # P2: a lone cycle needs one vertex; otherwise a guaranteed merger
+        # trades its crucial vertex for a 3g/4 drop in total weight.
+        if all(graph.degree(v) == 2 for v in graph.vertices):
+            v = min(graph.vertices)
+            run.trace.append(ReductionStep(
+                rule="P2_merge", matched=(v,), designated=(v,),
+                note="single cycle"))
+            return chosen | {v}
+        spec = find_guaranteed_merger(pg, run.cfg.g)
+        if spec is not None:
+            merged = apply_merger(pg, spec)
+            run.trace.append(ReductionStep(
+                rule="P2_merge", matched=(spec.f0, spec.f1, spec.f2),
+                removed_edges=spec.removed_edges, designated=(spec.crucial,)))
+            chosen.add(spec.crucial)
+            pg = run.check_child(graph, merged)
+            continue
+
+        # P3: split the smallest vertex of maximum degree >= 4; w and w' are
+        # fresh only in this graph, so the lift to v covers only the sub-solve.
+        max_deg = graph.max_degree()
+        if max_deg >= 4:
+            v = min(u for u in graph.vertices if graph.degree(u) == max_deg)
+            split_pg, (w, w_prime, _) = split_high_degree_vertex(pg, v)
+            run.trace.append(ReductionStep(
+                rule="P3_split", matched=(v, w, w_prime),
+                removed_vertices=frozenset([v])))
+            sub = _solve(run.check_child(graph, split_pg), run)
+            if w in sub or w_prime in sub:
+                sub = (sub - {w, w_prime}) | {v}
+            return chosen | sub
+
+        # P4: suppress every degree-2 vertex, smallest first; a triangle
+        # through one would bound a face that P2 merges. A suppression keeps
+        # each face's branch vertices, the maximum degree and 2-connectivity
+        # and makes no new 2-vertex, so P0-P3 stay silent until the list ends.
+        two = [v for v in graph.vertices if graph.degree(v) == 2]
+        for v in two:
+            graph = pg.graph
+            u, w = graph.neighbors(v)
+            if graph.has_edge(u, w):
+                raise InternalInvariantBroken(
+                    "degree-2 vertex on a triangle survived past the merger rule")
+            pg = run.check_child(graph, suppress_degree2_vertex(pg, v))
+            run.trace.append(ReductionStep(
+                rule="P4_suppress", matched=(v, u, w),
+                removed_vertices=frozenset([v]),
+                added_edges=frozenset([tuple(sorted((u, w)))])))
+            if run.cfg.validate_every_step and not (
+                    is_two_connected(pg.graph) and pg.graph.max_degree() <= 3
+                    and find_guaranteed_merger(pg, run.cfg.g) is None):
+                raise InternalInvariantBroken("a suppression let an earlier rule match")
+        if two:
+            continue
+
+        # P5: 2-connected cubic plane graph; the n-bound chains into the
+        # weight bound through Euler's formula and the face weights.
+        cert = solve_cubic(graph)
+        f = pg.face_count()
+        total = graph.total_weight()
+        g_min = run.cfg.g
+        if graph.n != 2 * (f - 2):
+            raise InternalInvariantBroken("cubic plane graph violates n = 2(f-2)")
+        if g_min * f > 2 * total:
+            raise InternalInvariantBroken("face weights undercut g*f <= 2*weight")
+        if 3 * g_min * cert.size > 4 * total:
+            raise InternalInvariantBroken("cubic bound chain missed the weight bound")
         run.trace.append(ReductionStep(
-            rule="P1_decompose", matched=(x,)))
-        return _solve_side(pg, side1, run, parent_measure) | \
-            _solve_side(pg, side2, run, parent_measure)
-
-    # P2: a lone cycle needs one vertex; otherwise a guaranteed merger trades
-    # its crucial vertex for a 3g/4 drop in total weight.
-    if all(graph.degree(v) == 2 for v in graph.vertices):
-        v = min(graph.vertices)
-        run.trace.append(ReductionStep(
-            rule="P2_merge", matched=(v,), designated=(v,),
-            note="single cycle"))
-        return {v}
-    spec = find_guaranteed_merger(pg, run.cfg.g)
-    if spec is not None:
-        if 4 * spec.removed_weight < 3 * run.cfg.g:
-            raise InternalInvariantBroken("merger is not nice")
-        merged = apply_merger(pg, spec)
-        run.trace.append(ReductionStep(
-            rule="P2_merge", matched=(spec.f0, spec.f1, spec.f2),
-            removed_edges=spec.removed_edges, designated=(spec.crucial,)))
-        run.check_child(parent_measure, merged.graph)
-        return _solve(merged, run) | {spec.crucial}
-
-    # P3: split the smallest vertex of maximum degree >= 4.
-    max_deg = graph.max_degree()
-    if max_deg >= 4:
-        v = min(u for u in graph.vertices if graph.degree(u) == max_deg)
-        split_pg, (w, w_prime, _) = split_high_degree_vertex(pg, v)
-        run.trace.append(ReductionStep(
-            rule="P3_split", matched=(v, w, w_prime),
-            removed_vertices=frozenset([v])))
-        run.check_child(parent_measure, split_pg.graph)
-        sub = _solve(split_pg, run)
-        if w in sub or w_prime in sub:
-            return (sub - {w, w_prime}) | {v}
-        return sub
-
-    # P4: suppress the smallest degree-2 vertex. Its neighbors cannot be
-    # adjacent here: a triangle through a 2-vertex would bound a face with at
-    # most two branch vertices and P2 would have fired.
-    two = [v for v in graph.vertices if graph.degree(v) == 2]
-    if two:
-        v = two[0]
-        u, w = graph.neighbors(v)
-        if graph.has_edge(u, w):
-            raise InternalInvariantBroken(
-                "degree-2 vertex on a triangle survived past the merger rule")
-        suppressed = suppress_degree2_vertex(pg, v)
-        run.trace.append(ReductionStep(
-            rule="P4_suppress", matched=(v, u, w),
-            removed_vertices=frozenset([v]),
-            added_edges=frozenset([tuple(sorted((u, w)))])))
-        run.check_child(parent_measure, suppressed.graph)
-        return _solve(suppressed, run)
-
-    # P5: 2-connected cubic plane graph; the n-bound chains into the weight
-    # bound through Euler's formula and the face weights.
-    cert = solve_cubic(graph)
-    f = pg.face_count()
-    total = graph.total_weight()
-    g_min = run.cfg.g
-    if graph.n != 2 * (f - 2):
-        raise InternalInvariantBroken("cubic plane graph violates n = 2(f-2)")
-    if g_min * f > 2 * total:
-        raise InternalInvariantBroken("face weights undercut g*f <= 2*weight")
-    if 3 * g_min * cert.size > 4 * total:
-        raise InternalInvariantBroken("cubic bound chain missed the weight bound")
-    run.trace.append(ReductionStep(
-        rule="P5_cubic_base", matched=(),
-        removed_vertices=frozenset(graph.vertices),
-        designated=tuple(sorted(cert.fvs))))
-    run.trace.extend(cert.trace)
-    return set(cert.fvs)
-
-
-def _solve_side(pg: PlaneGraph, side: set[int], run: _Run,
-                parent_measure: tuple[int, int]) -> set[int]:
-    sub = plane_subgraph(pg, side)
-    run.check_child(parent_measure, sub.graph)
-    return _solve(sub, run)
+            rule="P5_cubic_base", matched=(),
+            removed_vertices=frozenset(graph.vertices),
+            designated=tuple(sorted(cert.fvs))))
+        run.trace.extend(cert.trace)
+        return chosen | set(cert.fvs)
 
 
 def solve_planar_unweighted(pg: PlaneGraph) -> FvsCertificate:

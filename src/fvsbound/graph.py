@@ -521,29 +521,21 @@ def min_side_two_edge_cut(g: Graph) -> CutStructure | None:
 def connectivity_le3(g: Graph) -> tuple[int, int]:
     """(vertex connectivity, edge connectivity), each capped at 3.
 
-    A value of 3 means "at least 3"; smaller values are exact.
+    A value of 3 means "at least 3"; smaller values are exact. One lowpoint
+    DFS gives components, cut vertices and bridges. At maximum degree <= 3
+    the two connectivities agree. Otherwise a pair {u, v} separates g exactly
+    when u is a cut vertex of g - v, so one more DFS per vertex settles it.
     """
-    return _vertex_connectivity_le3(g), _edge_connectivity_le3(g)
-
-
-def _vertex_connectivity_le3(g: Graph) -> int:
-    if g.n <= 1 or not is_connected(g):
-        return 0
-    # k-connectivity additionally requires |V| > k.
-    cap = min(3, g.n - 1)
-    if cap >= 1 and cut_vertices(g):
-        return 1
-    if cap >= 2:
-        for pair in combinations(g.vertices, 2):
-            rest = g.without_vertices(pair)
-            if rest.n > 0 and not is_connected(rest):
-                return 2
-    return cap
-
-
-def _edge_connectivity_le3(g: Graph) -> int:
-    if g.n <= 1 or not is_connected(g):
-        return 0
-    if bridges(g):
-        return 1
-    return 2 if has_two_edge_cut(g) else 3
+    if g.n <= 1:
+        return 0, 0
+    cuts, cut_edges, components = _lowpoint_dfs(g)
+    if components > 1:
+        return 0, 0
+    edge = 1 if cut_edges else 2 if has_two_edge_cut(g) else 3
+    if cuts or g.n == 2:
+        return 1, edge
+    if g.max_degree() <= 3:
+        return edge, edge
+    # Here n >= 5, so the cap n - 1 on k-connectivity is above 3.
+    separated = any(_lowpoint_dfs(g.without_vertices([v]))[0] for v in g.vertices)
+    return (2 if separated else 3), edge

@@ -8,7 +8,10 @@ the 2-edge-cut query.
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
+from contextlib import contextmanager
 from itertools import combinations
 
 from fvsbound.cubic import RuleId
@@ -192,6 +195,33 @@ def subdivided(g: Graph, rng: random.Random, count: int) -> Graph:
         g = g.without_edges([(u, v)]).with_edges([(u, nxt), (nxt, v)])
         nxt += 1
     return g
+
+
+# -- planar solver fixtures --------------------------------------------------
+
+
+def subdivided_rim_wheel(k: int) -> Graph:
+    """Wheel with hub k and rim 0..k-1, rim edge (i, i+1) subdivided by k + 1 + i."""
+    spokes = [(k, i) for i in range(k)]
+    rim = [e for i in range(k) for e in ((i, k + 1 + i), (k + 1 + i, (i + 1) % k))]
+    return Graph(range(2 * k + 1), spokes + rim)
+
+
+def triangle_chain(k: int) -> Graph:
+    """k triangles (2i, 2i+1, 2i+2); consecutive ones share a cut vertex."""
+    return Graph(range(2 * k + 1), [e for i in range(k) for e in
+                                    ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2))])
+
+
+@contextmanager
+def shallow_recursion_limit(headroom: int = 100):
+    """Cap the recursion limit at the current stack depth plus ``headroom``."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # -- reference cubic rule matcher --------------------------------------------

@@ -1,19 +1,40 @@
 """CLI surface: exit codes, determinism, file round-trips."""
 
 import csv
+import time
+
+import pytest
 
 from fvsbound.cli import main
 from fvsbound.errors import InternalInvariantBroken
 from fvsbound.fileio import read_graph, write_graph
 from fvsbound.graph import Graph
-from fvsbound.instances import make_named
+from fvsbound.instances import make_named, random_cubic_2connected
 from fvsbound.oracle import min_fvs_exact
+from fvsbound.planar import RotationSystem, embed
+
+from bruteforce import shallow_recursion_limit
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def one_error_line(capsys) -> bool:
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+# K4 on 0..3 with vertex 4 hanging off 0, so `--alg auto` goes to the planar
+# solver. The first rotation leaves 4 out of the ring at 0; the second lists
+# every ring in ascending order, which embeds K4 on the torus.
+K4_PENDANT = Graph(range(5), [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(0, 4)])
+BAD_ROTATIONS = {
+    "not-a-permutation": {0: (1, 2, 3), 1: (0, 2, 3), 2: (0, 1, 3), 3: (0, 1, 2), 4: (0,)},
+    "not-plane": {0: (1, 2, 3, 4), 1: (0, 2, 3), 2: (0, 1, 3), 3: (0, 1, 2), 4: (0,)},
+}
 
 
 def write_pendant_triangle(path):
@@ -85,6 +106,16 @@ class TestStats:
         code, _ = run(capsys, "stats", str(bad))
         assert code == 2
 
+    def test_connectivity_of_a_400_vertex_cubic_graph_is_quick(self, tmp_path, capsys):
+        path = tmp_path / "c400.g"
+        write_graph(str(path), random_cubic_2connected(400, 1))
+        start = time.perf_counter()
+        code, out = run(capsys, "stats", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert "vertex_connectivity = 3+" in out
+        assert "edge_connectivity = 3+" in out
+
 
 class TestSolve:
     def test_k4_cubic(self, tmp_path, capsys):
@@ -130,6 +161,28 @@ class TestSolve:
         assert code == 3
         assert "error: injected for testing" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rotation", sorted(BAD_ROTATIONS))
+    @pytest.mark.parametrize("command", [["solve", "--alg", "planar"], ["solve", "--alg", "trivial"],
+                                         ["solve", "--alg", "auto"], ["stats"]],
+                             ids=["planar", "trivial", "auto", "stats"])
+    def test_bad_rotation_exits_2(self, tmp_path, capsys, command, rotation):
+        path = tmp_path / "k4-pendant.g"
+        write_graph(str(path), K4_PENDANT, rotation=RotationSystem(BAD_ROTATIONS[rotation]))
+        code = main([command[0], str(path), *command[1:]])
+        assert code == 2
+        assert one_error_line(capsys)
+
+    def test_recursion_limit_exits_3(self, tmp_path, capsys):
+        # A hub of degree 300 takes 297 nested P3 splits.
+        wheel = Graph(range(301), [(300, i) for i in range(300)]
+                      + [(i, (i + 1) % 300) for i in range(300)])
+        path = tmp_path / "w300.g"
+        write_graph(str(path), wheel, rotation=embed(wheel))
+        with shallow_recursion_limit(100):
+            code = main(["solve", str(path)])
+        assert code == 3
+        assert one_error_line(capsys)
 
     def test_exact(self, tmp_path, capsys):
         path = tmp_path / "c.g"
@@ -229,6 +282,15 @@ class TestVerify:
         code, _ = run(capsys, "verify", str(path), str(fvs))
         assert code == 2
 
+    def test_non_ascii_set_file(self, tmp_path, capsys):
+        path = tmp_path / "k4.g"
+        run(capsys, "gen", "k4", str(path))
+        fvs = tmp_path / "s.txt"
+        fvs.write_bytes("0 1 \u00e9\n".encode())
+        code = main(["verify", str(path), str(fvs)])
+        assert code == 2
+        assert one_error_line(capsys)
+
 
 class TestBatch:
     def test_corpus(self, tmp_path, capsys):
@@ -260,6 +322,21 @@ class TestBatch:
         rows = list(csv.DictReader(out_csv.open()))
         assert rows[0]["valid"] == "error"
         assert rows[1]["valid"] == "yes"
+
+    def test_unreadable_files_recorded_and_nonzero(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        run(capsys, "gen", "cube", str(corpus / "cube.g"))
+        (corpus / "list.json").write_text("[1, 2]\n")
+        (corpus / "accent.g").write_bytes("graph 1 1\nname caf\u00e9\nv 0\n".encode())
+        out_csv = tmp_path / "report.csv"
+        code = main(["batch", str(corpus), "--csv", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == 1
+        rows = list(csv.DictReader(out_csv.open()))
+        assert [(r["instance"], r["valid"]) for r in rows] == [
+            ("accent.g", "error"), ("cube.g", "yes"), ("list.json", "error")]
+        assert "Traceback" not in captured.out + captured.err
 
     def test_recursion_error_recorded_and_nonzero(self, tmp_path, capsys, monkeypatch):
         import fvsbound.cli as cli_module

@@ -1,5 +1,7 @@
 """Graph file round-trips and strict parse errors."""
 
+import json
+
 import pytest
 
 from fvsbound.errors import ParseError
@@ -77,6 +79,30 @@ class TestJsonRoundTrip:
         with pytest.raises(ParseError):
             read_graph(str(path))
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"graph"', "3"])
+    def test_rejects_non_object_json(self, tmp_path, text):
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="not an fvsbound-graph"):
+            read_graph(str(path))
+
+    def test_rejects_non_ascii_json(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_bytes('{\n"name": "caf\u00e9"}'.encode())
+        with pytest.raises(ParseError, match="non-ASCII") as err:
+            read_graph(str(path))
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("field, value", [("rotation", [1]), ("meta", [1])])
+    def test_rejects_malformed_json_fields(self, tmp_path, field, value):
+        path = tmp_path / "x.json"
+        write_graph(str(path), make_named("k4").graph)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match="malformed payload"):
+            read_graph(str(path))
+
 
 class TestParseErrors:
     def _expect(self, tmp_path, text, fragment, line_no=None):
@@ -123,3 +149,10 @@ class TestParseErrors:
     def test_unknown_record(self, tmp_path):
         self._expect(tmp_path, "graph 1 1\nv 0\nq zzz\n", "unknown record",
                      line_no=3)
+
+    def test_non_ascii_byte(self, tmp_path):
+        path = tmp_path / "bad.g"
+        path.write_bytes(b"graph 1 1\nv 0\nname caf\xe9\n")
+        with pytest.raises(ParseError, match="non-ASCII byte 0xe9") as err:
+            read_graph(str(path))
+        assert err.value.line_no == 3

@@ -1,11 +1,12 @@
 """Weighted planar solver: rule cascade, bound certificates, baseline."""
 
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from fvsbound.errors import OracleTooLarge, PreconditionViolated
+from fvsbound.errors import InternalInvariantBroken, OracleTooLarge, PreconditionViolated
 from fvsbound.girth import (
     SolverConfig,
     conjecture_gap_report,
@@ -15,9 +16,14 @@ from fvsbound.girth import (
     trivial_baseline,
 )
 from fvsbound.graph import Graph, validate_fvs, weighted_girth
-from fvsbound.instances import disjoint_cycles, make_named, random_planar_girth
+from fvsbound.instances import chain, disjoint_cycles, make_named, random_planar_girth
 from fvsbound.oracle import min_fvs_exact
 from fvsbound.planar import embed, faces_of
+
+from bruteforce import shallow_recursion_limit, subdivided_rim_wheel, triangle_chain
+
+# The package re-exports graph.girth under the submodule's name.
+girth_module = importlib.import_module("fvsbound.girth")
 
 
 def plane(g):
@@ -174,6 +180,40 @@ class TestSolveUnweighted:
         cert = solve_planar_unweighted(plane(g))
         assert cert.size == 1200
         assert cert.validate(g)
+
+
+class TestLoop:
+    """Runs of P2 mergers, P4 suppressions and cut-vertex splits do not nest."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: plane(chain(150)),
+        lambda: plane(triangle_chain(150)),
+        lambda: faces_of(*random_planar_girth(200, 13, 1)),
+    ], ids=["chain150", "triangle-chain150", "random-planar-g13-n200"])
+    def test_long_runs_solve_in_a_shallow_stack(self, build):
+        pg = build()
+        with shallow_recursion_limit(100):
+            cert = solve_planar_unweighted(pg)
+        assert cert.validate(pg.graph)
+
+    def test_batch_rechecks_earlier_rules_after_each_suppression(self, monkeypatch):
+        suppressed = []
+        suppress = girth_module.suppress_degree2_vertex
+        find_merger = girth_module.find_guaranteed_merger
+
+        def counting_suppress(pg, v):
+            suppressed.append(v)
+            return suppress(pg, v)
+
+        def merger_after_a_suppression(pg, g_min):
+            return object() if suppressed else find_merger(pg, g_min)
+
+        monkeypatch.setattr(girth_module, "suppress_degree2_vertex", counting_suppress)
+        monkeypatch.setattr(girth_module, "find_guaranteed_merger", merger_after_a_suppression)
+        pg = plane(subdivided_rim_wheel(6))
+        with pytest.raises(InternalInvariantBroken, match="earlier rule"):
+            solve_planar_weighted(pg, SolverConfig(g=4, validate_every_step=True))
+        assert len(suppressed) == 1
 
 
 class TestBaseline:

@@ -12,9 +12,10 @@ import pytest
 
 from fvsbound.cli import _format_step
 from fvsbound.cubic import solve_cubic
-from fvsbound.girth import solve_planar_unweighted, trivial_baseline
-from fvsbound.graph import Graph
+from fvsbound.girth import SolverConfig, solve_planar_unweighted, solve_planar_weighted, trivial_baseline
+from fvsbound.graph import Graph, weighted_girth
 from fvsbound.instances import (
+    chain,
     disjoint_cycles,
     make_named,
     random_cubic_2connected,
@@ -23,7 +24,14 @@ from fvsbound.instances import (
 )
 from fvsbound.planar import embed, faces_of
 
-from bruteforce import r4_all_distinct_instance, r4_two_equal_instance, r5_gadget_pair, subdivided
+from bruteforce import (
+    r4_all_distinct_instance,
+    r4_two_equal_instance,
+    r5_gadget_pair,
+    subdivided,
+    subdivided_rim_wheel,
+    triangle_chain,
+)
 
 
 def canonical_text(cert) -> str:
@@ -46,6 +54,23 @@ def _embedded(g):
 # which keeps the path 0-1, would start at 0.
 BRIDGED = Graph(range(12), [(2, 0), (0, 1), (1, 5), (2, 3), (3, 4), (4, 2), (5, 6),
                             (6, 7), (7, 8), (8, 5), (3, 9), (9, 10)])
+
+
+def _weighted_plane(seed):
+    """A 12-cycle plus random chords kept while planar, six edges subdivided, weights 1..5."""
+    rng = random.Random(seed)
+    g = Graph(range(12), [(i, (i + 1) % 12) for i in range(12)])
+    for _ in range(18):
+        u, v = rng.sample(range(12), 2)
+        if not g.has_edge(u, v) and embed(h := g.with_edges([(u, v)])) is not None:
+            g = h
+    g = subdivided(g, rng, 6)
+    return Graph(g.vertices, [(u, v, rng.randint(1, 5)) for u, v in g.edges()])
+
+
+def _solve_weighted_checked(g, target=None):
+    target = int(weighted_girth(g)) if target is None else target
+    return solve_planar_weighted(_embedded(g), SolverConfig(g=target, validate_every_step=True))
 
 
 def _subdivided_cubic():
@@ -77,6 +102,16 @@ CASES = {
        for g in (3, 5)},
     "trivial-bridged": lambda: trivial_baseline(_embedded(BRIDGED)),
     "planar-disjoint-cycles-4x5": lambda: solve_planar_unweighted(_embedded(disjoint_cycles(4, 5))),
+    # Fires P4 then P5.
+    "planar-random-g7-n240":
+        lambda: solve_planar_unweighted(faces_of(*random_planar_girth(240, 7, 1))),
+    "planar-chain50": lambda: solve_planar_unweighted(_embedded(chain(50))),
+    # Fires P3 x3, then P4 x6; unit weights, so both digests agree.
+    "planar-subdivided-w6": lambda: solve_planar_unweighted(_embedded(subdivided_rim_wheel(6))),
+    "weighted-subdivided-w6-g4": lambda: _solve_weighted_checked(subdivided_rim_wheel(6), 4),
+    "planar-triangle-chain30": lambda: solve_planar_unweighted(_embedded(triangle_chain(30))),
+    # Fires P2 x2, P3 x3, P4 x6.
+    "weighted-random-plane-s5": lambda: _solve_weighted_checked(_weighted_plane(5)),
 }
 
 GOLDEN = {
@@ -97,6 +132,7 @@ GOLDEN = {
     "cubic-triangle-replaced-n30": "efaf3d8e4b51d8af6b10ac6769bbc0d8ffceacd6b0e751c5beea8b3501de4006",
     "planar-c5": "4f4053df74a135e0d81ce5e80497c1cb21fa64a5d0c3f40c37cc01fd8d48a617",
     "planar-chain4": "e9552a141c30c062ca473201fda580677e891bb782cdf478963f2725a0a730b5",
+    "planar-chain50": "50dd456aad7f1621093fe2a8dd039972d706300e0620bb55b52b1cc03cb6a17d",
     "planar-cube": "b0108605ef4c43c4850c3d960e515b8f74bff44cc1d84c6fa893eec19d5dc3e3",
     "planar-disjoint-cycles-4x5": "3d7603bdc1a86b1aae59214c5e428b3009595fdf94bfb6ba6b364123f86163a4",
     "planar-dodecahedron": "23a81b36fe01e8f57345b1bb03c117a802af0bd8ba11505729a0aab51844070d",
@@ -104,10 +140,15 @@ GOLDEN = {
     "planar-prism": "9583a159e01dd560002c15dcf28459195aef6b43623375c521168d84ef9980db",
     "planar-random-g3": "768255d94211594d0625a14d2f4d219dd1fc49961063565ade6c9b091d6d0e8f",
     "planar-random-g5": "a7e72f3ba485fb9182b3d93c1a8cf9bd818a6bfb6ab039a89e01ab86931d3dc7",
+    "planar-random-g7-n240": "ed91298872557d69e5221d70cde3329a1fc1e4f2bb58ebcd17fda256a79933fb",
+    "planar-subdivided-w6": "56cc3204bdacf8b9606ed09ed6f10fca18eec6ecfa1ee475a3cb44082764f58e",
+    "planar-triangle-chain30": "ef99f7eae7b8cec0b14199bc79f6d56b9a77566d62878c40c471c6461c5fef71",
     "trivial-bridged": "2088bedd7a370d96a619dd23456c24b6b3f8c1640c330fa128e1767d2c129e2a",
     "trivial-dodecahedron": "be25d553a3990232a06290011954dfea9f247ced9d2d450981259608aa8389ce",
     "trivial-random-g3": "80ee6dcddf24be8d751c8739bd187868a775a2af09e7bf5e87e608a3e9288c1c",
     "trivial-random-g5": "1e233c7aef4ffc59ac529fa597b0483a1664c9f75b7b1f522b5f0701497bd013",
+    "weighted-random-plane-s5": "f2490c161ad113a765cfd2a140d0d99d101df1d5afd3060ae5c2fed204e850eb",
+    "weighted-subdivided-w6-g4": "56cc3204bdacf8b9606ed09ed6f10fca18eec6ecfa1ee475a3cb44082764f58e",
 }
 
 
