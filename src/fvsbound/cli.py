@@ -4,8 +4,8 @@ Exit codes are part of the contract so CI can assert on them:
   0  success (and, for solve/verify, the set validates and meets its bound)
   1  verify: the set is not a feedback vertex set
   2  bad arguments, parse failure, or input outside the algorithm's domain
-  3  a produced certificate failed validation, an internal invariant broke
-     (must never happen), or the solver nested past the recursion limit
+  3  a produced certificate failed validation or an internal invariant broke
+     (must never happen)
   4  verify: valid set, requested bound violated
 
 Primary stdout output is byte-identical across identical invocations; wall
@@ -25,7 +25,7 @@ from .certificate import BoundKind, FvsCertificate
 from .cubic import solve_cubic
 from .errors import (FvsError, InternalInvariantBroken, InvalidRotation, NonPlanarRotation,
                      ParseError, PreconditionViolated)
-from .fileio import GraphFile, read_graph, write_graph
+from .fileio import GraphFile, _is_int, read_graph, write_graph
 from .girth import SolverConfig, solve_planar_unweighted, solve_planar_weighted, trivial_baseline
 from .graph import (
     connectivity_le3,
@@ -238,7 +238,7 @@ def _read_fvs_file(path: str) -> set[int]:
         for no, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0]
             for token in body.split():
-                if not token.lstrip("-").isdigit():
+                if not _is_int(token):
                     raise ParseError(no, f"not a vertex id: {token!r}")
                 out.add(int(token))
     return out

@@ -153,7 +153,7 @@ def _read_ascii(path: str) -> str:
 
 
 def _is_int(token: str) -> bool:
-    return token.lstrip("-").isdigit()
+    return token.removeprefix("-").isdigit()
 
 
 def _write_json(path: str, graph: Graph, rotation: RotationSystem | None,
@@ -178,6 +178,8 @@ def _read_json(path: str) -> GraphFile:
         payload = json.loads(_read_ascii(path))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}")
+    except RecursionError:
+        raise ParseError(1, "invalid JSON: nested too deeply") from None
     if not isinstance(payload, dict) or payload.get("format") != "fvsbound-graph":
         raise ParseError(1, "not an fvsbound-graph JSON file")
     if payload.get("version") != FORMAT_VERSION:

@@ -18,9 +18,7 @@ each only when all earlier ones cannot:
 Every step strictly shrinks (total weight, doubled degree potential)
 lexicographically, which guarantees termination: mergers remove weight,
 splits and suppressions each cost one unit of potential, and decompositions
-drop whole vertex sets. The rules run as one loop over the current graph.
-P1 recurses for each component and for the first side of a cut vertex, and
-P3 on the split graph, whose solution it lifts back to the split vertex.
+drop whole vertex sets.
 """
 
 from __future__ import annotations
@@ -65,23 +63,16 @@ def _measure(g: Graph) -> tuple[int, int]:
     return (g.total_weight(), doubled_potential(g))
 
 
-class _Run:
-    """Mutable per-solve state: trace and debug knobs."""
-
-    def __init__(self, cfg: SolverConfig):
-        self.cfg = cfg
-        self.trace: list[ReductionStep] = []
-
-    def check_child(self, parent: Graph, child: PlaneGraph) -> PlaneGraph:
-        """Under ``validate_every_step``, re-check the girth and the measure drop."""
-        if self.cfg.validate_every_step:
-            if child.graph.m and weighted_girth(child.graph) < self.cfg.g:
-                raise InternalInvariantBroken(
-                    "a rule produced a cycle lighter than g")
-            if _measure(child.graph) >= _measure(parent):
-                raise InternalInvariantBroken(
-                    "termination measure failed to decrease")
-        return child
+def _check_child(cfg: SolverConfig, parent: Graph, child: PlaneGraph) -> PlaneGraph:
+    """Under ``validate_every_step``, re-check the girth and the measure drop."""
+    if cfg.validate_every_step:
+        if child.graph.m and weighted_girth(child.graph) < cfg.g:
+            raise InternalInvariantBroken(
+                "a rule produced a cycle lighter than g")
+        if _measure(child.graph) >= _measure(parent):
+            raise InternalInvariantBroken(
+                "termination measure failed to decrease")
+    return child
 
 
 def solve_planar_weighted(pg: PlaneGraph, cfg: SolverConfig) -> FvsCertificate:
@@ -95,86 +86,92 @@ def solve_planar_weighted(pg: PlaneGraph, cfg: SolverConfig) -> FvsCertificate:
     if graph.m and weighted_girth(graph) < cfg.g:
         raise PreconditionViolated(
             f"some cycle weighs less than g = {cfg.g}")
-    run = _Run(cfg)
-    fvs = _solve(pg, run)
+    fvs, trace = _solve(pg, cfg)
     total = graph.total_weight()
     cert = FvsCertificate(fvs=frozenset(fvs),
                           bound_kind=BoundKind.PLANAR_WEIGHTED,
                           bound_num=4 * total, bound_den=3 * cfg.g,
-                          trace=tuple(run.trace))
+                          trace=tuple(trace))
     if not validate_fvs(graph, cert.fvs) or not cert.meets_bound():
         raise InternalInvariantBroken("assembled set misses the weight bound")
     return cert
 
 
-def _solve(pg: PlaneGraph, run: _Run) -> set[int]:
+def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionStep]]:
+    # A last-in, first-out stack of (P1 step to log on pop, plane graph, lift
+    # from P3's split ids to input vertices); a rule pops one, pushes the rest.
+    todo: list[tuple[ReductionStep | None, PlaneGraph, dict[int, int]]] = [(None, pg, {})]
     chosen: set[int] = set()
-    while True:
+    trace: list[ReductionStep] = []
+    while todo:
+        step, pg, lift = todo.pop()
+        if step is not None:
+            trace.append(step)
         graph = pg.graph
         if graph.n == 0:
-            return chosen
+            continue
 
         # P0: vertices of degree <= 1 lie on no cycle.
         dropped = peel_degree_le1(graph)
         if dropped:
-            run.trace.append(ReductionStep(
+            trace.append(ReductionStep(
                 rule="P0_prune", matched=tuple(sorted(dropped)),
                 removed_vertices=frozenset(dropped)))
-            pg = run.check_child(graph, plane_subgraph(pg, set(graph.vertices) - dropped))
+            rest = plane_subgraph(pg, set(graph.vertices) - dropped)
+            todo.append((None, _check_child(cfg, graph, rest), lift))
             continue
 
         # P1: decompose across components or at a cut vertex; the sides share
         # at most the cut vertex, so their sets union to a feedback vertex set.
+        # Split ids are fresh only within one side, so each side lifts its own.
         comps = connected_components(graph)
+        sides = []
         if len(comps) > 1:
-            for comp in comps:
-                if comp is not comps[-1]:
-                    run.trace.append(ReductionStep(
-                        rule="P1_decompose", matched=(min(comp),),
-                        note="disconnected"))
-                chosen |= _solve(run.check_child(graph, plane_subgraph(pg, comp)), run)
-            return chosen
-        cuts = cut_vertices(graph)
-        if cuts:
+            sides = [(ReductionStep(rule="P1_decompose", matched=(min(comp),), note="disconnected"),
+                      comp) for comp in comps[:-1]] + [(None, comps[-1])]
+        elif cuts := cut_vertices(graph):
             x = cuts[0]
-            pieces = connected_components(graph.without_vertices([x]))
-            run.trace.append(ReductionStep(
-                rule="P1_decompose", matched=(x,)))
-            chosen |= _solve(run.check_child(graph, plane_subgraph(pg, pieces[0] | {x})), run)
-            pg = run.check_child(graph, plane_subgraph(pg, set(graph.vertices) - pieces[0]))
+            first = connected_components(graph.without_vertices([x]))[0]
+            sides = [(ReductionStep(rule="P1_decompose", matched=(x,)), first | {x}),
+                     (None, set(graph.vertices) - first)]
+        if sides:
+            todo.extend(reversed([
+                (side_step, _check_child(cfg, graph, plane_subgraph(pg, side)),
+                 {u: lift[u] for u in side if u in lift})
+                for side_step, side in sides]))
             continue
 
         # P2: a lone cycle needs one vertex; otherwise a guaranteed merger
         # trades its crucial vertex for a 3g/4 drop in total weight.
         if all(graph.degree(v) == 2 for v in graph.vertices):
             v = min(graph.vertices)
-            run.trace.append(ReductionStep(
+            trace.append(ReductionStep(
                 rule="P2_merge", matched=(v,), designated=(v,),
                 note="single cycle"))
-            return chosen | {v}
-        spec = find_guaranteed_merger(pg, run.cfg.g)
+            chosen.add(lift.get(v, v))
+            continue
+        spec = find_guaranteed_merger(pg, cfg.g)
         if spec is not None:
             merged = apply_merger(pg, spec)
-            run.trace.append(ReductionStep(
+            trace.append(ReductionStep(
                 rule="P2_merge", matched=(spec.f0, spec.f1, spec.f2),
                 removed_edges=spec.removed_edges, designated=(spec.crucial,)))
-            chosen.add(spec.crucial)
-            pg = run.check_child(graph, merged)
+            chosen.add(lift.get(spec.crucial, spec.crucial))
+            todo.append((None, _check_child(cfg, graph, merged), lift))
             continue
 
-        # P3: split the smallest vertex of maximum degree >= 4; w and w' are
-        # fresh only in this graph, so the lift to v covers only the sub-solve.
+        # P3: split the smallest vertex of maximum degree >= 4; a set that
+        # takes w or w' takes v in the graph before the split.
         max_deg = graph.max_degree()
         if max_deg >= 4:
             v = min(u for u in graph.vertices if graph.degree(u) == max_deg)
             split_pg, (w, w_prime, _) = split_high_degree_vertex(pg, v)
-            run.trace.append(ReductionStep(
+            trace.append(ReductionStep(
                 rule="P3_split", matched=(v, w, w_prime),
                 removed_vertices=frozenset([v])))
-            sub = _solve(run.check_child(graph, split_pg), run)
-            if w in sub or w_prime in sub:
-                sub = (sub - {w, w_prime}) | {v}
-            return chosen | sub
+            lift[w] = lift[w_prime] = lift.get(v, v)
+            todo.append((None, _check_child(cfg, graph, split_pg), lift))
+            continue
 
         # P4: suppress every degree-2 vertex, smallest first; a triangle
         # through one would bound a face that P2 merges. A suppression keeps
@@ -187,16 +184,17 @@ def _solve(pg: PlaneGraph, run: _Run) -> set[int]:
             if graph.has_edge(u, w):
                 raise InternalInvariantBroken(
                     "degree-2 vertex on a triangle survived past the merger rule")
-            pg = run.check_child(graph, suppress_degree2_vertex(pg, v))
-            run.trace.append(ReductionStep(
+            pg = _check_child(cfg, graph, suppress_degree2_vertex(pg, v))
+            trace.append(ReductionStep(
                 rule="P4_suppress", matched=(v, u, w),
                 removed_vertices=frozenset([v]),
                 added_edges=frozenset([tuple(sorted((u, w)))])))
-            if run.cfg.validate_every_step and not (
+            if cfg.validate_every_step and not (
                     is_two_connected(pg.graph) and pg.graph.max_degree() <= 3
-                    and find_guaranteed_merger(pg, run.cfg.g) is None):
+                    and find_guaranteed_merger(pg, cfg.g) is None):
                 raise InternalInvariantBroken("a suppression let an earlier rule match")
         if two:
+            todo.append((None, pg, lift))
             continue
 
         # P5: 2-connected cubic plane graph; the n-bound chains into the
@@ -204,19 +202,19 @@ def _solve(pg: PlaneGraph, run: _Run) -> set[int]:
         cert = solve_cubic(graph)
         f = pg.face_count()
         total = graph.total_weight()
-        g_min = run.cfg.g
         if graph.n != 2 * (f - 2):
             raise InternalInvariantBroken("cubic plane graph violates n = 2(f-2)")
-        if g_min * f > 2 * total:
+        if cfg.g * f > 2 * total:
             raise InternalInvariantBroken("face weights undercut g*f <= 2*weight")
-        if 3 * g_min * cert.size > 4 * total:
+        if 3 * cfg.g * cert.size > 4 * total:
             raise InternalInvariantBroken("cubic bound chain missed the weight bound")
-        run.trace.append(ReductionStep(
+        trace.append(ReductionStep(
             rule="P5_cubic_base", matched=(),
             removed_vertices=frozenset(graph.vertices),
             designated=tuple(sorted(cert.fvs))))
-        run.trace.extend(cert.trace)
-        return chosen | set(cert.fvs)
+        trace.extend(cert.trace)
+        chosen |= {lift.get(x, x) for x in cert.fvs}
+    return chosen, trace
 
 
 def solve_planar_unweighted(pg: PlaneGraph) -> FvsCertificate:

@@ -213,6 +213,19 @@ def triangle_chain(k: int) -> Graph:
                                     ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2))])
 
 
+def far_cut_triangle_chain(k: int) -> Graph:
+    """k triangles in a chain from 0 whose cut vertices run k - 1, ..., 1.
+
+    Triangle j joins spine vertices s_j, s_{j+1} through apex k + j, with
+    s_0 = 0, s_j = k - j in between and s_k = 2k. The smallest cut vertex is
+    the last one, so every P1 split's first side is the long side.
+    """
+    spine = [0, *range(k - 1, 0, -1), 2 * k]
+    return Graph(range(2 * k + 1), [e for j in range(k) for e in
+                                    ((spine[j], spine[j + 1]), (spine[j + 1], k + j),
+                                     (spine[j], k + j))])
+
+
 @contextmanager
 def shallow_recursion_limit(headroom: int = 100):
     """Cap the recursion limit at the current stack depth plus ``headroom``."""

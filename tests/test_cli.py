@@ -173,15 +173,38 @@ class TestSolve:
         assert code == 2
         assert one_error_line(capsys)
 
-    def test_recursion_limit_exits_3(self, tmp_path, capsys):
-        # A hub of degree 300 takes 297 nested P3 splits.
+    def test_hub_of_degree_300_solves_in_a_shallow_stack(self, tmp_path, capsys):
+        # A hub of degree 300 takes 297 P3 splits, which no longer nest.
         wheel = Graph(range(301), [(300, i) for i in range(300)]
                       + [(i, (i + 1) % 300) for i in range(300)])
         path = tmp_path / "w300.g"
         write_graph(str(path), wheel, rotation=embed(wheel))
         with shallow_recursion_limit(100):
-            code = main(["solve", str(path)])
+            code, out = run(capsys, "solve", str(path))
+        assert code == 0
+        assert "bound satisfied = yes" in out
+
+    def test_recursion_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        import fvsbound.cli as cli_module
+
+        def too_deep(graph):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli_module, "solve_cubic", too_deep)
+        path = tmp_path / "d.g"
+        run(capsys, "gen", "dodecahedron", str(path))
+        code = main(["solve", str(path), "--alg", "cubic"])
         assert code == 3
+        assert one_error_line(capsys)
+
+    @pytest.mark.parametrize("name, text", [("minus.g", "graph 1 1\nv --1\n"),
+                                            ("deep.json", "[" * 100000)],
+                             ids=["double-minus", "nested-json"])
+    def test_unparsable_id_or_nesting_exits_2(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code = main(["solve", str(path)])
+        assert code == 2
         assert one_error_line(capsys)
 
     def test_exact(self, tmp_path, capsys):
@@ -282,6 +305,15 @@ class TestVerify:
         code, _ = run(capsys, "verify", str(path), str(fvs))
         assert code == 2
 
+    def test_double_minus_in_set_file(self, tmp_path, capsys):
+        path = tmp_path / "k4.g"
+        run(capsys, "gen", "k4", str(path))
+        fvs = tmp_path / "s.txt"
+        fvs.write_text("0 1 --5\n")
+        code = main(["verify", str(path), str(fvs)])
+        assert code == 2
+        assert one_error_line(capsys)
+
     def test_non_ascii_set_file(self, tmp_path, capsys):
         path = tmp_path / "k4.g"
         run(capsys, "gen", "k4", str(path))
@@ -336,6 +368,21 @@ class TestBatch:
         rows = list(csv.DictReader(out_csv.open()))
         assert [(r["instance"], r["valid"]) for r in rows] == [
             ("accent.g", "error"), ("cube.g", "yes"), ("list.json", "error")]
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_unparsable_id_and_deep_json_recorded_and_nonzero(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        run(capsys, "gen", "cube", str(corpus / "cube.g"))
+        (corpus / "minus.g").write_text("graph 1 1\nv --1\n")
+        (corpus / "deep.json").write_text("[" * 100000)
+        out_csv = tmp_path / "report.csv"
+        code = main(["batch", str(corpus), "--csv", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == 1
+        rows = list(csv.DictReader(out_csv.open()))
+        assert [(r["instance"], r["valid"]) for r in rows] == [
+            ("cube.g", "yes"), ("deep.json", "error"), ("minus.g", "error")]
         assert "Traceback" not in captured.out + captured.err
 
     def test_recursion_error_recorded_and_nonzero(self, tmp_path, capsys, monkeypatch):

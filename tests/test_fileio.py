@@ -150,6 +150,27 @@ class TestParseErrors:
         self._expect(tmp_path, "graph 1 1\nv 0\nq zzz\n", "unknown record",
                      line_no=3)
 
+    @pytest.mark.parametrize("text, fragment", [
+        ("graph 1 1\nv --1\n", "vertex line"),
+        ("graph 1 2\nv 0\nv 1\ne 0 --1\n", "edge line"),
+        ("graph 1 2\nv 0\nv 1\ne 0 1 --2\n", "edge line"),
+        ("graph 1 2\nv 0\nv 1\ne 0 1\nr --0: 1\n", "rotation entries"),
+        ("graph 1 2\nv 0\nv 1\ne 0 1\nr 0: --1\n", "rotation entries"),
+    ], ids=["v", "e-end", "e-weight", "r-head", "r-entry"])
+    def test_double_minus_sign(self, tmp_path, text, fragment):
+        self._expect(tmp_path, text, fragment, line_no=text.count("\n"))
+
+    def test_one_minus_sign_is_an_id(self, tmp_path):
+        path = tmp_path / "neg.g"
+        path.write_text("graph 1 2\nv -1\nv 0\ne -1 0\n")
+        assert read_graph(str(path)).graph.edges() == [(-1, 0)]
+
+    def test_json_nested_past_the_recursion_limit(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            read_graph(str(path))
+
     def test_non_ascii_byte(self, tmp_path):
         path = tmp_path / "bad.g"
         path.write_bytes(b"graph 1 1\nv 0\nname caf\xe9\n")

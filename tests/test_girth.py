@@ -20,7 +20,8 @@ from fvsbound.instances import chain, disjoint_cycles, make_named, random_planar
 from fvsbound.oracle import min_fvs_exact
 from fvsbound.planar import embed, faces_of
 
-from bruteforce import shallow_recursion_limit, subdivided_rim_wheel, triangle_chain
+from bruteforce import (far_cut_triangle_chain, shallow_recursion_limit, subdivided_rim_wheel,
+                        triangle_chain)
 
 # The package re-exports graph.girth under the submodule's name.
 girth_module = importlib.import_module("fvsbound.girth")
@@ -183,13 +184,16 @@ class TestSolveUnweighted:
 
 
 class TestLoop:
-    """Runs of P2 mergers, P4 suppressions and cut-vertex splits do not nest."""
+    """No run of rule firings nests: mergers, suppressions, splits and decompositions."""
 
     @pytest.mark.parametrize("build", [
         lambda: plane(chain(150)),
         lambda: plane(triangle_chain(150)),
         lambda: faces_of(*random_planar_girth(200, 13, 1)),
-    ], ids=["chain150", "triangle-chain150", "random-planar-g13-n200"])
+        lambda: plane(wheel(150)),
+        lambda: plane(far_cut_triangle_chain(150)),
+    ], ids=["chain150", "triangle-chain150", "random-planar-g13-n200", "w150",
+            "far-cut-triangle-chain150"])
     def test_long_runs_solve_in_a_shallow_stack(self, build):
         pg = build()
         with shallow_recursion_limit(100):

@@ -25,6 +25,7 @@ from fvsbound.instances import (
 from fvsbound.planar import embed, faces_of
 
 from bruteforce import (
+    far_cut_triangle_chain,
     r4_all_distinct_instance,
     r4_two_equal_instance,
     r5_gadget_pair,
@@ -66,6 +67,13 @@ def _weighted_plane(seed):
             g = h
     g = subdivided(g, rng, 6)
     return Graph(g.vertices, [(u, v, rng.randint(1, 5)) for u, v in g.edges()])
+
+
+def _wheels(*wheels):
+    """Union of wheels, each given as (rim ids in cyclic order, hub id)."""
+    edges = {e for rim, hub in wheels
+             for e in [(hub, v) for v in rim] + list(zip(rim, rim[1:] + rim[:1]))}
+    return Graph(sorted({v for e in edges for v in e}), edges)
 
 
 def _solve_weighted_checked(g, target=None):
@@ -112,6 +120,15 @@ CASES = {
     "planar-triangle-chain30": lambda: solve_planar_unweighted(_embedded(triangle_chain(30))),
     # Fires P2 x2, P3 x3, P4 x6.
     "weighted-random-plane-s5": lambda: _solve_weighted_checked(_weighted_plane(5)),
+    # Split ids are fresh only in their own side, so each side lifts its own.
+    "planar-disjoint-w4-pair":
+        lambda: solve_planar_unweighted(_embedded(_wheels(([0, 1, 2, 3], 4), ([5, 6, 7, 8], 9)))),
+    "planar-hub-glued-w4-pair":
+        lambda: solve_planar_unweighted(_embedded(_wheels(([0, 1, 2, 3], 4), ([5, 6, 7, 8], 4)))),
+    # Fires P3 x37.
+    "planar-w40": lambda: solve_planar_unweighted(_embedded(_wheels((list(range(40)), 40)))),
+    "planar-far-cut-triangle-chain30":
+        lambda: solve_planar_unweighted(_embedded(far_cut_triangle_chain(30))),
 }
 
 GOLDEN = {
@@ -135,7 +152,10 @@ GOLDEN = {
     "planar-chain50": "50dd456aad7f1621093fe2a8dd039972d706300e0620bb55b52b1cc03cb6a17d",
     "planar-cube": "b0108605ef4c43c4850c3d960e515b8f74bff44cc1d84c6fa893eec19d5dc3e3",
     "planar-disjoint-cycles-4x5": "3d7603bdc1a86b1aae59214c5e428b3009595fdf94bfb6ba6b364123f86163a4",
+    "planar-disjoint-w4-pair": "96c3005ac87b89beed5eac6d84aa7beff712110209318e07df5f70c903a301c0",
     "planar-dodecahedron": "23a81b36fe01e8f57345b1bb03c117a802af0bd8ba11505729a0aab51844070d",
+    "planar-far-cut-triangle-chain30": "c46306b56213b0f214cc68cbabed43374b356b4acd44f331e4f32917752891b4",
+    "planar-hub-glued-w4-pair": "5e3f0dcd42ab07ce9bbf7d3014debe0940fbc6167f6fee6d88eb7d5aebf5ffed",
     "planar-k4": "9b2b92ce7ed36cc2fb2b453c2f0c37ae99fe07f31d6e62877957b63eb0ad2bcb",
     "planar-prism": "9583a159e01dd560002c15dcf28459195aef6b43623375c521168d84ef9980db",
     "planar-random-g3": "768255d94211594d0625a14d2f4d219dd1fc49961063565ade6c9b091d6d0e8f",
@@ -143,6 +163,7 @@ GOLDEN = {
     "planar-random-g7-n240": "ed91298872557d69e5221d70cde3329a1fc1e4f2bb58ebcd17fda256a79933fb",
     "planar-subdivided-w6": "56cc3204bdacf8b9606ed09ed6f10fca18eec6ecfa1ee475a3cb44082764f58e",
     "planar-triangle-chain30": "ef99f7eae7b8cec0b14199bc79f6d56b9a77566d62878c40c471c6461c5fef71",
+    "planar-w40": "8dadb52c3bc5ca4788221144a9b066b21c6e932432e474dc702de3135c5aaf9a",
     "trivial-bridged": "2088bedd7a370d96a619dd23456c24b6b3f8c1640c330fa128e1767d2c129e2a",
     "trivial-dodecahedron": "be25d553a3990232a06290011954dfea9f247ced9d2d450981259608aa8389ce",
     "trivial-random-g3": "80ee6dcddf24be8d751c8739bd187868a775a2af09e7bf5e87e608a3e9288c1c",
