@@ -15,6 +15,30 @@ by neighborhood) are recomputed only on the dirty set: the surviving
 neighbors of the dropped vertices plus the endpoints of the added edges.
 Every match is the lexicographically first one in ascending vertex/edge
 order, so identical inputs produce identical traces.
+
+The two connectivity questions each step raises are answered locally, by
+unit-capacity flow tests on the boundary, and exactly. The lemma: rewrites
+only delete vertices and add edges between survivors, so if some earlier
+graph G0 was k-edge-connected, every cut of fewer than k edges in the
+current graph separates two vertices of the boundary accumulated since G0
+(the dirty sets, less the vertices dropped since). Were the whole boundary
+on one side of such a cut, adding the dropped vertices to that side would
+give a cut of G0 whose edges all survive in the current graph. At maximum
+degree 3 a cut vertex leaves a bridge, so 2-connected means
+2-edge-connected.
+
+- Per step, G0 is the previous graph, known to be 2-connected: the reduced
+  graph is 2-connected iff k = 2 edge-disjoint paths join one dirty vertex
+  to each other one, and only dirty vertices can exceed degree 3.
+- For R5, G0 is the last graph proven 3-edge-connected: if three paths join
+  one boundary vertex to each other one, no 2-edge cut exists; if not, the
+  global cut enumeration runs as before and picks the same cut.
+
+R5 stays global until one of its queries finds no cut, because only then is
+a G0 known. The per-step check stays global on a caller's ``Graph``, which
+``find_rule`` and ``apply_rule`` wrap in a fresh working graph: it is not
+known to be 2-connected, while ``solve_cubic`` proves its input in class
+first. The final check of the returned set is always global.
 """
 
 from __future__ import annotations
@@ -64,9 +88,10 @@ class _Work:
       ``twins``, the keys held by two or more of them (R4).
     """
 
-    __slots__ = ("adj", "deg2", "tri", "groups", "twins", "_weights")
+    __slots__ = ("adj", "deg2", "tri", "groups", "twins", "_weights",
+                 "in_class", "boundary")
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, in_class: bool = False):
         self.adj = {v: g.neighbors(v) for v in g.vertices}
         self._weights = g.edge_weights()
         self.deg2: set[int] = set()
@@ -74,6 +99,11 @@ class _Work:
         self.groups: dict[tuple[int, ...], set[int]] = {}
         self.twins: set[tuple[int, ...]] = set()
         self._index(self.adj)
+        # True while the graph is known to be 2-connected and subcubic.
+        self.in_class = in_class
+        # The dirty sets accumulated since the graph was last proven
+        # 3-edge-connected, less the vertices dropped since; None before that.
+        self.boundary: set[int] | None = None
 
     @property
     def n(self) -> int:
@@ -101,15 +131,17 @@ class _Work:
         return Graph(self.adj, [(v, u, weights.get((v, u), 1))
                                 for v, ns in self.adj.items() for u in ns if v < u])
 
-    def rewrite(self, drop: list[int], add: list[tuple[int, int]]) -> None:
+    def rewrite(self, drop: list[int], add: list[tuple[int, int]]) -> set[int]:
         """Remove vertices, then add edges among the survivors, in place.
 
-        Raises ValueError, before changing anything, on a loop, a parallel
-        edge, or an endpoint that is not in the reduced graph.
+        Returns the dirty set and adds it to ``boundary``. The rewritten graph
+        is no longer known to be in class. Raises ValueError, before changing
+        anything, on a loop, a parallel edge, or an endpoint that is not in
+        the reduced graph.
         """
         adj = self.adj
         gone = set(drop)
-        missing = gone - adj.keys()
+        missing = gone.difference(adj)
         if missing:
             raise ValueError(f"vertices {sorted(missing)} not in graph")
         dirty = {u: {x for x in adj[u] if x not in gone}
@@ -132,6 +164,12 @@ class _Work:
         for v, ns in dirty.items():
             adj[v] = tuple(sorted(ns))
         self._index(dirty)
+        self.in_class = False
+        touched = set(dirty)
+        if self.boundary is not None:
+            self.boundary -= gone
+            self.boundary |= touched
+        return touched
 
     def _unindex(self, vertices) -> None:
         for v in vertices:
@@ -172,6 +210,88 @@ def _third(g: _Work, v: int, excluded: tuple[int, ...]) -> int:
         raise InternalInvariantBroken(
             f"vertex {v} should have exactly one neighbor outside {excluded}")
     return rest[0]
+
+
+# -- local connectivity tests --------------------------------------------------
+
+
+def _residual_path(adj: dict[int, tuple[int, ...]], s: int, t: int,
+                   used: set[tuple[int, int]]) -> list[int] | None:
+    """An s-t path over the arcs with residual capacity, or None.
+
+    ``used`` holds the arcs (u, v) that carry one unit of flow from u to v;
+    every other arc has residual capacity. A BFS grows from s and another
+    into t, one level of the smaller frontier at a time, and the first vertex
+    both reach closes the path.
+    """
+    pred = {s: s}
+    succ = {t: t}
+    front, back = [s], [t]
+    while front and back:
+        nxt = []
+        if len(front) <= len(back):
+            for u in front:
+                for v in adj[u]:
+                    if v not in pred and (u, v) not in used:
+                        pred[v] = u
+                        if v in succ:
+                            return _joined(pred, succ, v)
+                        nxt.append(v)
+            front = nxt
+        else:
+            for v in back:
+                for u in adj[v]:
+                    if u not in succ and (u, v) not in used:
+                        succ[u] = v
+                        if u in pred:
+                            return _joined(pred, succ, u)
+                        nxt.append(u)
+            back = nxt
+    return None
+
+
+def _joined(pred: dict[int, int], succ: dict[int, int], meet: int) -> list[int]:
+    """The path through ``meet`` along ``pred`` back to its root and ``succ`` on to its root."""
+    path = [meet]
+    while pred[path[-1]] != path[-1]:
+        path.append(pred[path[-1]])
+    path.reverse()
+    while succ[path[-1]] != path[-1]:
+        path.append(succ[path[-1]])
+    return path
+
+
+def _edge_disjoint_paths(adj: dict[int, tuple[int, ...]], s: int, t: int,
+                         k: int) -> bool:
+    """True iff k edge-disjoint paths join s and t, i.e. λ(s, t) >= k.
+
+    Ford-Fulkerson with unit capacities: k augmenting paths, each found by a
+    bidirectional BFS in the residual graph.
+    """
+    if len(adj[s]) < k or len(adj[t]) < k:
+        return False
+    used: set[tuple[int, int]] = set()
+    for _ in range(k - 1):
+        path = _residual_path(adj, s, t, used)
+        if path is None:
+            return False
+        for u, v in zip(path, path[1:]):
+            if (v, u) in used:
+                used.remove((v, u))
+            else:
+                used.add((u, v))
+    return _residual_path(adj, s, t, used) is not None
+
+
+def _edge_connected_within(adj: dict[int, tuple[int, ...]], boundary, k: int) -> bool:
+    """True iff no cut of fewer than k edges separates two vertices of ``boundary``.
+
+    Fixes one boundary vertex s and tests λ(s, t) >= k for every other t: a
+    cut separating two boundary vertices separates s from one of them.
+    """
+    rest = iter(boundary)
+    s = next(rest, None)
+    return all(_edge_disjoint_paths(adj, s, t, k) for t in rest)
 
 
 # -- matchers ------------------------------------------------------------------
@@ -215,8 +335,14 @@ def _match_r4(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
 
 
 def _match_r5(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
-    cut = min_side_two_edge_cut(g)
+    # Every 2-edge cut separates two vertices of the boundary since the graph
+    # was last proven 3-edge-connected; the global search picks the cut.
+    if g.boundary is not None and _edge_connected_within(g.adj, g.boundary, 3):
+        cut = None
+    else:
+        cut = min_side_two_edge_cut(g)
     if cut is None:
+        g.boundary = set()
         return None
     e = min(sorted(cut.members))
     small_side = cut.sides[0]
@@ -274,19 +400,24 @@ def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
     removed_edges = frozenset(
         edge_key(v, u) for v in drop_set for u in g.neighbors(v))
     n_before = g.n
+    local = g.in_class
     try:
-        g.rewrite(drop, add)
+        dirty = g.rewrite(drop, add)
     except ValueError as exc:
         raise InternalInvariantBroken(
             f"{rule.value} on {match}: reduced graph is not simple ({exc})")
     if g.n >= n_before:
         raise InternalInvariantBroken(f"{rule.value} did not shrink the graph")
-    if g.max_degree() > 3:
+    # From an in-class graph only the dirty vertices changed degree, and a
+    # bridge or a split would separate two of them.
+    if (max(map(g.degree, dirty), default=0) if local else g.max_degree()) > 3:
         raise InternalInvariantBroken(
             f"{rule.value} on {match}: reduced graph exceeds degree 3")
-    if not is_two_connected(g):
+    if not ((g.n >= 3 and _edge_connected_within(g.adj, dirty, 2)) if local
+            else is_two_connected(g)):
         raise InternalInvariantBroken(
             f"{rule.value} on {match}: reduced graph is not 2-connected")
+    g.in_class = True
     return ReductionStep(
         rule=rule.value, matched=match,
         removed_vertices=frozenset(drop_set),
@@ -436,7 +567,10 @@ def apply_rule(g: Graph | _Work, rule: RuleId,
     Graph; the solver's working graph is rewritten in place and returned.
     Raises InternalInvariantBroken when the reduced graph leaves the class of
     simple 2-connected subcubic graphs; the rewrite proofs guarantee closure,
-    so that only ever signals a bug (or a match from a stale graph).
+    so that only ever signals a bug (or a match from a stale graph). The
+    check reads the whole reduced graph when the graph before the step was
+    not known to be in class, as a Graph argument is not; otherwise it reads
+    only the dirty set.
     """
     work = g if isinstance(g, _Work) else _Work(g)
     step = _APPLIERS[rule](work, match)
@@ -481,9 +615,13 @@ def solve_cubic(g: Graph) -> FvsCertificate:
     The rewrites run on one working graph copied from ``g`` and changed in
     place; after each one only the dirty set (surviving neighbors of the
     dropped vertices, endpoints of the added edges) is re-indexed for the
-    matchers. Each step still checks the whole reduced graph: simple,
-    smaller, maximum degree 3 and 2-connected. The base case and the final
-    check run on immutable Graphs.
+    matchers. Each step checks that the reduced graph is simple and smaller,
+    and, from the dirty set alone (see the module docstring), that it has
+    maximum degree 3 and is 2-connected. R5 asks its flow tests first and
+    enumerates the cuts of the whole graph only when they find one, or while
+    no graph has been proven 3-edge-connected yet. The base case and the
+    final check, which validates the set against ``g`` and the bound, run on
+    immutable Graphs.
 
     Deterministic: same input graph (same ids), same trace. A reduction that
     leaves the class raises InternalInvariantBroken: the rewrite proofs rule
@@ -493,7 +631,7 @@ def solve_cubic(g: Graph) -> FvsCertificate:
     _require_in_class(g)
     chosen: set[int] = set()
     trace: list[ReductionStep] = []
-    cur = _Work(g)
+    cur = _Work(g, in_class=True)
     while cur.n > BASE_CASE_MAX_N:
         rule, match = find_rule(cur)
         cur, step = apply_rule(cur, rule, match)

@@ -11,7 +11,9 @@ Text format (one record per line, canonical order on write):
 
 Round-trips are bit-exact: reading a canonically written file and writing it
 again reproduces the same bytes. The JSON mirror carries the same fields for
-tooling.
+tooling and is read as strictly: ids, endpoints, weights and rotation
+entries must be JSON integers (not ``true`` or ``1.5``), ids distinct and
+endpoints declared.
 """
 
 from __future__ import annotations
@@ -185,15 +187,35 @@ def _read_json(path: str) -> GraphFile:
     if payload.get("version") != FORMAT_VERSION:
         raise ParseError(1, f"unsupported version {payload.get('version')}")
     try:
-        graph = Graph(payload["vertices"], [tuple(e) for e in payload["edges"]])
+        vertices = _json_ints(payload["vertices"], "vertices")
+        declared = set(vertices)
+        if len(declared) != len(vertices):
+            raise ParseError(1, "duplicate vertex ids")
+        edges = [_json_ints(e, "edge") for e in payload["edges"]]
+        for e in edges:
+            if not declared.issuperset(e[:2]):
+                raise ParseError(1, f"edge {e[:2]} uses an undeclared vertex")
+        graph = Graph(vertices, edges)
         rot_raw = payload.get("rotation")
         rotation = None
         if rot_raw is not None:
+            if not all(map(_is_int, rot_raw)):
+                raise ParseError(1, "rotation keys must be integers")
             rotation = RotationSystem(
-                {int(v): tuple(ns) for v, ns in sorted(rot_raw.items(),
-                                                       key=lambda kv: int(kv[0]))})
+                {int(v): tuple(_json_ints(ns, "rotation"))
+                 for v, ns in sorted(rot_raw.items(), key=lambda kv: int(kv[0]))})
         return GraphFile(graph=graph, rotation=rotation,
                          name=payload.get("name"),
                          meta=dict(payload.get("meta") or {}))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(1, f"malformed payload: {exc}")
+
+
+def _json_ints(values, what: str) -> list:
+    """``values`` itself if it is a JSON list of integers; ``true`` and ``1.5`` are not."""
+    if not isinstance(values, list):
+        raise ParseError(1, f"{what} must be a list of integers")
+    for x in values:
+        if type(x) is not int:
+            raise ParseError(1, f"{what}: {json.dumps(x)} is not an integer")
+    return values

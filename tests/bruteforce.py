@@ -172,13 +172,14 @@ def r4_all_distinct_instance():
     return Graph(range(16), block_a + block_b + joins)
 
 
-def cut_joined_pair(rng: random.Random, trial: int) -> Graph:
+def cut_joined_pair(rng: random.Random, trial: int, half: tuple[int, int] = (6, 10)) -> Graph:
     """Two random cubic graphs, one edge cut from each, rejoined crosswise.
 
-    The two new edges form a 2-edge cut whenever the result is 2-connected.
+    Each graph has 2k vertices, k drawn from ``half``. The two new edges form
+    a 2-edge cut whenever the result is 2-connected.
     """
-    a = random_cubic_2connected(2 * rng.randint(6, 10), trial)
-    b = random_cubic_2connected(2 * rng.randint(6, 10), trial + 100)
+    a = random_cubic_2connected(2 * rng.randint(*half), trial)
+    b = random_cubic_2connected(2 * rng.randint(*half), trial + 100)
     ea = a.edges()[rng.randrange(a.m)]
     eb = b.edges()[rng.randrange(b.m)]
     offset = max(a.vertices) + 1
@@ -186,6 +187,26 @@ def cut_joined_pair(rng: random.Random, trial: int) -> Graph:
     edges += [(u + offset, v + offset) for u, v in b.edges() if (u, v) != eb]
     edges += [(ea[0], eb[0] + offset), (ea[1], eb[1] + offset)]
     return Graph(range(a.n + b.n), edges)
+
+
+def three_edge_joined_pair(rng: random.Random, trial: int, half: tuple[int, int]) -> Graph:
+    """Two random cubic graphs, one vertex deleted from each, their neighbors joined crosswise.
+
+    Each graph has 2k vertices, k drawn from ``half``. The three new edges form
+    a 3-edge cut, and the rewrites that eat into it make 2-edge cuts later on.
+    """
+    a = random_cubic_2connected(2 * rng.randint(*half), trial)
+    b = random_cubic_2connected(2 * rng.randint(*half), trial + 100)
+    va = rng.choice(a.vertices)
+    vb = rng.choice(b.vertices)
+    offset = max(a.vertices) + 1
+    edges = [e for e in a.edges() if va not in e]
+    edges += [(u + offset, v + offset) for u, v in b.edges() if vb not in (u, v)]
+    ends = [x + offset for x in b.neighbors(vb)]
+    rng.shuffle(ends)
+    edges += list(zip(a.neighbors(va), ends))
+    vertices = [v for v in a.vertices if v != va] + [v + offset for v in b.vertices if v != vb]
+    return Graph(vertices, edges)
 
 
 def subdivided(g: Graph, rng: random.Random, count: int) -> Graph:

@@ -37,6 +37,10 @@ BAD_ROTATIONS = {
 }
 
 
+FLOAT_JSON = ('{"format": "fvsbound-graph", "version": 1, "vertices": [0.5, 1.5, 2.5, true], '
+              '"edges": [[0, 1, 1.5], [1, 2], [2, 0]], "rotation": null, "meta": {}}')
+
+
 def write_pendant_triangle(path):
     """A unit-weight triangle with five weight-0 pendant edges at vertex 0."""
     edges = [(0, 1, 1), (1, 2, 1), (0, 2, 1)] + [(0, k, 0) for k in range(3, 8)]
@@ -204,6 +208,14 @@ class TestSolve:
         path = tmp_path / name
         path.write_text(text)
         code = main(["solve", str(path)])
+        assert code == 2
+        assert one_error_line(capsys)
+
+    def test_non_integer_json_numbers_exit_2(self, tmp_path, capsys):
+        # int() would read this as the triangle 0-1-2 plus vertex 1 again.
+        path = tmp_path / "float.json"
+        path.write_text(FLOAT_JSON)
+        code = main(["solve", str(path), "--alg", "cubic"])
         assert code == 2
         assert one_error_line(capsys)
 
@@ -383,6 +395,20 @@ class TestBatch:
         rows = list(csv.DictReader(out_csv.open()))
         assert [(r["instance"], r["valid"]) for r in rows] == [
             ("cube.g", "yes"), ("deep.json", "error"), ("minus.g", "error")]
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_non_integer_json_numbers_recorded_and_nonzero(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        run(capsys, "gen", "cube", str(corpus / "cube.g"))
+        (corpus / "float.json").write_text(FLOAT_JSON)
+        out_csv = tmp_path / "report.csv"
+        code = main(["batch", str(corpus), "--csv", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == 1
+        rows = list(csv.DictReader(out_csv.open()))
+        assert [(r["instance"], r["valid"]) for r in rows] == [
+            ("cube.g", "yes"), ("float.json", "error")]
         assert "Traceback" not in captured.out + captured.err
 
     def test_recursion_error_recorded_and_nonzero(self, tmp_path, capsys, monkeypatch):

@@ -5,10 +5,12 @@ from itertools import combinations
 
 import pytest
 
+import fvsbound.cubic as cubic_module
 from fvsbound.certificate import BoundKind
 from fvsbound.cubic import (
     BASE_CASE_MAX_N,
     RuleId,
+    _edge_connected_within,
     _Work,
     apply_rule,
     base_case,
@@ -16,12 +18,19 @@ from fvsbound.cubic import (
     solve_cubic,
 )
 from fvsbound.errors import InternalInvariantBroken, PreconditionViolated
-from fvsbound.graph import Graph, is_two_connected, validate_fvs
+from fvsbound.graph import (
+    Graph,
+    connectivity_le3,
+    is_two_connected,
+    min_side_two_edge_cut,
+    validate_fvs,
+)
 from fvsbound.instances import make_named, random_cubic_2connected, triangle_replace
 from fvsbound.oracle import min_fvs_exact, min_fvs_naive
 
 from bruteforce import (
     cut_joined_pair,
+    edge_connectivity_le3_bruteforce,
     r4_all_distinct_instance,
     r4_two_equal_instance,
     r5_gadget_pair,
@@ -230,8 +239,6 @@ class TestSolveCubic:
 
     def test_broken_rule_application_propagates(self, monkeypatch):
         # a rule that leaves the class is a bug: no fallback may hide it
-        import fvsbound.cubic as cubic_module
-
         def sabotaged(graph, rule, match):
             raise InternalInvariantBroken("injected for testing")
 
@@ -323,24 +330,73 @@ def assert_indices_current(work):
     assert work.twins == fresh.twins
 
 
+def dirty_set(before, drop, add):
+    """Survivors next to a dropped vertex plus the endpoints of added edges."""
+    return ({u for v in drop for u in before.neighbors(v) if u not in drop}
+            | {x for e in add for x in e})
+
+
+class TestLocalChecks:
+    """The flow tests that stand in for the global connectivity queries."""
+
+    def test_whole_vertex_set_gives_the_edge_connectivity(self):
+        # With every vertex in the boundary, "no cut of fewer than k edges
+        # separates two of them" is k-edge-connectivity itself.
+        rng = random.Random(71)
+        for _ in range(200):
+            g = random_max_deg3_graph(rng.randint(2, 9), rng)
+            adj = {v: g.neighbors(v) for v in g.vertices}
+            lam = edge_connectivity_le3_bruteforce(g)
+            for k in (1, 2, 3):
+                assert _edge_connected_within(adj, g.vertices, k) == (lam >= k)
+
+    def test_solver_graph_catches_a_bridge_behind_one_dirty_vertex(self):
+        # Dropping v (ids 1, 2 on the square 1-2-3-4, 0 on the hexagon
+        # 0, 5..9) leaves the edge 3-7 a bridge. Only the dirty vertex 0 lies
+        # on its far side, so a check that skipped it would pass.
+        edges = ([(1, 2), (2, 3), (3, 4), (4, 1), (10, 1), (10, 2), (10, 0), (3, 7)]
+                 + [(a, b) for a, b in zip((0, 5, 6, 7, 8, 9), (5, 6, 7, 8, 9, 0))])
+        g = Graph(range(11), edges)
+        assert is_two_connected(g) and g.max_degree() == 3
+        work = _Work(g, in_class=True)
+        with pytest.raises(InternalInvariantBroken, match="not 2-connected"):
+            cubic_module._build(work, [10], [], RuleId.R1_DEGREE2, (10,), ())
+
+    def test_apply_rule_on_a_disconnected_graph_still_raises(self):
+        # R1 on the 12-cycle is sound, but beside a disjoint 5-cycle the
+        # result is not 2-connected. A caller's graph is not known to be in
+        # class, so the check is global: both dirty vertices sit on one cycle.
+        g = Graph(range(17), [(i, (i + 1) % 12) for i in range(12)]
+                  + [(12 + i, 12 + (i + 1) % 5) for i in range(5)])
+        with pytest.raises(InternalInvariantBroken, match="not 2-connected"):
+            apply_rule(g, RuleId.R1_DEGREE2, (0, 1, 11))
+
+
 class TestWorkingGraph:
     """The in-place rewrites and dirty-set indices against a full rescan."""
 
     @staticmethod
     def step_through(g):
+        """Yield each step's rule and the local R5 answer after it (None before any proof)."""
         work = _Work(g)
         frozen = work.freeze()
         assert frozen == g
         while work.n > BASE_CASE_MAX_N:
             rule, match = find_rule(work)
             assert (rule, match) == reference_find_rule(frozen)
+            before = frozen
             _, step = apply_rule(work, rule, match)
-            expected = frozen.rewired(drop_vertices=step.removed_vertices,
-                                      add_edges=step.added_edges)
             frozen = work.freeze()
-            assert frozen == expected
+            assert frozen == before.rewired(drop_vertices=step.removed_vertices,
+                                            add_edges=step.added_edges)
             assert_indices_current(work)
-            yield rule
+            dirty = dirty_set(before, step.removed_vertices, step.added_edges)
+            assert _edge_connected_within(work.adj, dirty, 2) == is_two_connected(frozen)
+            r5_local = None
+            if work.boundary is not None:
+                r5_local = _edge_connected_within(work.adj, work.boundary, 3)
+                assert r5_local == (min_side_two_edge_cut(frozen) is None)
+            yield rule, r5_local
 
     def corpus(self):
         rng = random.Random(59)
@@ -358,27 +414,50 @@ class TestWorkingGraph:
                 yield g
 
     def test_matches_reference_rescan_at_every_step(self):
-        fired = set()
+        # Also asks the local checks at every step, whatever the graph size.
+        # The R5 test answers both ways: an R7 step leaves a degree-2 vertex.
+        fired, r5_answers = set(), set()
         for g in self.corpus():
-            fired.update(self.step_through(g))
+            for rule, r5_local in self.step_through(g):
+                fired.add(rule)
+                r5_answers.add(r5_local)
         assert fired == set(RuleId) - {RuleId.R0_BASE}
+        assert {True, False} <= r5_answers
 
     def test_indices_match_a_rebuild_after_random_rewrites(self):
         # Rewrites no rule makes, such as dropping one of two vertices with
-        # the same neighbors, must leave the indices current too.
+        # the same neighbors, must leave the indices current too. The local
+        # checks meet graphs that lost 2- or 3-edge-connectivity here.
         rng = random.Random(67)
-        for _ in range(300):
-            work = _Work(random_max_deg3_graph(rng.randint(4, 14), rng))
+        answers = set()
+        starts = [random_max_deg3_graph(rng.randint(4, 14), rng) for _ in range(300)]
+        starts += [random_cubic_2connected(2 * rng.randint(2, 7), trial) for trial in range(300)]
+        for g in starts:
+            work = _Work(g)
+            if connectivity_le3(g)[1] == 3:
+                work.boundary = set()
             for _ in range(3):
                 vertices = work.vertices
                 drop = rng.sample(vertices, rng.randint(0, min(3, len(vertices))))
                 rest = [v for v in vertices if v not in drop]
                 absent = [e for e in combinations(rest, 2) if not work.has_edge(*e)]
                 add = rng.sample(absent, min(len(absent), rng.randint(0, 3)))
-                expected = work.freeze().rewired(drop_vertices=drop, add_edges=add)
-                work.rewrite(drop, add)
-                assert work.freeze() == expected
+                before = work.freeze()
+                expected = before.rewired(drop_vertices=drop, add_edges=add)
+                dirty = work.rewrite(drop, add)
+                after = work.freeze()
+                assert after == expected
                 assert_indices_current(work)
+                assert dirty == dirty_set(before, drop, add)
+                if is_two_connected(before) and after.max_degree() <= 3:
+                    local = after.n >= 3 and _edge_connected_within(work.adj, dirty, 2)
+                    assert local == is_two_connected(after)
+                    answers.add((2, local))
+                if work.boundary is not None and after.n >= 2:
+                    local = _edge_connected_within(work.adj, work.boundary, 3)
+                    assert local == (connectivity_le3(after)[1] == 3)
+                    answers.add((3, local))
+        assert answers == {(2, True), (2, False), (3, True), (3, False)}
 
     def test_graph_arguments_are_left_unchanged(self):
         g = r5_gadget_pair()

@@ -103,6 +103,36 @@ class TestJsonRoundTrip:
         with pytest.raises(ParseError, match="malformed payload"):
             read_graph(str(path))
 
+    @pytest.mark.parametrize("field, value, fragment", [
+        ("vertices", [0.5, 1.5, 2.5], "vertices: 0.5 is not an integer"),
+        ("vertices", [0, 1, 2, True], "vertices: true is not an integer"),
+        ("vertices", [0, 1, 2, 2], "duplicate vertex ids"),
+        ("vertices", {"0": 0}, "vertices must be a list of integers"),
+        ("edges", [[0, 1, 1.5], [1, 2], [2, 0]], "edge: 1.5 is not an integer"),
+        ("edges", [[0, 1], [1, 2], [2.0, 0]], "edge: 2.0 is not an integer"),
+        ("edges", [[0, 1], [1, 2], [2, 0, False]], "edge: false is not an integer"),
+        ("edges", [[0, 1], [1, 2], [2, 3]], r"edge \[2, 3\] uses an undeclared vertex"),
+        ("rotation", {"0": [1, 2], "1": [2, 0], "2": [0, 1.0]},
+         "rotation: 1.0 is not an integer"),
+        ("rotation", {"0": [1, 2], "1": [2, 0], "2.0": [0, 1]},
+         "rotation keys must be integers"),
+    ], ids=["float-id", "bool-id", "repeated-id", "ids-not-a-list", "float-weight",
+            "float-endpoint", "bool-weight", "undeclared-endpoint", "float-rotation-entry",
+            "float-rotation-key"])
+    def test_rejects_non_integer_numbers(self, tmp_path, field, value, fragment):
+        # Graph() would truncate these with int(), or add the undeclared
+        # vertex, so a different graph than the file's would be certified.
+        path = tmp_path / "x.json"
+        payload = {"format": "fvsbound-graph", "version": 1, "name": None, "meta": {},
+                   "vertices": [0, 1, 2], "edges": [[0, 1, 1], [1, 2, 1], [0, 2, 1]],
+                   "rotation": {"0": [1, 2], "1": [2, 0], "2": [0, 1]}}
+        path.write_text(json.dumps(payload))
+        assert read_graph(str(path)).graph.m == 3
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=fragment):
+            read_graph(str(path))
+
 
 class TestParseErrors:
     def _expect(self, tmp_path, text, fragment, line_no=None):

@@ -25,12 +25,14 @@ from fvsbound.instances import (
 from fvsbound.planar import embed, faces_of
 
 from bruteforce import (
+    cut_joined_pair,
     far_cut_triangle_chain,
     r4_all_distinct_instance,
     r4_two_equal_instance,
     r5_gadget_pair,
     subdivided,
     subdivided_rim_wheel,
+    three_edge_joined_pair,
     triangle_chain,
 )
 
@@ -101,6 +103,15 @@ CASES = {
     "cubic-r4-two-equal": lambda: solve_cubic(r4_two_equal_instance()),
     "cubic-r4-all-distinct": lambda: solve_cubic(r4_all_distinct_instance()),
     "cubic-r5-gadget-pair": lambda: solve_cubic(r5_gadget_pair()),
+    "cubic-random-n1600": lambda: solve_cubic(random_cubic_2connected(1600, 1)),
+    # 688 vertices; R5 fires 76 times on the first cut, before any graph is
+    # proven 3-edge-connected, so each of its queries is global.
+    "cubic-cut-joined-pair-n688":
+        lambda: solve_cubic(cut_joined_pair(random.Random(1), 1, (150, 200))),
+    # 708 vertices; R5 fires 7 times on 2-edge cuts that rewrites make after
+    # a graph was proven 3-edge-connected, so the local tests find them first.
+    "cubic-three-edge-joined-pair-n708":
+        lambda: solve_cubic(three_edge_joined_pair(random.Random(5), 5, (150, 200))),
     **{f"planar-random-g{g}":
        (lambda g=g: solve_planar_unweighted(faces_of(*random_planar_girth(60, g, 1))))
        for g in (3, 5)},
@@ -141,11 +152,14 @@ GOLDEN = {
     "cubic-r4-all-distinct": "2b52d43515a68fc0554868a69780e13710e275ec12e6d917d36ea787414c90a5",
     "cubic-r4-two-equal": "7908a3d5ccbe993bd494ea49c28b7873c8f99bc3542b9417b9c17a7db96df602",
     "cubic-r5-gadget-pair": "919042b06783dd4e7e6714459b197d394455eb4d377dd37c05eb43f9bd82e7f8",
+    "cubic-cut-joined-pair-n688": "b36aab58f875a160d83bcd3eb194e8b751021e558b1f7077f34bbe191dd84cd6",
+    "cubic-random-n1600": "5f1dc1f4d433ca19551b08d2581e9b881abaf3a70e8b4409f5641c23118fc866",
     "cubic-random-n12": "847800d943fc4f8d83cd93ac2bbe5a5a2ecedeb3c8f62d3e5dc8f353b2016a90",
     "cubic-random-n200": "f4525ed947ca20157929ea73312df3ab78669147134f00214e1eba8e379daa60",
     "cubic-random-n50": "26cd6a8159f6e51cda3a81bdfc1f7d3740aab4f0ca919dc08a5b7aad70e636a3",
     "cubic-random-n800": "8bb62ee2f44e73deff7627df6210b3a24bf6327e67d43f37fb59c49b84e8e52a",
     "cubic-subdivided-n40": "4172ff429d7a95ec8f5a6348400eba48292663668aa2f88a42693d54707e1f6a",
+    "cubic-three-edge-joined-pair-n708": "7ef07ce57c1db961301abdc8c9c47cf8b148836a6e74e37038c7fbe73035e083",
     "cubic-triangle-replaced-n30": "efaf3d8e4b51d8af6b10ac6769bbc0d8ffceacd6b0e751c5beea8b3501de4006",
     "planar-c5": "4f4053df74a135e0d81ce5e80497c1cb21fa64a5d0c3f40c37cc01fd8d48a617",
     "planar-chain4": "e9552a141c30c062ca473201fda580677e891bb782cdf478963f2725a0a730b5",
