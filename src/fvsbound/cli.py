@@ -76,8 +76,9 @@ def cmd_gen(args) -> int:
         elif spec == "random-planar":
             if args.n is None:
                 return _fail("random-planar needs --n", 2)
-            graph, rotation = random_planar_girth(args.n, args.g or 3, args.seed)
-            name = f"random-planar-n{args.n}-g{args.g or 3}-s{args.seed}"
+            g = 3 if args.g is None else args.g
+            graph, rotation = random_planar_girth(args.n, g, args.seed)
+            name = f"random-planar-n{args.n}-g{g}-s{args.seed}"
         elif spec == "triangle-replace":
             if not args.of:
                 return _fail("triangle-replace needs --of <name>", 2)

@@ -201,9 +201,10 @@ def _read_json(path: str) -> GraphFile:
         if rot_raw is not None:
             if not all(map(_is_int, rot_raw)):
                 raise ParseError(1, "rotation keys must be integers")
-            rotation = RotationSystem(
-                {int(v): tuple(_json_ints(ns, "rotation"))
-                 for v, ns in sorted(rot_raw.items(), key=lambda kv: int(kv[0]))})
+            order = {int(v): tuple(_json_ints(ns, "rotation")) for v, ns in rot_raw.items()}
+            if len(order) < len(rot_raw):
+                raise ParseError(1, "two rotation keys name the same vertex")
+            rotation = RotationSystem(dict(sorted(order.items())))
         return GraphFile(graph=graph, rotation=rotation,
                          name=payload.get("name"),
                          meta=dict(payload.get("meta") or {}))

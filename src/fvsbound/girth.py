@@ -15,6 +15,10 @@ each only when all earlier ones cannot:
       solver, whose n-bound converts into the weight bound via Euler's
       formula.
 
+Once P2 fails, P3, P4 and P5 run straight through: a split, whose two new
+vertices have degree >= 3 and take over v's faces, and a suppression both keep
+the graph 2-connected with three branch vertices (degree >= 3) on every face.
+
 Every step strictly shrinks (total weight, doubled degree potential)
 lexicographically, which guarantees termination: mergers remove weight,
 splits and suppressions each cost one unit of potential, and decompositions
@@ -98,13 +102,12 @@ def solve_planar_weighted(pg: PlaneGraph, cfg: SolverConfig) -> FvsCertificate:
 
 
 def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionStep]]:
-    # A last-in, first-out stack of (P1 step to log on pop, plane graph, lift
-    # from P3's split ids to input vertices); a rule pops one, pushes the rest.
-    todo: list[tuple[ReductionStep | None, PlaneGraph, dict[int, int]]] = [(None, pg, {})]
+    # A LIFO stack of (P1 step to log on pop, plane graph); a rule pops one, pushes the rest.
+    todo: list[tuple[ReductionStep | None, PlaneGraph]] = [(None, pg)]
     chosen: set[int] = set()
     trace: list[ReductionStep] = []
     while todo:
-        step, pg, lift = todo.pop()
+        step, pg = todo.pop()
         if step is not None:
             trace.append(step)
         graph = pg.graph
@@ -118,12 +121,11 @@ def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionS
                 rule="P0_prune", matched=tuple(sorted(dropped)),
                 removed_vertices=frozenset(dropped)))
             rest = plane_subgraph(pg, set(graph.vertices) - dropped)
-            todo.append((None, _check_child(cfg, graph, rest), lift))
+            todo.append((None, _check_child(cfg, graph, rest)))
             continue
 
         # P1: decompose across components or at a cut vertex; the sides share
         # at most the cut vertex, so their sets union to a feedback vertex set.
-        # Split ids are fresh only within one side, so each side lifts its own.
         comps = connected_components(graph)
         sides = []
         if len(comps) > 1:
@@ -136,8 +138,7 @@ def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionS
                      (None, set(graph.vertices) - first)]
         if sides:
             todo.extend(reversed([
-                (side_step, _check_child(cfg, graph, plane_subgraph(pg, side)),
-                 {u: lift[u] for u in side if u in lift})
+                (side_step, _check_child(cfg, graph, plane_subgraph(pg, side)))
                 for side_step, side in sides]))
             continue
 
@@ -148,54 +149,51 @@ def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionS
             trace.append(ReductionStep(
                 rule="P2_merge", matched=(v,), designated=(v,),
                 note="single cycle"))
-            chosen.add(lift.get(v, v))
+            chosen.add(v)
             continue
         spec = find_guaranteed_merger(pg, cfg.g)
         if spec is not None:
-            merged = apply_merger(pg, spec)
             trace.append(ReductionStep(
                 rule="P2_merge", matched=(spec.f0, spec.f1, spec.f2),
                 removed_edges=spec.removed_edges, designated=(spec.crucial,)))
-            chosen.add(lift.get(spec.crucial, spec.crucial))
-            todo.append((None, _check_child(cfg, graph, merged), lift))
+            chosen.add(spec.crucial)
+            todo.append((None, _check_child(cfg, graph, apply_merger(pg, spec))))
             continue
 
-        # P3: split the smallest vertex of maximum degree >= 4; a set that
-        # takes w or w' takes v in the graph before the split.
-        max_deg = graph.max_degree()
-        if max_deg >= 4:
+        # P3-P5 run straight through (module docstring). P3 splits the smallest
+        # vertex of maximum degree >= 4; a set taking w or w' takes v before it.
+        lift: dict[int, int] = {}
+        while (max_deg := graph.max_degree()) >= 4:
             v = min(u for u in graph.vertices if graph.degree(u) == max_deg)
             split_pg, (w, w_prime, _) = split_high_degree_vertex(pg, v)
             trace.append(ReductionStep(
                 rule="P3_split", matched=(v, w, w_prime),
                 removed_vertices=frozenset([v])))
             lift[w] = lift[w_prime] = lift.get(v, v)
-            todo.append((None, _check_child(cfg, graph, split_pg), lift))
-            continue
+            pg = _check_child(cfg, graph, split_pg)
+            graph = pg.graph
+            if cfg.validate_every_step and not (
+                    is_two_connected(graph) and find_guaranteed_merger(pg, cfg.g) is None):
+                raise InternalInvariantBroken("a split let an earlier rule match")
 
         # P4: suppress every degree-2 vertex, smallest first; a triangle
         # through one would bound a face that P2 merges. A suppression keeps
-        # each face's branch vertices, the maximum degree and 2-connectivity
-        # and makes no new 2-vertex, so P0-P3 stay silent until the list ends.
-        two = [v for v in graph.vertices if graph.degree(v) == 2]
-        for v in two:
-            graph = pg.graph
+        # the maximum degree and makes no new 2-vertex.
+        for v in [v for v in graph.vertices if graph.degree(v) == 2]:
             u, w = graph.neighbors(v)
             if graph.has_edge(u, w):
                 raise InternalInvariantBroken(
                     "degree-2 vertex on a triangle survived past the merger rule")
             pg = _check_child(cfg, graph, suppress_degree2_vertex(pg, v))
+            graph = pg.graph
             trace.append(ReductionStep(
                 rule="P4_suppress", matched=(v, u, w),
                 removed_vertices=frozenset([v]),
                 added_edges=frozenset([tuple(sorted((u, w)))])))
             if cfg.validate_every_step and not (
-                    is_two_connected(pg.graph) and pg.graph.max_degree() <= 3
+                    is_two_connected(graph) and graph.max_degree() <= 3
                     and find_guaranteed_merger(pg, cfg.g) is None):
                 raise InternalInvariantBroken("a suppression let an earlier rule match")
-        if two:
-            todo.append((None, pg, lift))
-            continue
 
         # P5: 2-connected cubic plane graph; the n-bound chains into the
         # weight bound through Euler's formula and the face weights.

@@ -40,6 +40,11 @@ BAD_ROTATIONS = {
 FLOAT_JSON = ('{"format": "fvsbound-graph", "version": 1, "vertices": [0.5, 1.5, 2.5, true], '
               '"edges": [[0, 1, 1.5], [1, 2], [2, 0]], "rotation": null, "meta": {}}')
 
+# Keys "1" and "01" both name vertex 1 of the triangle.
+TWICE_ROTATED_JSON = ('{"format": "fvsbound-graph", "version": 1, "vertices": [0, 1, 2], '
+                      '"edges": [[0, 1], [1, 2], [2, 0]], "meta": {}, '
+                      '"rotation": {"0": [1, 2], "1": [0, 2], "01": [2, 0], "2": [0, 1]}}')
+
 
 def write_pendant_triangle(path):
     """A unit-weight triangle with five weight-0 pendant edges at vertex 0."""
@@ -71,6 +76,14 @@ class TestGen:
         code, _ = run(capsys, "gen", "triangle-replace", "--of", "petersen", str(out))
         assert code == 0
         assert read_graph(str(out)).graph.n == 30
+
+    @pytest.mark.parametrize("g", ["0", "2"])
+    def test_random_planar_rejects_girth_below_3(self, tmp_path, capsys, g):
+        out = tmp_path / "x.g"
+        code = main(["gen", "random-planar", "--n", "20", "--g", g, str(out)])
+        assert code == 2
+        assert one_error_line(capsys)
+        assert not out.exists()
 
     def test_unknown_spec(self, tmp_path, capsys):
         code, _ = run(capsys, "gen", "nonsense", str(tmp_path / "x.g"))
@@ -216,6 +229,13 @@ class TestSolve:
         path = tmp_path / "float.json"
         path.write_text(FLOAT_JSON)
         code = main(["solve", str(path), "--alg", "cubic"])
+        assert code == 2
+        assert one_error_line(capsys)
+
+    def test_json_rotation_naming_a_vertex_twice_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "twice.json"
+        path.write_text(TWICE_ROTATED_JSON)
+        code = main(["solve", str(path)])
         assert code == 2
         assert one_error_line(capsys)
 
@@ -410,6 +430,18 @@ class TestBatch:
         assert [(r["instance"], r["valid"]) for r in rows] == [
             ("cube.g", "yes"), ("float.json", "error")]
         assert "Traceback" not in captured.out + captured.err
+
+    def test_json_rotation_naming_a_vertex_twice_recorded_and_nonzero(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        run(capsys, "gen", "cube", str(corpus / "cube.g"))
+        (corpus / "twice.json").write_text(TWICE_ROTATED_JSON)
+        out_csv = tmp_path / "report.csv"
+        code, _ = run(capsys, "batch", str(corpus), "--csv", str(out_csv))
+        assert code == 1
+        rows = list(csv.DictReader(out_csv.open()))
+        assert [(r["instance"], r["valid"]) for r in rows] == [
+            ("cube.g", "yes"), ("twice.json", "error")]
 
     def test_recursion_error_recorded_and_nonzero(self, tmp_path, capsys, monkeypatch):
         import fvsbound.cli as cli_module

@@ -133,6 +133,19 @@ class TestJsonRoundTrip:
         with pytest.raises(ParseError, match=fragment):
             read_graph(str(path))
 
+    @pytest.mark.parametrize("key", ["01", "-0"])
+    def test_rejects_two_rotation_keys_for_one_vertex(self, tmp_path, key):
+        # The last ring read would win, so the file's rotation is ambiguous.
+        vertex = int(key)
+        rings = {"0": [1, 2], "1": [0, 2], "2": [0, 1]}
+        rings[key] = list(reversed(rings[str(vertex)]))
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"format": "fvsbound-graph", "version": 1, "name": None,
+                                    "meta": {}, "vertices": [0, 1, 2],
+                                    "edges": [[0, 1], [1, 2], [0, 2]], "rotation": rings}))
+        with pytest.raises(ParseError, match="two rotation keys name the same vertex"):
+            read_graph(str(path))
+
 
 class TestParseErrors:
     def _expect(self, tmp_path, text, fragment, line_no=None):

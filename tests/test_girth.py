@@ -219,6 +219,25 @@ class TestLoop:
             solve_planar_weighted(pg, SolverConfig(g=4, validate_every_step=True))
         assert len(suppressed) == 1
 
+    def test_tail_rechecks_earlier_rules_after_each_split(self, monkeypatch):
+        splits = []
+        split = girth_module.split_high_degree_vertex
+        find_merger = girth_module.find_guaranteed_merger
+
+        def counting_split(pg, v):
+            splits.append(v)
+            return split(pg, v)
+
+        def merger_after_a_split(pg, g_min):
+            return object() if splits else find_merger(pg, g_min)
+
+        monkeypatch.setattr(girth_module, "split_high_degree_vertex", counting_split)
+        monkeypatch.setattr(girth_module, "find_guaranteed_merger", merger_after_a_split)
+        pg = plane(wheel(6))
+        with pytest.raises(InternalInvariantBroken, match="earlier rule"):
+            solve_planar_weighted(pg, SolverConfig(g=3, validate_every_step=True))
+        assert len(splits) == 1
+
 
 class TestBaseline:
     def test_c5(self):
