@@ -18,6 +18,11 @@ each only when all earlier ones cannot:
 Once P2 fails, P3, P4 and P5 run straight through: a split, whose two new
 vertices have degree >= 3 and take over v's faces, and a suppression both keep
 the graph 2-connected with three branch vertices (degree >= 3) on every face.
+So P3 and P4 edit one rotation dict and one weight map in place, and only
+the cubic graph at the end is built and its faces walked, once: that walk
+re-checks Euler's relation, and the face count must not have changed.
+``validate_every_step`` also builds the graph after every split and
+suppression and re-checks it.
 
 Every step strictly shrinks (total weight, doubled degree potential)
 lexicographically, which guarantees termination: mergers remove weight,
@@ -27,22 +32,24 @@ drop whole vertex sets.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificate import BoundKind, FvsCertificate, ReductionStep
 from .errors import InternalInvariantBroken, OracleTooLarge, PreconditionViolated
 from .cubic import solve_cubic
-from .graph import (Graph, bridges, connected_components, cut_vertices, girth, is_two_connected,
-                    peel_degree_le1, validate_fvs, weighted_girth)
+from .graph import (EdgeKey, Graph, bridges, connected_components, cut_vertices, edge_key, girth,
+                    is_two_connected, peel_degree_le1, validate_fvs, weighted_girth)
 from .oracle import min_fvs_exact
 from .planar import (
     PlaneGraph,
+    _plane_graph_of,
+    _split_in_place,
+    _suppress_in_place,
     apply_merger,
     find_guaranteed_merger,
     plane_subgraph,
-    split_high_degree_vertex,
-    suppress_degree2_vertex,
 )
 
 
@@ -160,40 +167,10 @@ def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionS
             todo.append((None, _check_child(cfg, graph, apply_merger(pg, spec))))
             continue
 
-        # P3-P5 run straight through (module docstring). P3 splits the smallest
-        # vertex of maximum degree >= 4; a set taking w or w' takes v before it.
-        lift: dict[int, int] = {}
-        while (max_deg := graph.max_degree()) >= 4:
-            v = min(u for u in graph.vertices if graph.degree(u) == max_deg)
-            split_pg, (w, w_prime, _) = split_high_degree_vertex(pg, v)
-            trace.append(ReductionStep(
-                rule="P3_split", matched=(v, w, w_prime),
-                removed_vertices=frozenset([v])))
-            lift[w] = lift[w_prime] = lift.get(v, v)
-            pg = _check_child(cfg, graph, split_pg)
-            graph = pg.graph
-            if cfg.validate_every_step and not (
-                    is_two_connected(graph) and find_guaranteed_merger(pg, cfg.g) is None):
-                raise InternalInvariantBroken("a split let an earlier rule match")
-
-        # P4: suppress every degree-2 vertex, smallest first; a triangle
-        # through one would bound a face that P2 merges. A suppression keeps
-        # the maximum degree and makes no new 2-vertex.
-        for v in [v for v in graph.vertices if graph.degree(v) == 2]:
-            u, w = graph.neighbors(v)
-            if graph.has_edge(u, w):
-                raise InternalInvariantBroken(
-                    "degree-2 vertex on a triangle survived past the merger rule")
-            pg = _check_child(cfg, graph, suppress_degree2_vertex(pg, v))
-            graph = pg.graph
-            trace.append(ReductionStep(
-                rule="P4_suppress", matched=(v, u, w),
-                removed_vertices=frozenset([v]),
-                added_edges=frozenset([tuple(sorted((u, w)))])))
-            if cfg.validate_every_step and not (
-                    is_two_connected(graph) and graph.max_degree() <= 3
-                    and find_guaranteed_merger(pg, cfg.g) is None):
-                raise InternalInvariantBroken("a suppression let an earlier rule match")
+        # P3 and P4 run straight through (module docstring), then P5.
+        pg, lift, steps = _split_and_suppress(pg, cfg)
+        trace.extend(steps)
+        graph = pg.graph
 
         # P5: 2-connected cubic plane graph; the n-bound chains into the
         # weight bound through Euler's formula and the face weights.
@@ -213,6 +190,74 @@ def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionS
         trace.extend(cert.trace)
         chosen |= {lift.get(x, x) for x in cert.fvs}
     return chosen, trace
+
+
+def _split_and_suppress(pg: PlaneGraph, cfg: SolverConfig
+                        ) -> tuple[PlaneGraph, dict[int, int], list[ReductionStep]]:
+    """P3 then P4 on a 2-connected plane graph with no guaranteed merger.
+
+    Runs on one rotation dict and one weight map and builds the cubic result
+    once; ``cfg.validate_every_step`` also builds and re-checks the graph
+    after every split and suppression. Returns the result, the map from split
+    ids to the input vertices they replace, and the steps.
+    """
+    graph = pg.graph
+    order, weights = dict(pg.rotation.order), graph.edge_weights()
+    lift: dict[int, int] = {}
+    steps: list[ReductionStep] = []
+
+    # P3 splits the smallest vertex of maximum degree >= 4; a set taking w or
+    # w' takes v before it. Only w' (degree d - 1) joins the heap, since a
+    # split changes no other survivor's degree.
+    heap = [(-len(ring), v) for v, ring in order.items() if len(ring) >= 4]
+    heapq.heapify(heap)
+    top = max(order)
+    while heap:
+        neg_deg, v = heapq.heappop(heap)
+        w, w_prime = _split_in_place(order, weights, v, top)
+        top = w_prime
+        if neg_deg < -4:
+            heapq.heappush(heap, (neg_deg + 1, w_prime))
+        steps.append(ReductionStep(
+            rule="P3_split", matched=(v, w, w_prime),
+            removed_vertices=frozenset([v])))
+        lift[w] = lift[w_prime] = lift.get(v, v)
+        if cfg.validate_every_step:
+            graph = _check_tail_edit(cfg, graph, order, weights, "split")
+
+    # P4: suppress every degree-2 vertex, smallest first; a triangle through
+    # one would bound a face that P2 merges. A suppression keeps the maximum
+    # degree and makes no new 2-vertex.
+    for v in sorted(v for v, ring in order.items() if len(ring) == 2):
+        u, w = sorted(order[v])
+        if edge_key(u, w) in weights:
+            raise InternalInvariantBroken(
+                "degree-2 vertex on a triangle survived past the merger rule")
+        _suppress_in_place(order, weights, v)
+        steps.append(ReductionStep(
+            rule="P4_suppress", matched=(v, u, w),
+            removed_vertices=frozenset([v]),
+            added_edges=frozenset([(u, w)])))
+        if cfg.validate_every_step:
+            graph = _check_tail_edit(cfg, graph, order, weights, "suppression")
+
+    if not steps:
+        return pg, lift, steps
+    out = _plane_graph_of(order, weights)
+    if out.face_count() != pg.face_count():
+        raise InternalInvariantBroken("splits and suppressions must keep the face count")
+    return out, lift, steps
+
+
+def _check_tail_edit(cfg: SolverConfig, parent: Graph, order: dict[int, tuple[int, ...]],
+                     weights: dict[EdgeKey, int], surgery: str) -> Graph:
+    """Build the graph after one split or suppression and check P0-P2 stay silent."""
+    child = _check_child(cfg, parent, _plane_graph_of(order, weights))
+    graph = child.graph
+    if not is_two_connected(graph) or find_guaranteed_merger(child, cfg.g) is not None \
+            or (surgery == "suppression" and graph.max_degree() > 3):
+        raise InternalInvariantBroken(f"a {surgery} let an earlier rule match")
+    return graph
 
 
 def solve_planar_unweighted(pg: PlaneGraph) -> FvsCertificate:
@@ -249,6 +294,9 @@ def trivial_baseline(pg: PlaneGraph) -> FvsCertificate:
     graph = pg.graph
     total = graph.total_weight()
     wg = weighted_girth(graph)
+    if wg == 0:
+        raise PreconditionViolated(
+            "a cycle of weight 0 leaves the bound 2*weight/g undefined")
     cur = graph
     chosen: set[int] = set()
     steps: list[ReductionStep] = []

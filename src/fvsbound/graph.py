@@ -217,20 +217,24 @@ def weighted_girth(g: Graph) -> int | float:
 
     Exact even with zero-weight edges: for each edge, Dijkstra around it.
     """
+    adj = {v: [(u, g.weight(v, u)) for u in g.neighbors(v)] for v in g.vertices}
     best = INFINITE
     for u, v in g.edges():
         w_uv = g.weight(u, v)
         if w_uv >= best:
             continue  # detours are non-negative, cannot beat best
-        around = _dijkstra_avoiding(g, u, v, best - w_uv)
+        around = _dijkstra_avoiding(adj, u, v, best - w_uv)
         if around is not None and around + w_uv < best:
             best = around + w_uv
     return best
 
 
-def _dijkstra_avoiding(g: Graph, source: int, target: int,
+def _dijkstra_avoiding(adj: dict[int, list[tuple[int, int]]], source: int, target: int,
                        cutoff: int | float) -> int | None:
-    """Shortest path weight from source to target avoiding the edge (source, target)."""
+    """Shortest path weight from source to target avoiding the edge (source, target).
+
+    ``adj`` maps each vertex to its (neighbor, edge weight) pairs.
+    """
     dist = {source: 0}
     heap = [(0, source)]
     while heap:
@@ -239,10 +243,10 @@ def _dijkstra_avoiding(g: Graph, source: int, target: int,
             continue
         if v == target:
             return d
-        for u in g.neighbors(v):
+        for u, w in adj[v]:
             if v == source and u == target:
                 continue
-            nd = d + g.weight(v, u)
+            nd = d + w
             if nd >= cutoff:
                 continue
             if nd < dist.get(u, INFINITE):

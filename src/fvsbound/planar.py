@@ -6,9 +6,11 @@ arriving at ``v`` from ``u``, leave along the successor of ``u`` in ``v``'s
 rotation); the rotation encodes a plane embedding exactly when the number of
 face walks matches Euler's formula, which ``faces_of`` enforces.
 
-Face recomputation after every surgery is done from scratch rather than
-incrementally: instances are modest and re-traversal keeps the Euler check
-honest.
+Faces are always walked from scratch rather than updated incrementally, so
+every walk re-checks Euler's relation. The planar cascade walks them once
+per run of vertex splits and degree-2 suppressions, not once per surgery:
+both surgeries also exist as in-place edits of a rotation dict and a weight
+map, and only the graph at the end of the run is built and walked.
 """
 
 from __future__ import annotations
@@ -293,6 +295,49 @@ def apply_merger(pg: PlaneGraph, spec: MergerSpec) -> PlaneGraph:
 
 
 # -- degree surgeries ---------------------------------------------------------
+#
+# Both surgeries edit a rotation dict, which doubles as the adjacency map
+# (order[v] is v's neighbors, clockwise), and a weight map in place. The
+# public functions run one edit on copies; the planar cascade runs a whole
+# batch on one pair and builds the plane graph once at the end.
+
+
+def _relabel(ring: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
+    i = ring.index(old)
+    return ring[:i] + (new,) + ring[i + 1:]
+
+
+def _split_in_place(order: dict[int, tuple[int, ...]], weights: dict[EdgeKey, int],
+                    v: int, top: int) -> tuple[int, int]:
+    """Split v into w = top + 1 and w' = top + 2 (see ``split_high_degree_vertex``)."""
+    ring = order.pop(v)
+    start = ring.index(min(ring))
+    seq = ring[start:] + ring[:start]
+    w, w_prime = top + 1, top + 2
+    order[w] = (seq[0], seq[1], w_prime)
+    order[w_prime] = seq[2:] + (w,)
+    for i, u in enumerate(seq):
+        new = w if i < 2 else w_prime
+        order[u] = _relabel(order[u], v, new)
+        weights[edge_key(u, new)] = weights.pop(edge_key(u, v))
+    weights[(w, w_prime)] = 0
+    return w, w_prime
+
+
+def _suppress_in_place(order: dict[int, tuple[int, ...]], weights: dict[EdgeKey, int],
+                       v: int) -> None:
+    """Replace the degree-2 vertex v by an edge carrying the summed weight."""
+    u, w = order.pop(v)
+    weights[edge_key(u, w)] = weights.pop(edge_key(u, v)) + weights.pop(edge_key(v, w))
+    order[u] = _relabel(order[u], v, w)
+    order[w] = _relabel(order[w], v, u)
+
+
+def _plane_graph_of(order: dict[int, tuple[int, ...]],
+                    weights: dict[EdgeKey, int]) -> PlaneGraph:
+    """The plane graph of a rotation dict and weight map, faces walked afresh."""
+    graph = Graph(order, [(u, v, w) for (u, v), w in weights.items()])
+    return faces_of(graph, RotationSystem({v: order[v] for v in sorted(order)}))
 
 
 def split_high_degree_vertex(pg: PlaneGraph, v: int) -> tuple[PlaneGraph, tuple[int, int, int]]:
@@ -308,26 +353,9 @@ def split_high_degree_vertex(pg: PlaneGraph, v: int) -> tuple[PlaneGraph, tuple[
     d = graph.degree(v)
     if d < 4:
         raise PreconditionViolated(f"vertex {v} has degree {d} < 4")
-    ring = pg.rotation.order[v]
-    start = ring.index(min(ring))
-    seq = ring[start:] + ring[:start]
-    u0, u1 = seq[0], seq[1]
-    rest = seq[2:]
-    top = max(graph.vertices)
-    w, w_prime = top + 1, top + 2
-    added = [(w, u0, graph.weight(v, u0)), (w, u1, graph.weight(v, u1)),
-             (w, w_prime, 0)]
-    added += [(w_prime, u, graph.weight(v, u)) for u in rest]
-    new_graph = graph.rewired(drop_vertices=[v], add_edges=added)
-    updates: dict[int, tuple[int, ...]] = {
-        w: (u0, u1, w_prime),
-        w_prime: tuple(rest) + (w,),
-    }
-    for u in (u0, u1):
-        updates[u] = tuple(w if x == v else x for x in pg.rotation.order[u])
-    for u in rest:
-        updates[u] = tuple(w_prime if x == v else x for x in pg.rotation.order[u])
-    result = faces_of(new_graph, pg.rotation.replaced(updates, dropped=[v]))
+    order, weights = dict(pg.rotation.order), graph.edge_weights()
+    w, w_prime = _split_in_place(order, weights, v, max(graph.vertices))
+    result = _plane_graph_of(order, weights)
     if result.face_count() != pg.face_count():
         raise InternalInvariantBroken("vertex split must preserve the face count")
     return result, (w, w_prime, v)
@@ -342,14 +370,9 @@ def suppress_degree2_vertex(pg: PlaneGraph, v: int) -> PlaneGraph:
     if graph.has_edge(u, w):
         raise WouldCreateParallelEdge(
             f"neighbors {u}, {w} of {v} are adjacent; earlier rules should have fired")
-    new_graph = graph.rewired(
-        drop_vertices=[v],
-        add_edges=[(u, w, graph.weight(u, v) + graph.weight(v, w))])
-    updates = {
-        u: tuple(w if x == v else x for x in pg.rotation.order[u]),
-        w: tuple(u if x == v else x for x in pg.rotation.order[w]),
-    }
-    result = faces_of(new_graph, pg.rotation.replaced(updates, dropped=[v]))
+    order, weights = dict(pg.rotation.order), graph.edge_weights()
+    _suppress_in_place(order, weights, v)
+    result = _plane_graph_of(order, weights)
     if result.face_count() != pg.face_count():
         raise InternalInvariantBroken("suppression must preserve the face count")
     return result

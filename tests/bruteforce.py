@@ -17,6 +17,7 @@ from itertools import combinations
 from fvsbound.cubic import RuleId
 from fvsbound.graph import Graph, is_connected, min_side_two_edge_cut
 from fvsbound.instances import random_cubic_2connected
+from fvsbound.planar import embed
 
 
 def enumerate_simple_cycles(g: Graph) -> list[tuple[int, ...]]:
@@ -245,6 +246,18 @@ def far_cut_triangle_chain(k: int) -> Graph:
     return Graph(range(2 * k + 1), [e for j in range(k) for e in
                                     ((spine[j], spine[j + 1]), (spine[j + 1], k + j),
                                      (spine[j], k + j))])
+
+
+def weighted_chorded_cycle(seed: int) -> Graph:
+    """A 12-cycle plus random chords kept while planar, six edges subdivided, weights 1..5."""
+    rng = random.Random(seed)
+    g = Graph(range(12), [(i, (i + 1) % 12) for i in range(12)])
+    for _ in range(18):
+        u, v = rng.sample(range(12), 2)
+        if not g.has_edge(u, v) and embed(h := g.with_edges([(u, v)])) is not None:
+            g = h
+    g = subdivided(g, rng, 6)
+    return Graph(g.vertices, [(u, v, rng.randint(1, 5)) for u, v in g.edges()])
 
 
 @contextmanager

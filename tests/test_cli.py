@@ -46,6 +46,9 @@ TWICE_ROTATED_JSON = ('{"format": "fvsbound-graph", "version": 1, "vertices": [0
                       '"rotation": {"0": [1, 2], "1": [0, 2], "01": [2, 0], "2": [0, 1]}}')
 
 
+ZERO_TRIANGLE = Graph(range(3), [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
+
+
 def write_pendant_triangle(path):
     """A unit-weight triangle with five weight-0 pendant edges at vertex 0."""
     edges = [(0, 1, 1), (1, 2, 1), (0, 2, 1)] + [(0, k, 0) for k in range(3, 8)]
@@ -163,6 +166,13 @@ class TestSolve:
         assert code == 0
         code, _ = run(capsys, "solve", str(path), "--alg", "planar", "--g", "6")
         assert code == 2  # larger than the true girth
+
+    def test_zero_weight_cycle_baseline_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "zero-triangle.g"
+        write_graph(str(path), ZERO_TRIANGLE)
+        code = main(["solve", str(path), "--alg", "trivial"])
+        assert code == 2
+        assert one_error_line(capsys)
 
     def test_broken_invariant_exits_3(self, tmp_path, capsys, monkeypatch):
         import fvsbound.cubic as cubic_module
@@ -465,6 +475,23 @@ class TestBatch:
         rows = list(csv.DictReader(out_csv.open()))
         assert [(r["instance"], r["valid"]) for r in rows] == [
             ("cube.g", "yes"), ("dodecahedron.g", "error")]
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_zero_weight_cycles_recorded_and_nonzero(self, tmp_path, capsys):
+        # `auto` hands the subcubic triangle to the cubic solver, whose bound
+        # ignores weights, and the hub of degree 4 to the planar one.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_graph(str(corpus / "triangle.g"), ZERO_TRIANGLE)
+        wheel = Graph(range(5), [(4, i, 0) for i in range(4)] + [(i, (i + 1) % 4, 0) for i in range(4)])
+        write_graph(str(corpus / "wheel.g"), wheel)
+        out_csv = tmp_path / "report.csv"
+        code = main(["batch", str(corpus), "--csv", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == 1
+        rows = list(csv.DictReader(out_csv.open()))
+        assert [(r["instance"], r["alg"], r["valid"]) for r in rows] == [
+            ("triangle.g", "cubic", "yes"), ("wheel.g", "", "error")]
         assert "Traceback" not in captured.out + captured.err
 
     def test_empty_dir(self, tmp_path, capsys):

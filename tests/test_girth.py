@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from fvsbound.certificate import ReductionStep
 from fvsbound.errors import InternalInvariantBroken, OracleTooLarge, PreconditionViolated
 from fvsbound.girth import (
     SolverConfig,
@@ -18,10 +19,10 @@ from fvsbound.girth import (
 from fvsbound.graph import Graph, validate_fvs, weighted_girth
 from fvsbound.instances import chain, disjoint_cycles, make_named, random_planar_girth
 from fvsbound.oracle import min_fvs_exact
-from fvsbound.planar import embed, faces_of
+from fvsbound.planar import embed, faces_of, split_high_degree_vertex, suppress_degree2_vertex
 
 from bruteforce import (far_cut_triangle_chain, shallow_recursion_limit, subdivided_rim_wheel,
-                        triangle_chain)
+                        triangle_chain, weighted_chorded_cycle)
 
 # The package re-exports graph.girth under the submodule's name.
 girth_module = importlib.import_module("fvsbound.girth")
@@ -200,46 +201,124 @@ class TestLoop:
             cert = solve_planar_unweighted(pg)
         assert cert.validate(pg.graph)
 
-    def test_batch_rechecks_earlier_rules_after_each_suppression(self, monkeypatch):
-        suppressed = []
-        suppress = girth_module.suppress_degree2_vertex
+    @staticmethod
+    def _merger_fires_on_call(monkeypatch, k):
+        """Make the k-th merger search report a merger; returns the graphs searched."""
+        searched = []
         find_merger = girth_module.find_guaranteed_merger
 
-        def counting_suppress(pg, v):
-            suppressed.append(v)
-            return suppress(pg, v)
+        def sabotaged(pg, g_min):
+            searched.append(pg.graph)
+            return object() if len(searched) == k else find_merger(pg, g_min)
 
-        def merger_after_a_suppression(pg, g_min):
-            return object() if suppressed else find_merger(pg, g_min)
+        monkeypatch.setattr(girth_module, "find_guaranteed_merger", sabotaged)
+        return searched
 
-        monkeypatch.setattr(girth_module, "suppress_degree2_vertex", counting_suppress)
-        monkeypatch.setattr(girth_module, "find_guaranteed_merger", merger_after_a_suppression)
+    def test_batch_rechecks_earlier_rules_after_each_suppression(self, monkeypatch):
+        # One search in P2, one after each of the 3 splits, then one after
+        # the first suppression: 13 + 3 - 1 vertices.
+        searched = self._merger_fires_on_call(monkeypatch, 5)
         pg = plane(subdivided_rim_wheel(6))
-        with pytest.raises(InternalInvariantBroken, match="earlier rule"):
+        with pytest.raises(InternalInvariantBroken, match="a suppression let an earlier rule"):
             solve_planar_weighted(pg, SolverConfig(g=4, validate_every_step=True))
-        assert len(suppressed) == 1
+        assert len(searched) == 5
+        assert searched[-1].n == 15
 
     def test_tail_rechecks_earlier_rules_after_each_split(self, monkeypatch):
-        splits = []
-        split = girth_module.split_high_degree_vertex
-        find_merger = girth_module.find_guaranteed_merger
-
-        def counting_split(pg, v):
-            splits.append(v)
-            return split(pg, v)
-
-        def merger_after_a_split(pg, g_min):
-            return object() if splits else find_merger(pg, g_min)
-
-        monkeypatch.setattr(girth_module, "split_high_degree_vertex", counting_split)
-        monkeypatch.setattr(girth_module, "find_guaranteed_merger", merger_after_a_split)
+        # One search in P2, then one after the first split: 7 + 1 vertices.
+        searched = self._merger_fires_on_call(monkeypatch, 2)
         pg = plane(wheel(6))
-        with pytest.raises(InternalInvariantBroken, match="earlier rule"):
+        with pytest.raises(InternalInvariantBroken, match="a split let an earlier rule"):
             solve_planar_weighted(pg, SolverConfig(g=3, validate_every_step=True))
-        assert len(splits) == 1
+        assert len(searched) == 2
+        assert searched[-1].n == 8
+
+
+def reference_tail(pg):
+    """P3 then P4 as a chain of the public surgeries, each building its plane graph."""
+    graph = pg.graph
+    lift, steps = {}, []
+    while (max_deg := graph.max_degree()) >= 4:
+        v = min(u for u in graph.vertices if graph.degree(u) == max_deg)
+        pg, (w, w_prime, _) = split_high_degree_vertex(pg, v)
+        graph = pg.graph
+        steps.append(ReductionStep(rule="P3_split", matched=(v, w, w_prime),
+                                   removed_vertices=frozenset([v])))
+        lift[w] = lift[w_prime] = lift.get(v, v)
+    for v in [v for v in graph.vertices if graph.degree(v) == 2]:
+        u, w = graph.neighbors(v)
+        pg = suppress_degree2_vertex(pg, v)
+        graph = pg.graph
+        steps.append(ReductionStep(rule="P4_suppress", matched=(v, u, w),
+                                   removed_vertices=frozenset([v]),
+                                   added_edges=frozenset([(u, w)])))
+    return pg, lift, steps
+
+
+def _weighted_random_plane(g, seed):
+    graph, rotation = random_planar_girth(40, g, seed)
+    return faces_of(reweighted(graph, random.Random(seed), 1, 5), rotation)
+
+
+TAIL_CORPUS = {
+    **{f"w{k}": (lambda k=k: plane(wheel(k))) for k in range(4, 41)},
+    **{f"subdivided-w{k}": (lambda k=k: plane(subdivided_rim_wheel(k))) for k in (4, 6, 9, 12)},
+    **{f"weighted-w{k}-s{seed}": (lambda k=k, seed=seed: plane(reweighted(wheel(k), random.Random(seed))))
+       for k, seed in ((8, 1), (15, 2))},
+    **{f"weighted-random-g{g}-s{seed}": (lambda g=g, seed=seed: _weighted_random_plane(g, seed))
+       for g in range(3, 8) for seed in (1, 2)},
+    **{f"weighted-chorded-cycle-s{seed}": (lambda seed=seed: plane(weighted_chorded_cycle(seed)))
+       for seed in range(1, 7)},
+}
+
+
+class TestSplitAndSuppress:
+    """The in-place tail matches a chain of public surgeries on every subproblem."""
+
+    @pytest.mark.parametrize("validate", [False, True], ids=["unchecked", "checked"])
+    @pytest.mark.parametrize("case", sorted(TAIL_CORPUS))
+    def test_matches_public_surgeries(self, monkeypatch, case, validate):
+        tails = []
+        tail = girth_module._split_and_suppress
+
+        def recording_tail(pg, cfg):
+            out = tail(pg, cfg)
+            tails.append((pg, out))
+            return out
+
+        monkeypatch.setattr(girth_module, "_split_and_suppress", recording_tail)
+        pg = TAIL_CORPUS[case]()
+        cfg = SolverConfig(g=int(weighted_girth(pg.graph)), validate_every_step=validate)
+        solve_planar_weighted(pg, cfg)
+        assert tails
+        for before, (out, lift, steps) in tails:
+            ref, ref_lift, ref_steps = reference_tail(before)
+            assert out.graph == ref.graph
+            assert out.rotation.order == ref.rotation.order
+            assert out.faces == ref.faces
+            assert (lift, steps) == (ref_lift, ref_steps)
+
+    def test_corpus_fires_p2_p3_and_p4(self):
+        rules = set()
+        for build in TAIL_CORPUS.values():
+            pg = build()
+            cert = solve_planar_weighted(pg, SolverConfig(g=int(weighted_girth(pg.graph))))
+            rules |= {step.rule for step in cert.trace}
+        assert {"P2_merge", "P3_split", "P4_suppress"} <= rules
 
 
 class TestBaseline:
+    def test_zero_weight_cycle_is_rejected(self):
+        tri = Graph(range(3), [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
+        with pytest.raises(PreconditionViolated, match="weight 0"):
+            trivial_baseline(plane(tri))
+
+    def test_zero_weight_edges_on_a_positive_cycle(self):
+        tri = Graph(range(3), [(0, 1, 0), (1, 2, 0), (0, 2, 1)])
+        cert = trivial_baseline(plane(tri))
+        assert cert.validate(tri)
+        assert cert.bound == Fraction(2)
+
     def test_c5(self):
         g = Graph(range(5), [(i, (i + 1) % 5) for i in range(5)])
         cert = trivial_baseline(plane(g))

@@ -34,6 +34,7 @@ from bruteforce import (
     subdivided_rim_wheel,
     three_edge_joined_pair,
     triangle_chain,
+    weighted_chorded_cycle,
 )
 
 
@@ -59,18 +60,6 @@ BRIDGED = Graph(range(12), [(2, 0), (0, 1), (1, 5), (2, 3), (3, 4), (4, 2), (5, 
                             (6, 7), (7, 8), (8, 5), (3, 9), (9, 10)])
 
 
-def _weighted_plane(seed):
-    """A 12-cycle plus random chords kept while planar, six edges subdivided, weights 1..5."""
-    rng = random.Random(seed)
-    g = Graph(range(12), [(i, (i + 1) % 12) for i in range(12)])
-    for _ in range(18):
-        u, v = rng.sample(range(12), 2)
-        if not g.has_edge(u, v) and embed(h := g.with_edges([(u, v)])) is not None:
-            g = h
-    g = subdivided(g, rng, 6)
-    return Graph(g.vertices, [(u, v, rng.randint(1, 5)) for u, v in g.edges()])
-
-
 def _wheels(*wheels):
     """Union of wheels, each given as (rim ids in cyclic order, hub id)."""
     edges = {e for rim, hub in wheels
@@ -81,6 +70,15 @@ def _wheels(*wheels):
 def _solve_weighted_checked(g, target=None):
     target = int(weighted_girth(g)) if target is None else target
     return solve_planar_weighted(_embedded(g), SolverConfig(g=target, validate_every_step=True))
+
+
+def _solve_weighted(g):
+    return solve_planar_weighted(_embedded(g), SolverConfig(g=int(weighted_girth(g))))
+
+
+def _cycled_weights(g):
+    """g with weights 1, 2, ..., 5, 1, ... on its edges in sorted order."""
+    return Graph(g.vertices, [(u, v, 1 + i % 5) for i, (u, v) in enumerate(g.edges())])
 
 
 def _subdivided_cubic():
@@ -130,7 +128,7 @@ CASES = {
     "weighted-subdivided-w6-g4": lambda: _solve_weighted_checked(subdivided_rim_wheel(6), 4),
     "planar-triangle-chain30": lambda: solve_planar_unweighted(_embedded(triangle_chain(30))),
     # Fires P2 x2, P3 x3, P4 x6.
-    "weighted-random-plane-s5": lambda: _solve_weighted_checked(_weighted_plane(5)),
+    "weighted-random-plane-s5": lambda: _solve_weighted_checked(weighted_chorded_cycle(5)),
     # Split ids are fresh only in their own side, so each side lifts its own.
     "planar-disjoint-w4-pair":
         lambda: solve_planar_unweighted(_embedded(_wheels(([0, 1, 2, 3], 4), ([5, 6, 7, 8], 9)))),
@@ -140,6 +138,12 @@ CASES = {
     "planar-w40": lambda: solve_planar_unweighted(_embedded(_wheels((list(range(40)), 40)))),
     "planar-far-cut-triangle-chain30":
         lambda: solve_planar_unweighted(_embedded(far_cut_triangle_chain(30))),
+    # The weighted tail without per-step validation, which skips every
+    # intermediate graph: P2 x2, P3 x3, P4 x6; P3 x3, P4 x6; P3 x9.
+    "weighted-random-plane-s5-unchecked": lambda: _solve_weighted(weighted_chorded_cycle(5)),
+    "weighted-subdivided-w6-unchecked":
+        lambda: _solve_weighted(_cycled_weights(subdivided_rim_wheel(6))),
+    "weighted-w12-unchecked": lambda: _solve_weighted(_cycled_weights(_wheels((list(range(12)), 12)))),
 }
 
 GOLDEN = {
@@ -184,6 +188,9 @@ GOLDEN = {
     "trivial-random-g5": "1e233c7aef4ffc59ac529fa597b0483a1664c9f75b7b1f522b5f0701497bd013",
     "weighted-random-plane-s5": "f2490c161ad113a765cfd2a140d0d99d101df1d5afd3060ae5c2fed204e850eb",
     "weighted-subdivided-w6-g4": "56cc3204bdacf8b9606ed09ed6f10fca18eec6ecfa1ee475a3cb44082764f58e",
+    "weighted-random-plane-s5-unchecked": "f2490c161ad113a765cfd2a140d0d99d101df1d5afd3060ae5c2fed204e850eb",
+    "weighted-subdivided-w6-unchecked": "56cc3204bdacf8b9606ed09ed6f10fca18eec6ecfa1ee475a3cb44082764f58e",
+    "weighted-w12-unchecked": "42173a8817db64feff1915148beaed2615b8d0d4453650436f9e78db7ae75fee",
 }
 
 
