@@ -183,6 +183,8 @@ def _solve_with(alg: str, gf: GraphFile, g_override: int | None) -> tuple[FvsCer
                 f"--g {g_override} exceeds the true minimum cycle weight {int(wg)}")
         return solve_planar_weighted(pg, SolverConfig(g=g_override)), "planar"
     if weighted:
+        if wg < 3:
+            raise PreconditionViolated(f"minimum cycle weight {int(wg)} is below 3")
         return solve_planar_weighted(pg, SolverConfig(g=int(wg))), "planar"
     return solve_planar_unweighted(pg), "planar"
 

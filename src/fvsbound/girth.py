@@ -39,7 +39,7 @@ from fractions import Fraction
 from .certificate import BoundKind, FvsCertificate, ReductionStep
 from .errors import InternalInvariantBroken, OracleTooLarge, PreconditionViolated
 from .cubic import solve_cubic
-from .graph import (EdgeKey, Graph, bridges, connected_components, cut_vertices, edge_key, girth,
+from .graph import (EdgeKey, Graph, connected_components, cut_vertices, edge_key, girth,
                     is_two_connected, peel_degree_le1, validate_fvs, weighted_girth)
 from .oracle import min_fvs_exact
 from .planar import (
@@ -290,6 +290,14 @@ def trivial_baseline(pg: PlaneGraph) -> FvsCertificate:
     borders two faces, the darts at a vertex with only bridges share one face
     walk, and an isolated vertex borders none). So each round removes the
     smallest such vertex, until only bridges, a forest, remain.
+
+    By cycle-cut duality an edge is a bridge exactly when one face lies on
+    both of its sides, and deleting an edge merges those two faces. So a
+    union-find over the ids of ``pg.faces`` tracks the faces of each reduced
+    graph (the dynamic plane graph trick of Eppstein et al., J. Algorithms
+    13, 1992). Deletions never turn a bridge into a cycle edge, so the picks
+    rise in id order and one ascending scan makes them all, in
+    O((n + m) * alpha) besides ``weighted_girth`` and the final check.
     """
     graph = pg.graph
     total = graph.total_weight()
@@ -297,16 +305,30 @@ def trivial_baseline(pg: PlaneGraph) -> FvsCertificate:
     if wg == 0:
         raise PreconditionViolated(
             "a cycle of weight 0 leaves the bound 2*weight/g undefined")
-    cur = graph
+    face_of = {dart: face.id for face in pg.faces for dart in face.boundary}
+    parent = list(range(len(pg.faces)))
+
+    def find(f: int) -> int:
+        root = f
+        while parent[root] != root:
+            root = parent[root]
+        while parent[f] != root:
+            parent[f], f = root, parent[f]
+        return root
+
     chosen: set[int] = set()
     steps: list[ReductionStep] = []
-    while non_bridges := set(cur.edges()) - set(bridges(cur)):
-        v = min(non_bridges)[0]  # edge keys are (smaller, larger)
+    for v in graph.vertices:  # ascending; every smaller vertex is already gone
+        sides = [(find(face_of[(v, u)]), find(face_of[(u, v)]))
+                 for u in graph.neighbors(v) if u > v]
+        if all(a == b for a, b in sides):
+            continue  # only bridges: dropping them merges no faces
         chosen.add(v)
         steps.append(ReductionStep(rule="baseline_remove", matched=(v,),
                                    removed_vertices=frozenset([v]),
                                    designated=(v,)))
-        cur = cur.without_vertices([v])
+        for a, b in sides:
+            parent[find(a)] = find(b)
     if wg == float("inf"):
         num, den = 2 * total, 1
     else:

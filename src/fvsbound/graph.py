@@ -142,15 +142,6 @@ class Graph:
         edges.extend(add)
         return Graph(self._adj.keys(), edges)
 
-    def rewired(self, drop_vertices: Iterable[int] = (),
-                add_edges: Iterable[tuple] = ()) -> "Graph":
-        """Remove vertices, then add edges among the survivors."""
-        drop_set = set(drop_vertices)
-        edges = [(u, v, w) for u, v, w in self._edge_items()
-                 if u not in drop_set and v not in drop_set]
-        edges.extend(add_edges)
-        return Graph(self._adj.keys() - drop_set, edges)
-
 
 # -- forests and feedback vertex sets --------------------------------------
 
@@ -216,6 +207,9 @@ def weighted_girth(g: Graph) -> int | float:
     """Minimum total edge weight over all cycles; ``INFINITE`` for forests.
 
     Exact even with zero-weight edges: for each edge, Dijkstra around it.
+    Each search stays on vertices no smaller than the edge's smaller end: the
+    lightest cycle is found from its least vertex x, because removing an edge
+    at x leaves a path through vertices above x.
     """
     adj = {v: [(u, g.weight(v, u)) for u in g.neighbors(v)] for v in g.vertices}
     best = INFINITE
@@ -233,7 +227,8 @@ def _dijkstra_avoiding(adj: dict[int, list[tuple[int, int]]], source: int, targe
                        cutoff: int | float) -> int | None:
     """Shortest path weight from source to target avoiding the edge (source, target).
 
-    ``adj`` maps each vertex to its (neighbor, edge weight) pairs.
+    The path uses no vertex smaller than source. ``adj`` maps each vertex to
+    its (neighbor, edge weight) pairs.
     """
     dist = {source: 0}
     heap = [(0, source)]
@@ -244,7 +239,7 @@ def _dijkstra_avoiding(adj: dict[int, list[tuple[int, int]]], source: int, targe
         if v == target:
             return d
         for u, w in adj[v]:
-            if v == source and u == target:
+            if u < source or (v == source and u == target):
                 continue
             nd = d + w
             if nd >= cutoff:

@@ -39,16 +39,17 @@ def _prune_forest_parts(g: Graph) -> Graph:
     return g.without_vertices(drop) if drop else g
 
 
-def _packing_lower_bound(g: Graph) -> int:
-    """Number of vertex-disjoint cycles found greedily, shortest first."""
+def _packing_lower_bound(g: Graph, cycle: list[int]) -> int:
+    """Number of vertex-disjoint cycles found greedily, shortest first.
+
+    ``g`` has no vertex of degree <= 1 and ``cycle`` is ``shortest_cycle(g)``.
+    """
     count = 0
-    g = _prune_forest_parts(g)
-    while True:
-        cycle = shortest_cycle(g)
-        if cycle is None:
-            return count
+    while cycle is not None:
         count += 1
         g = _prune_forest_parts(g.without_vertices(cycle))
+        cycle = shortest_cycle(g)
+    return count
 
 
 def _greedy_upper_bound(g: Graph) -> set[int]:
@@ -87,7 +88,7 @@ def min_fvs_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleRes
             if len(chosen) < len(best):
                 best = set(chosen)
             return
-        if len(chosen) + _packing_lower_bound(cur) >= len(best):
+        if len(chosen) + _packing_lower_bound(cur, cycle) >= len(best):
             return
         for v in sorted(cycle):
             chosen.add(v)

@@ -3,7 +3,7 @@
 Everything here is deliberately naive: exhaustive enumeration over cycles,
 cuts, and subsets, and a full rescan of the graph for each cubic rule match.
 Nothing imports solver internals beyond the Graph type, the rule ids and
-the 2-edge-cut query.
+the bridge and 2-edge-cut queries.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from itertools import combinations
 
 from fvsbound.cubic import RuleId
-from fvsbound.graph import Graph, is_connected, min_side_two_edge_cut
+from fvsbound.graph import Graph, bridges, is_connected, min_side_two_edge_cut
 from fvsbound.instances import random_cubic_2connected
 from fvsbound.planar import embed
 
@@ -96,6 +96,13 @@ def all_two_edge_cuts(g: Graph) -> list[tuple[frozenset, tuple[set, set]]]:
             continue
         out.append((frozenset((e, f)), (comps[0], comps[1])))
     return out
+
+
+def rewired(g: Graph, drop_vertices=(), add_edges=()) -> Graph:
+    """Remove vertices, then add edges among the survivors."""
+    drop = set(drop_vertices)
+    kept = [(u, v, g.weight(u, v)) for u, v in g.edges() if u not in drop and v not in drop]
+    return Graph(set(g.vertices) - drop, kept + list(add_edges))
 
 
 def _components(g: Graph) -> list[set[int]]:
@@ -269,6 +276,22 @@ def shallow_recursion_limit(headroom: int = 100):
         yield
     finally:
         sys.setrecursionlimit(limit)
+
+
+# -- reference 2m/g baseline -------------------------------------------------
+
+
+def reference_trivial_baseline_picks(g: Graph) -> list[int]:
+    """The 2m/g greedy's picks in order: the least end of a non-bridge, until a forest.
+
+    One bridge pass and one rebuilt graph per pick.
+    """
+    picks = []
+    while non_bridges := set(g.edges()) - set(bridges(g)):
+        v = min(non_bridges)[0]  # edge keys are (smaller, larger)
+        picks.append(v)
+        g = g.without_vertices([v])
+    return picks
 
 
 # -- reference cubic rule matcher --------------------------------------------

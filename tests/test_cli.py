@@ -47,6 +47,8 @@ TWICE_ROTATED_JSON = ('{"format": "fvsbound-graph", "version": 1, "vertices": [0
 
 
 ZERO_TRIANGLE = Graph(range(3), [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
+# The wheel W4 with hub 4 and every weight 0: its hub sends `auto` to the planar solver.
+ZERO_W4 = Graph(range(5), [(4, i, 0) for i in range(4)] + [(i, (i + 1) % 4, 0) for i in range(4)])
 
 
 def write_pendant_triangle(path):
@@ -173,6 +175,14 @@ class TestSolve:
         code = main(["solve", str(path), "--alg", "trivial"])
         assert code == 2
         assert one_error_line(capsys)
+
+    @pytest.mark.parametrize("alg", ["planar", "auto"])
+    def test_light_weighted_cycle_names_the_minimum_cycle_weight(self, tmp_path, capsys, alg):
+        path = tmp_path / "w4.g"
+        write_graph(str(path), ZERO_W4)
+        code = main(["solve", str(path), "--alg", alg])
+        assert code == 2
+        assert capsys.readouterr().err == "error: minimum cycle weight 0 is below 3\n"
 
     def test_broken_invariant_exits_3(self, tmp_path, capsys, monkeypatch):
         import fvsbound.cubic as cubic_module
@@ -483,8 +493,7 @@ class TestBatch:
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         write_graph(str(corpus / "triangle.g"), ZERO_TRIANGLE)
-        wheel = Graph(range(5), [(4, i, 0) for i in range(4)] + [(i, (i + 1) % 4, 0) for i in range(4)])
-        write_graph(str(corpus / "wheel.g"), wheel)
+        write_graph(str(corpus / "wheel.g"), ZERO_W4)
         out_csv = tmp_path / "report.csv"
         code = main(["batch", str(corpus), "--csv", str(out_csv)])
         captured = capsys.readouterr()
@@ -492,6 +501,7 @@ class TestBatch:
         rows = list(csv.DictReader(out_csv.open()))
         assert [(r["instance"], r["alg"], r["valid"]) for r in rows] == [
             ("triangle.g", "cubic", "yes"), ("wheel.g", "", "error")]
+        assert "wheel.g: error minimum cycle weight 0 is below 3" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
     def test_empty_dir(self, tmp_path, capsys):

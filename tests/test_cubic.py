@@ -36,6 +36,7 @@ from bruteforce import (
     r5_gadget_pair,
     random_max_deg3_graph,
     reference_find_rule,
+    rewired,
     subdivided,
 )
 
@@ -387,8 +388,7 @@ class TestWorkingGraph:
             before = frozen
             _, step = apply_rule(work, rule, match)
             frozen = work.freeze()
-            assert frozen == before.rewired(drop_vertices=step.removed_vertices,
-                                            add_edges=step.added_edges)
+            assert frozen == rewired(before, step.removed_vertices, step.added_edges)
             assert_indices_current(work)
             dirty = dirty_set(before, step.removed_vertices, step.added_edges)
             assert _edge_connected_within(work.adj, dirty, 2) == is_two_connected(frozen)
@@ -443,7 +443,7 @@ class TestWorkingGraph:
                 absent = [e for e in combinations(rest, 2) if not work.has_edge(*e)]
                 add = rng.sample(absent, min(len(absent), rng.randint(0, 3)))
                 before = work.freeze()
-                expected = before.rewired(drop_vertices=drop, add_edges=add)
+                expected = rewired(before, drop, add)
                 dirty = work.rewrite(drop, add)
                 after = work.freeze()
                 assert after == expected

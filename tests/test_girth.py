@@ -21,8 +21,9 @@ from fvsbound.instances import chain, disjoint_cycles, make_named, random_planar
 from fvsbound.oracle import min_fvs_exact
 from fvsbound.planar import embed, faces_of, split_high_degree_vertex, suppress_degree2_vertex
 
-from bruteforce import (far_cut_triangle_chain, shallow_recursion_limit, subdivided_rim_wheel,
-                        triangle_chain, weighted_chorded_cycle)
+from bruteforce import (far_cut_triangle_chain, random_simple_graph,
+                        reference_trivial_baseline_picks, shallow_recursion_limit,
+                        subdivided_rim_wheel, triangle_chain, weighted_chorded_cycle)
 
 # The package re-exports graph.girth under the submodule's name.
 girth_module = importlib.import_module("fvsbound.girth")
@@ -351,6 +352,46 @@ class TestBaseline:
         cert = trivial_baseline(plane(g))
         assert cert.validate(g)
         assert cert.size == 1
+
+    def test_matches_the_bridge_loop_reference(self):
+        # The face union-find against one bridge pass and one rebuild per pick.
+        picked = 0
+        for pg in baseline_corpus():
+            picks = reference_trivial_baseline_picks(pg.graph)
+            cert = trivial_baseline(pg)
+            assert cert.trace == tuple(
+                ReductionStep(rule="baseline_remove", matched=(v,),
+                              removed_vertices=frozenset([v]), designated=(v,))
+                for v in picks)
+            assert cert.fvs == frozenset(picks)
+            picked += len(picks)
+        assert picked > 400
+
+
+def baseline_corpus():
+    """Plane graphs for the baseline's differential test, bridges and forests included."""
+    for gt in range(3, 8):
+        for seed in range(4):
+            yield faces_of(*random_planar_girth(15 + 20 * seed, gt, seed))
+    for k in range(3, 9):
+        yield plane(wheel(k))
+    for k in range(1, 7):
+        yield plane(chain(k))
+        yield plane(triangle_chain(k))
+        yield plane(far_cut_triangle_chain(k))
+    for k, gt in ((1, 3), (2, 4), (3, 3), (4, 5)):
+        yield plane(disjoint_cycles(k, gt))
+    # A triangle and a pentagon joined by the bridge 2-3, the pendant path
+    # 0-8-9, a separate square with the pendant edge 13-14, and the isolated
+    # vertex 15.
+    yield plane(Graph(range(16), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6),
+                                  (6, 7), (7, 3), (0, 8), (8, 9), (10, 11), (11, 12),
+                                  (12, 13), (13, 10), (13, 14)]))
+    rng = random.Random(83)
+    for _ in range(200):
+        g = random_simple_graph(rng.randint(1, 12), rng, p=rng.choice([0.15, 0.25, 0.35]))
+        if (rot := embed(g)) is not None:
+            yield faces_of(g, rot)
 
 
 class TestGapReport:

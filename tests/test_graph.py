@@ -75,11 +75,6 @@ class TestGraphBasics:
         g = Graph([5], [(0, 1)])
         assert g.vertices == (0, 1, 5)
 
-    def test_rewired(self):
-        g = cycle_graph(5).rewired(drop_vertices=[0], add_edges=[(1, 4)])
-        assert g.vertices == (1, 2, 3, 4)
-        assert g.has_edge(1, 4)
-
     def test_subgraph_keeps_exactly_the_induced_edges(self):
         rng = random.Random(61)
         for _ in range(300):
