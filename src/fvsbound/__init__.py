@@ -21,7 +21,6 @@ from .errors import (
     InvalidRotation,
     MemberNotInGraph,
     NonPlanarRotation,
-    OracleTooLarge,
     ParseError,
     PreconditionViolated,
     TooLarge,
@@ -30,9 +29,7 @@ from .errors import (
 )
 from .fileio import GraphFile, read_graph, write_graph
 from .girth import (
-    GapReport,
     SolverConfig,
-    conjecture_gap_report,
     doubled_potential,
     solve_planar_unweighted,
     solve_planar_weighted,

@@ -28,6 +28,7 @@ from .errors import (FvsError, InternalInvariantBroken, InvalidRotation, NonPlan
 from .fileio import GraphFile, _is_int, read_graph, write_graph
 from .girth import SolverConfig, solve_planar_unweighted, solve_planar_weighted, trivial_baseline
 from .graph import (
+    Graph,
     connectivity_le3,
     girth,
     is_two_connected,
@@ -46,6 +47,8 @@ from .oracle import min_fvs_exact
 from .planar import PlaneGraph, embed, faces_of
 
 ORACLE_CLI_MAX_N = 20
+BATCH_COLUMNS = ("instance", "n", "m", "girth", "g", "alg", "fvs_size",
+                 "bound_num", "bound_den", "exact_phi", "valid", "ms")
 
 
 def _fmt_fraction(num: int, den: int) -> str:
@@ -60,6 +63,11 @@ def _print(msg: str = "") -> None:
 def _fail(msg: str, code: int) -> int:
     sys.stderr.write(f"error: {msg}\n")
     return code
+
+
+def _is_weighted(g: Graph) -> bool:
+    """True iff some edge weight is not 1."""
+    return any(w != 1 for w in g.edge_weights().values())
 
 
 # -- gen -------------------------------------------------------------------
@@ -115,8 +123,8 @@ def cmd_stats(args) -> int:
     _print(f"n = {g.n}")
     _print(f"m = {g.m}")
     _print(f"girth = {'infinite' if gr == float('inf') else int(gr)}")
-    wg = weighted_girth(g)
-    if any(g.weight(u, v) != 1 for u, v in g.edges()):
+    if _is_weighted(g):
+        wg = weighted_girth(g)
         _print(f"weighted_girth = {'infinite' if wg == float('inf') else int(wg)}")
     _print(f"vertex_connectivity = {'3+' if vc == 3 else vc}")
     _print(f"edge_connectivity = {'3+' if ec == 3 else ec}")
@@ -171,7 +179,7 @@ def _solve_with(alg: str, gf: GraphFile, g_override: int | None) -> tuple[FvsCer
     if alg == "trivial":
         return trivial_baseline(pg), "trivial"
     assert alg == "planar"
-    weighted = any(g.weight(u, v) != 1 for u, v in g.edges())
+    weighted = _is_weighted(g)
     wg = weighted_girth(g)
     if wg == float("inf"):
         return FvsCertificate(fvs=frozenset(),
@@ -269,7 +277,7 @@ def cmd_verify(args) -> int:
         label = "(n+2)/3"
     else:
         # Weighted files get the weighted bound 3g|S| <= 4W that solve certifies.
-        weighted = any(w != 1 for w in g.edge_weights().values())
+        weighted = _is_weighted(g)
         label = "4W/3g" if weighted else "4m/3g"
         gr = weighted_girth(g) if weighted else girth(g)
         if gr == float("inf"):
@@ -296,18 +304,17 @@ def cmd_batch(args) -> int:
     rows = []
     any_failed = False
     for path in files:
-        row = {"instance": path.name, "n": "", "m": "", "girth": "", "g": "",
-               "alg": "", "fvs_size": "", "bound_num": "", "bound_den": "",
-               "exact_phi": "", "valid": "", "ms": ""}
+        row = dict.fromkeys(BATCH_COLUMNS, "") | {"instance": path.name}
         start = time.perf_counter()
         try:
             gf = read_graph(str(path))
             g = gf.graph
             gr = girth(g)
             cert, alg = _solve_with("auto", gf, None)
+            wg = weighted_girth(g) if _is_weighted(g) else gr
             row.update(n=g.n, m=g.m,
                        girth=("inf" if gr == float("inf") else int(gr)),
-                       g=("" if gr == float("inf") else int(gr)),
+                       g=("" if wg == float("inf") else int(wg)),
                        alg=alg, fvs_size=cert.size,
                        bound_num=cert.bound_num, bound_den=cert.bound_den,
                        valid=("yes" if cert.validate(g) else "no"))
@@ -325,10 +332,8 @@ def cmd_batch(args) -> int:
             _print(f"{path.name}: error {exc}")
         row["ms"] = round(1000 * (time.perf_counter() - start), 3)
         rows.append(row)
-    fieldnames = ["instance", "n", "m", "girth", "g", "alg", "fvs_size",
-                  "bound_num", "bound_den", "exact_phi", "valid", "ms"]
     with open(args.csv, "w", newline="", encoding="ascii") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=BATCH_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
     return 1 if any_failed else 0

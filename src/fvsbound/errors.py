@@ -51,7 +51,3 @@ class ParseError(FvsError):
 
 class TooLarge(FvsError):
     """Input exceeds the hard size limit of an exhaustive routine."""
-
-
-class OracleTooLarge(TooLarge):
-    """Input exceeds the size the exact oracle is allowed to attempt."""

@@ -135,13 +135,17 @@ def read_graph(path: str) -> GraphFile:
         graph = Graph(vertices, edges)
     except ValueError as exc:
         raise ParseError(len(raw_lines), str(exc))
-    rot = None
-    if rotation:
-        missing = declared - rotation.keys()
-        if missing:
-            bad(len(raw_lines), f"rotation missing vertices {sorted(missing)}")
-        rot = RotationSystem({v: rotation[v] for v in sorted(rotation)})
+    rot = _rotation_of(rotation, declared, len(raw_lines)) if rotation else None
     return GraphFile(graph=graph, rotation=rot, name=name, meta=meta)
+
+
+def _rotation_of(order: dict[int, tuple[int, ...]], declared: set[int],
+                 line_no: int) -> RotationSystem:
+    """A file's rotation, which must give a ring for every declared vertex."""
+    missing = declared - order.keys()
+    if missing:
+        raise ParseError(line_no, f"rotation missing vertices {sorted(missing)}")
+    return RotationSystem(dict(sorted(order.items())))
 
 
 def _read_ascii(path: str) -> str:
@@ -204,7 +208,7 @@ def _read_json(path: str) -> GraphFile:
             order = {int(v): tuple(_json_ints(ns, "rotation")) for v, ns in rot_raw.items()}
             if len(order) < len(rot_raw):
                 raise ParseError(1, "two rotation keys name the same vertex")
-            rotation = RotationSystem(dict(sorted(order.items())))
+            rotation = _rotation_of(order, declared, 1)
         return GraphFile(graph=graph, rotation=rotation,
                          name=payload.get("name"),
                          meta=dict(payload.get("meta") or {}))

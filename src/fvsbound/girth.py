@@ -34,14 +34,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .certificate import BoundKind, FvsCertificate, ReductionStep
-from .errors import InternalInvariantBroken, OracleTooLarge, PreconditionViolated
+from .errors import InternalInvariantBroken, PreconditionViolated
 from .cubic import solve_cubic
 from .graph import (EdgeKey, Graph, connected_components, cut_vertices, edge_key, girth,
                     is_two_connected, peel_degree_le1, validate_fvs, weighted_girth)
-from .oracle import min_fvs_exact
 from .planar import (
     PlaneGraph,
     _plane_graph_of,
@@ -339,49 +337,3 @@ def trivial_baseline(pg: PlaneGraph) -> FvsCertificate:
     if not cert.validate(graph):
         raise InternalInvariantBroken("baseline missed its own bound")
     return cert
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Exact optimum next to the three bound formulas, for conjecture probing."""
-
-    n: int
-    m: int
-    girth: int
-    phi: int
-    m_over_g: Fraction
-    four_m_over_3g: Fraction
-    two_m_over_g: Fraction
-    solver_size: int
-    baseline_size: int
-
-
-ORACLE_DEFAULT_MAX_N = 20
-
-
-def conjecture_gap_report(pg: PlaneGraph,
-                          oracle_max_n: int = ORACLE_DEFAULT_MAX_N) -> GapReport:
-    """Measure the gap between the exact optimum and the m/g conjecture value.
-
-    Purely empirical: reports the numbers side by side and claims nothing.
-    """
-    graph = pg.graph
-    if graph.n > oracle_max_n:
-        raise OracleTooLarge(
-            f"gap report capped at n = {oracle_max_n}, got {graph.n}")
-    gr = girth(graph)
-    if gr == float("inf"):
-        raise PreconditionViolated("gap report needs at least one cycle")
-    gr = int(gr)
-    result = min_fvs_exact(graph)
-    if result.node_budget_hit:
-        raise OracleTooLarge("oracle budget exhausted")
-    solver = solve_planar_unweighted(pg)
-    baseline = trivial_baseline(pg)
-    return GapReport(
-        n=graph.n, m=graph.m, girth=gr, phi=result.phi,
-        m_over_g=Fraction(graph.m, gr),
-        four_m_over_3g=Fraction(4 * graph.m, 3 * gr),
-        two_m_over_g=Fraction(2 * graph.m, gr),
-        solver_size=solver.size,
-        baseline_size=baseline.size)

@@ -113,10 +113,6 @@ class Graph:
 
     # -- derived graphs ----------------------------------------------------
 
-    def _edge_items(self) -> Iterator[tuple[int, int, int]]:
-        for (u, v), w in self._weights.items():
-            yield u, v, w
-
     def subgraph(self, keep: Iterable[int]) -> "Graph":
         keep_set = set(keep)
         missing = keep_set - self._adj.keys()
@@ -133,13 +129,8 @@ class Graph:
 
     def without_edges(self, drop: Iterable[EdgeKey]) -> "Graph":
         drop_set = {edge_key(*e) for e in drop}
-        edges = [(u, v, w) for u, v, w in self._edge_items()
+        edges = [(u, v, w) for (u, v), w in self._weights.items()
                  if (u, v) not in drop_set]
-        return Graph(self._adj.keys(), edges)
-
-    def with_edges(self, add: Iterable[tuple]) -> "Graph":
-        edges = list(self._edge_items())
-        edges.extend(add)
         return Graph(self._adj.keys(), edges)
 
 

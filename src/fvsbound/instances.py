@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import GenerationFailed, PreconditionViolated, UnknownInstanceName
-from .graph import Graph, bridges, edge_key, is_connected
+from .graph import Graph, edge_key, is_two_connected
 from .planar import PlaneGraph, RotationSystem, embed, faces_of
 
 GENERATOR_RETRY_CAP = 2000
@@ -143,7 +143,7 @@ def random_cubic_2connected(n: int, seed: int) -> Graph:
     """Random simple cubic 2-connected graph via the pairing model.
 
     Pairs 3n half-edges uniformly, rejects loops, parallels, and graphs that
-    are not 2-edge-connected (equivalently 2-connected at max degree 3), and
+    are not 2-connected (equivalently 2-edge-connected at max degree 3), and
     retries; deterministic in the seed.
     """
     if n < 4 or n % 2:
@@ -159,7 +159,7 @@ def random_cubic_2connected(n: int, seed: int) -> Graph:
         if len(keys) != len(pairs):
             continue
         g = Graph(range(n), sorted(keys))
-        if is_connected(g) and not bridges(g):
+        if is_two_connected(g):
             return g
     raise GenerationFailed(f"no cubic 2-connected graph after {GENERATOR_RETRY_CAP} tries")
 
@@ -202,17 +202,14 @@ def _expand_inside_face(pg: PlaneGraph, rng: random.Random) -> PlaneGraph:
     (x_a, y_a), (x_b, y_b) = face.boundary[i], face.boundary[j]
     top = max(graph.vertices)
     a, b = top + 1, top + 2
-    new_graph = graph.without_edges([(x_a, y_a), (x_b, y_b)]).with_edges(
-        [(x_a, a), (a, y_a), (x_b, b), (b, y_b), (a, b)])
-    updates = {
-        x_a: tuple(a if z == y_a else z for z in rotation.order[x_a]),
-        y_a: tuple(a if z == x_a else z for z in rotation.order[y_a]),
-        a: (x_a, b, y_a),
-    }
-    updates[x_b] = tuple(b if z == y_b else z for z in updates.get(x_b, rotation.order[x_b]))
-    updates[y_b] = tuple(b if z == x_b else z for z in updates.get(y_b, rotation.order[y_b]))
-    updates[b] = (x_b, a, y_b)
-    return faces_of(new_graph, rotation.replaced(updates))
+    order = dict(rotation.order)
+    for x, y, mid in ((x_a, y_a, a), (x_b, y_b, b)):
+        order[x] = tuple(mid if z == y else z for z in order[x])
+        order[y] = tuple(mid if z == x else z for z in order[y])
+    order[a] = (x_a, b, y_a)
+    order[b] = (x_b, a, y_b)
+    new_graph = Graph(order, [(v, u) for v, ring in order.items() for u in ring if v < u])
+    return faces_of(new_graph, RotationSystem({v: order[v] for v in sorted(order)}))
 
 
 def _subdivide_every_edge(graph: Graph, rotation: RotationSystem,

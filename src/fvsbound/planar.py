@@ -63,13 +63,6 @@ class RotationSystem:
             for v in sorted(keep)
         })
 
-    def replaced(self, updates: dict[int, tuple[int, ...]],
-                 dropped: Iterable[int] = ()) -> "RotationSystem":
-        drop = set(dropped)
-        order = {v: ring for v, ring in self.order.items() if v not in drop}
-        order.update(updates)
-        return RotationSystem({v: order[v] for v in sorted(order)})
-
 
 @dataclass(frozen=True)
 class Face:
@@ -100,9 +93,6 @@ class PlaneGraph:
 
     def face_count(self) -> int:
         return len(self.faces)
-
-    def face_by_id(self, fid: int) -> Face:
-        return self.faces[fid]
 
     def edge_face_map(self) -> dict[EdgeKey, tuple[int, ...]]:
         """Undirected edge -> ids of the (one or two) faces it borders."""
@@ -270,11 +260,11 @@ def apply_merger(pg: PlaneGraph, spec: MergerSpec) -> PlaneGraph:
     fids = {spec.f0, spec.f1, spec.f2}
     if len(fids) != 3 or any(f >= len(pg.faces) or f < 0 for f in fids):
         raise InvalidMerger("merger must name three distinct existing faces")
-    b0 = pg.face_by_id(spec.f0).boundary_edges
-    b1 = pg.face_by_id(spec.f1).boundary_edges
-    b2 = pg.face_by_id(spec.f2).boundary_edges
+    b0 = pg.faces[spec.f0].boundary_edges
+    b1 = pg.faces[spec.f1].boundary_edges
+    b2 = pg.faces[spec.f2].boundary_edges
     for fid in fids:
-        if spec.crucial not in pg.face_by_id(fid).boundary_vertices:
+        if spec.crucial not in pg.faces[fid].boundary_vertices:
             raise InvalidMerger(
                 f"crucial vertex {spec.crucial} is not on the boundary of face {fid}")
     if not (b0 & b1) or not (b1 & b2):

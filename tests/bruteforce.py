@@ -221,7 +221,7 @@ def subdivided(g: Graph, rng: random.Random, count: int) -> Graph:
     """Subdivide ``count`` sampled edges of g in sample order, new ids from max + 1."""
     nxt = max(g.vertices) + 1
     for u, v in rng.sample(g.edges(), count):
-        g = g.without_edges([(u, v)]).with_edges([(u, nxt), (nxt, v)])
+        g = rewired(g.without_edges([(u, v)]), add_edges=[(u, nxt), (nxt, v)])
         nxt += 1
     return g
 
@@ -261,7 +261,7 @@ def weighted_chorded_cycle(seed: int) -> Graph:
     g = Graph(range(12), [(i, (i + 1) % 12) for i in range(12)])
     for _ in range(18):
         u, v = rng.sample(range(12), 2)
-        if not g.has_edge(u, v) and embed(h := g.with_edges([(u, v)])) is not None:
+        if not g.has_edge(u, v) and embed(h := rewired(g, add_edges=[(u, v)])) is not None:
             g = h
     g = subdivided(g, rng, 6)
     return Graph(g.vertices, [(u, v, rng.randint(1, 5)) for u, v in g.edges()])

@@ -45,6 +45,11 @@ TWICE_ROTATED_JSON = ('{"format": "fvsbound-graph", "version": 1, "vertices": [0
                       '"edges": [[0, 1], [1, 2], [2, 0]], "meta": {}, '
                       '"rotation": {"0": [1, 2], "1": [0, 2], "01": [2, 0], "2": [0, 1]}}')
 
+# A triangle whose rotation leaves out vertex 2.
+PARTIAL_ROTATION_JSON = ('{"format": "fvsbound-graph", "version": 1, "vertices": [0, 1, 2], '
+                         '"edges": [[0, 1], [1, 2], [2, 0]], "meta": {}, '
+                         '"rotation": {"0": [1, 2], "1": [2, 0]}}')
+
 
 ZERO_TRIANGLE = Graph(range(3), [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
 # The wheel W4 with hub 4 and every weight 0: its hub sends `auto` to the planar solver.
@@ -259,6 +264,17 @@ class TestSolve:
         assert code == 2
         assert one_error_line(capsys)
 
+    @pytest.mark.parametrize("name, text", [
+        ("partial.g", "graph 1 3\nv 0\nv 1\nv 2\ne 0 1\ne 0 2\ne 1 2\nr 0: 1 2\nr 1: 2 0\n"),
+        ("partial.json", PARTIAL_ROTATION_JSON),
+    ], ids=["text", "json"])
+    def test_rotation_missing_a_vertex_exits_2(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["solve", str(path), "--alg", "auto"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("rotation missing vertices [2]\n")
+
     def test_exact(self, tmp_path, capsys):
         path = tmp_path / "c.g"
         run(capsys, "gen", "cube", str(path))
@@ -394,6 +410,22 @@ class TestBatch:
         dodeca = rows[1]
         assert dodeca["exact_phi"] == "6"
         assert dodeca["girth"] == "5"
+
+    def test_g_is_the_minimum_cycle_weight(self, tmp_path, capsys):
+        # W6 with spokes of weight 2 and rim edges of weight 3: every triangle
+        # weighs 7, so g = 7 while the girth is 3. The weighted path is a forest.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        wheel = Graph(range(7), [(6, i, 2) for i in range(6)] + [(i, (i + 1) % 6, 3) for i in range(6)])
+        write_graph(str(corpus / "w6.g"), wheel)
+        write_graph(str(corpus / "path.g"), Graph(range(3), [(0, 1, 2), (1, 2, 5)]))
+        out_csv = tmp_path / "report.csv"
+        code, _ = run(capsys, "batch", str(corpus), "--csv", str(out_csv))
+        assert code == 0
+        path, w6 = csv.DictReader(out_csv.open())
+        assert (path["girth"], path["g"]) == ("inf", "")
+        # The certified bound 4W/3g is 4 * 30 / (3 * 7) = 40/7.
+        assert (w6["girth"], w6["g"], w6["bound_num"], w6["bound_den"]) == ("3", "7", "120", "21")
 
     def test_bad_file_recorded_and_nonzero(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

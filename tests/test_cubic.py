@@ -46,7 +46,7 @@ def cycle_graph(n):
 
 
 def chorded_c6():
-    return cycle_graph(6).with_edges([(0, 3)])
+    return rewired(cycle_graph(6), add_edges=[(0, 3)])
 
 
 class TestFindRule:

@@ -189,6 +189,17 @@ class TestParseErrors:
         self._expect(tmp_path, "graph 1 2\nv 0\nv 1\ne 0 1\nr 0: 1\n",
                      "rotation missing")
 
+    def test_partial_json_rotation(self, tmp_path):
+        # The same check as the text reader's, so `solve` cannot pass it by
+        # going to the cubic solver, which ignores the rotation.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"format": "fvsbound-graph", "version": 1, "name": None,
+                                    "meta": {}, "vertices": [0, 1, 2],
+                                    "edges": [[0, 1], [1, 2], [0, 2]],
+                                    "rotation": {"0": [1, 2], "1": [2, 0]}}))
+        with pytest.raises(ParseError, match=r"rotation missing vertices \[2\]"):
+            read_graph(str(path))
+
     def test_unknown_record(self, tmp_path):
         self._expect(tmp_path, "graph 1 1\nv 0\nq zzz\n", "unknown record",
                      line_no=3)

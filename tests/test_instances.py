@@ -1,5 +1,7 @@
 """Named instances, tightness families, and the two random generators."""
 
+import hashlib
+
 import pytest
 
 from fvsbound.errors import PreconditionViolated, UnknownInstanceName
@@ -176,3 +178,30 @@ class TestRandomPlanarGirth:
         for target in (10, 20, 40):
             graph, _ = random_planar_girth(target, 3, 1)
             assert target - 2 <= graph.n <= target + 2
+
+
+def generator_digest(graph, rotation=None) -> str:
+    """sha256 of the sorted edges, one per line, then the rotation's rings by vertex."""
+    lines = [f"{u} {v}" for u, v in graph.edges()]
+    if rotation is not None:
+        lines += [f"{v}: " + " ".join(map(str, rotation.order[v])) for v in sorted(rotation.order)]
+    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+
+
+class TestGeneratorPins:
+    """A change to either generator fails here, not only through the solver digests."""
+
+    @pytest.mark.parametrize("args, digest", [
+        ((60, 3, 1), "355099cb0137211473b2afd3c189b4ed05defd38429921fe729eabf10b67fec7"),
+        ((200, 5, 2), "17217fcc38e7c3a45977f9ab9daaf7d1c75644f49e99e9ef46d77af2f9305dce"),
+        ((400, 7, 3), "2af7d3ca631b1778a45323a00793d48aae28d6ae2cfba8e9ac8f101a16da945d"),
+    ])
+    def test_random_planar_girth(self, args, digest):
+        assert generator_digest(*random_planar_girth(*args)) == digest
+
+    @pytest.mark.parametrize("args, digest", [
+        ((100, 1), "7f9e615cd9b61eb476bb0ada90893bd8b8084cc700aae82f66ccd51c3e6412d3"),
+        ((800, 2), "30e5c5c234bd98ee61c682c6f46c9bdc0a16b9a4a33c16b17d9477d07ab5f6ee"),
+    ])
+    def test_random_cubic_2connected(self, args, digest):
+        assert generator_digest(random_cubic_2connected(*args)) == digest

@@ -238,7 +238,7 @@ class TestApplyMergerValidation:
         pg = plane(g)
         spec = find_guaranteed_merger(pg, 4)
         outside = next(v for v in g.vertices
-                       if v not in pg.face_by_id(spec.f1).boundary_vertices)
+                       if v not in pg.faces[spec.f1].boundary_vertices)
         bad = type(spec)(f0=spec.f0, f1=spec.f1, f2=spec.f2,
                          crucial=outside,
                          removed_edges=spec.removed_edges,
