@@ -157,7 +157,9 @@ def _plane_graph_or_none(gf: GraphFile) -> PlaneGraph | None:
         raise PreconditionViolated(f"input rotation: {exc}") from None
 
 
-def _solve_with(alg: str, gf: GraphFile, g_override: int | None) -> tuple[FvsCertificate, str]:
+def _solve_with(alg: str, gf: GraphFile, g_override: int | None,
+                wg: int | float | None = None) -> tuple[FvsCertificate, str]:
+    """Certify with ``alg``; ``wg`` is the minimum cycle weight, if known."""
     g = gf.graph
     if alg == "auto":
         alg = "cubic" if (is_two_connected(g) and g.max_degree() <= 3) else "planar"
@@ -180,7 +182,8 @@ def _solve_with(alg: str, gf: GraphFile, g_override: int | None) -> tuple[FvsCer
         return trivial_baseline(pg), "trivial"
     assert alg == "planar"
     weighted = _is_weighted(g)
-    wg = weighted_girth(g)
+    if wg is None:
+        wg = weighted_girth(g)
     if wg == float("inf"):
         return FvsCertificate(fvs=frozenset(),
                               bound_kind=BoundKind.PLANAR_4M_OVER_3G,
@@ -310,8 +313,8 @@ def cmd_batch(args) -> int:
             gf = read_graph(str(path))
             g = gf.graph
             gr = girth(g)
-            cert, alg = _solve_with("auto", gf, None)
             wg = weighted_girth(g) if _is_weighted(g) else gr
+            cert, alg = _solve_with("auto", gf, None, wg)
             row.update(n=g.n, m=g.m,
                        girth=("inf" if gr == float("inf") else int(gr)),
                        g=("" if wg == float("inf") else int(wg)),

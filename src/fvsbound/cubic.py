@@ -21,21 +21,30 @@ unit-capacity flow tests on the boundary, and exactly. The lemma: rewrites
 only delete vertices and add edges between survivors, so if some earlier
 graph G0 was k-edge-connected, every cut of fewer than k edges in the
 current graph separates two vertices of the boundary accumulated since G0
-(the dirty sets, less the vertices dropped since). Were the whole boundary
-on one side of such a cut, adding the dropped vertices to that side would
-give a cut of G0 whose edges all survive in the current graph. At maximum
-degree 3 a cut vertex leaves a bridge, so 2-connected means
-2-edge-connected.
+(the dirty sets of all rewrites since, less the vertices dropped since).
+Were the whole boundary on one side of such a cut, adding the dropped
+vertices to that side would give a cut of G0 whose edges all survive in the
+current graph. At maximum degree 3 a cut vertex leaves a bridge, so
+2-connected means 2-edge-connected.
 
-- Per step, G0 is the previous graph, known to be 2-connected: the reduced
-  graph is 2-connected iff k = 2 edge-disjoint paths join one dirty vertex
-  to each other one, and only dirty vertices can exceed degree 3.
-- For R5, G0 is the last graph proven 3-edge-connected: if three paths join
-  one boundary vertex to each other one, no 2-edge cut exists; if not, the
-  global cut enumeration runs as before and picks the same cut.
+- For the class check, G0 is the last graph proven 2-connected: the reduced
+  graph is 2-connected iff two edge-disjoint paths join one boundary vertex
+  to each other one; only dirty vertices can exceed degree 3.
+- For R5, G0 is the last graph proven 3-edge-connected, and ∂ the boundary
+  since: with three such paths no 2-edge cut exists. Otherwise the global
+  enumeration picks the cut, which R5's rewrite reuses.
 
-R5 stays global until one of its queries finds no cut, because only then is
-a G0 known. The per-step check stays global on a caller's ``Graph``, which
+So a step pays for one flow test. With no degree-2 vertex and ∂ known, a
+pass of λ >= 3 across ∂ proves the graph 3-edge-connected, so 2-connected,
+and empties ∂; only a fail runs the λ >= 2 test. When the least degree-2
+vertex v has non-adjacent neighbors, R1 suppresses v next, and the graph is
+2-connected iff the suppressed one is. The solver's graph then defers the
+check to that step, whose boundary includes this one's; a failure names the
+deferred step, and if the loop ends first the base case's global check
+covers it.
+
+R5 is global until one of its queries finds no cut, because only then is a
+G0 known. The class check stays global on a caller's ``Graph``, which
 ``find_rule`` and ``apply_rule`` wrap in a fresh working graph: it is not
 known to be 2-connected, while ``solve_cubic`` proves its input in class
 first. The final check of the returned set is always global.
@@ -48,6 +57,7 @@ import enum
 from .certificate import BoundKind, FvsCertificate, ReductionStep
 from .errors import InternalInvariantBroken, PreconditionViolated
 from .graph import (
+    CutStructure,
     EdgeKey,
     Graph,
     edge_key,
@@ -89,9 +99,9 @@ class _Work:
     """
 
     __slots__ = ("adj", "deg2", "tri", "groups", "twins", "_weights",
-                 "in_class", "boundary")
+                 "in_class", "boundary", "defers", "pending", "cut")
 
-    def __init__(self, g: Graph, in_class: bool = False):
+    def __init__(self, g: Graph, in_class: bool = False, defers: bool = False):
         self.adj = {v: g.neighbors(v) for v in g.vertices}
         self._weights = g.edge_weights()
         self.deg2: set[int] = set()
@@ -104,6 +114,12 @@ class _Work:
         # The dirty sets accumulated since the graph was last proven
         # 3-edge-connected, less the vertices dropped since; None before that.
         self.boundary: set[int] | None = None
+        # Only the solver's graph defers a check; a deferred one leaves the
+        # dirty sets since the last graph proven 2-connected, and its error.
+        self.defers = defers
+        self.pending: tuple[set[int], str] | None = None
+        # The match R5 found on the current graph, with its cut.
+        self.cut: tuple[tuple[int, ...], CutStructure] | None = None
 
     @property
     def n(self) -> int:
@@ -135,9 +151,9 @@ class _Work:
         """Remove vertices, then add edges among the survivors, in place.
 
         Returns the dirty set and adds it to ``boundary``. The rewritten graph
-        is no longer known to be in class. Raises ValueError, before changing
-        anything, on a loop, a parallel edge, or an endpoint that is not in
-        the reduced graph.
+        is no longer known to be in class, nor its cut. Raises ValueError,
+        before changing anything, on a loop, a parallel edge, or an endpoint
+        that is not in the reduced graph.
         """
         adj = self.adj
         gone = set(drop)
@@ -165,6 +181,7 @@ class _Work:
             adj[v] = tuple(sorted(ns))
         self._index(dirty)
         self.in_class = False
+        self.cut = None
         touched = set(dirty)
         if self.boundary is not None:
             self.boundary -= gone
@@ -216,13 +233,13 @@ def _third(g: _Work, v: int, excluded: tuple[int, ...]) -> int:
 
 
 def _residual_path(adj: dict[int, tuple[int, ...]], s: int, t: int,
-                   used: set[tuple[int, int]]) -> list[int] | None:
+                   used: set[tuple[int, int]], busy: set[int]) -> list[int] | None:
     """An s-t path over the arcs with residual capacity, or None.
 
-    ``used`` holds the arcs (u, v) that carry one unit of flow from u to v;
-    every other arc has residual capacity. A BFS grows from s and another
-    into t, one level of the smaller frontier at a time, and the first vertex
-    both reach closes the path.
+    ``used`` holds the arcs (u, v) that carry one unit of flow from u to v and
+    ``busy`` their tails; every other arc has residual capacity. A BFS grows
+    from s and another into t, one level of the smaller frontier at a time,
+    and the first vertex both reach closes the path.
     """
     pred = {s: s}
     succ = {t: t}
@@ -231,8 +248,9 @@ def _residual_path(adj: dict[int, tuple[int, ...]], s: int, t: int,
         nxt = []
         if len(front) <= len(back):
             for u in front:
+                free = u not in busy
                 for v in adj[u]:
-                    if v not in pred and (u, v) not in used:
+                    if v not in pred and (free or (u, v) not in used):
                         pred[v] = u
                         if v in succ:
                             return _joined(pred, succ, v)
@@ -241,7 +259,7 @@ def _residual_path(adj: dict[int, tuple[int, ...]], s: int, t: int,
         else:
             for v in back:
                 for u in adj[v]:
-                    if u not in succ and (u, v) not in used:
+                    if u not in succ and (u not in busy or (u, v) not in used):
                         succ[u] = v
                         if u in pred:
                             return _joined(pred, succ, u)
@@ -271,8 +289,9 @@ def _edge_disjoint_paths(adj: dict[int, tuple[int, ...]], s: int, t: int,
     if len(adj[s]) < k or len(adj[t]) < k:
         return False
     used: set[tuple[int, int]] = set()
+    busy: set[int] = set()
     for _ in range(k - 1):
-        path = _residual_path(adj, s, t, used)
+        path = _residual_path(adj, s, t, used, busy)
         if path is None:
             return False
         for u, v in zip(path, path[1:]):
@@ -280,7 +299,8 @@ def _edge_disjoint_paths(adj: dict[int, tuple[int, ...]], s: int, t: int,
                 used.remove((v, u))
             else:
                 used.add((u, v))
-    return _residual_path(adj, s, t, used) is not None
+        busy = {u for u, _ in used}
+    return _residual_path(adj, s, t, used, busy) is not None
 
 
 def _edge_connected_within(adj: dict[int, tuple[int, ...]], boundary, k: int) -> bool:
@@ -335,12 +355,9 @@ def _match_r4(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
 
 
 def _match_r5(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
-    # Every 2-edge cut separates two vertices of the boundary since the graph
-    # was last proven 3-edge-connected; the global search picks the cut.
-    if g.boundary is not None and _edge_connected_within(g.adj, g.boundary, 3):
-        cut = None
-    else:
-        cut = min_side_two_edge_cut(g)
+    # ``_build`` empties the boundary when its flow test proves the graph
+    # 3-edge-connected; otherwise the global search finds the cut, if any.
+    cut = None if g.boundary == set() else min_side_two_edge_cut(g)
     if cut is None:
         g.boundary = set()
         return None
@@ -348,6 +365,7 @@ def _match_r5(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
     small_side = cut.sides[0]
     v = e[0] if e[0] in small_side else e[1]
     u = e[1] if v == e[0] else e[0]
+    g.cut = ((v, u), cut)
     return (v, u)
 
 
@@ -400,7 +418,11 @@ def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
     removed_edges = frozenset(
         edge_key(v, u) for v in drop_set for u in g.neighbors(v))
     n_before = g.n
-    local = g.in_class
+    # ``cover`` gathers the dirty sets since the last graph proven 2-connected.
+    local = g.in_class or g.pending is not None
+    cover, error = g.pending or (
+        set(), f"{rule.value} on {match}: reduced graph is not 2-connected")
+    g.pending = None
     try:
         dirty = g.rewrite(drop, add)
     except ValueError as exc:
@@ -408,22 +430,30 @@ def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
             f"{rule.value} on {match}: reduced graph is not simple ({exc})")
     if g.n >= n_before:
         raise InternalInvariantBroken(f"{rule.value} did not shrink the graph")
-    # From an in-class graph only the dirty vertices changed degree, and a
-    # bridge or a split would separate two of them.
+    # From a graph in class, or deferred, only the dirty vertices changed degree.
     if (max(map(g.degree, dirty), default=0) if local else g.max_degree()) > 3:
         raise InternalInvariantBroken(
             f"{rule.value} on {match}: reduced graph exceeds degree 3")
-    if not ((g.n >= 3 and _edge_connected_within(g.adj, dirty, 2)) if local
-            else is_two_connected(g)):
-        raise InternalInvariantBroken(
-            f"{rule.value} on {match}: reduced graph is not 2-connected")
-    g.in_class = True
-    return ReductionStep(
+    step = ReductionStep(
         rule=rule.value, matched=match,
         removed_vertices=frozenset(drop_set),
         removed_edges=removed_edges,
         added_edges=frozenset(edge_key(u, v) for u, v in add),
         designated=designated)
+    cover = (cover - drop_set) | dirty
+    if local and g.defers and g.deg2 and not g.has_edge(*g.adj[min(g.deg2)]):
+        # R1 suppresses that vertex next, whose check then covers this one.
+        g.pending = (cover, error)
+        return step
+    # λ >= 3 across ∂ answers R5 too and, at maximum degree 3, means 2-connected.
+    if (g.boundary is not None and not g.deg2 and g.n >= 3
+            and _edge_connected_within(g.adj, g.boundary, 3)):
+        g.boundary = set()
+    elif not ((g.n >= 3 and _edge_connected_within(g.adj, cover, 2)) if local
+              else is_two_connected(g)):
+        raise InternalInvariantBroken(error)
+    g.in_class = True
+    return step
 
 
 def _remove_triangle(g: _Work, rule: RuleId, match: tuple[int, ...],
@@ -504,7 +534,7 @@ def _apply_r4(g: _Work, match: tuple[int, ...]):
 
 def _apply_r5(g: _Work, match: tuple[int, ...]):
     v, u = match
-    cut = min_side_two_edge_cut(g)
+    cut = g.cut[1] if g.cut and g.cut[0] == match else min_side_two_edge_cut(g)
     if cut is None or edge_key(u, v) not in cut.members:
         raise InternalInvariantBroken("stale 2-edge-cut match")
     side1 = cut.sides[0] if v in cut.sides[0] else cut.sides[1]
@@ -569,8 +599,8 @@ def apply_rule(g: Graph | _Work, rule: RuleId,
     simple 2-connected subcubic graphs; the rewrite proofs guarantee closure,
     so that only ever signals a bug (or a match from a stale graph). The
     check reads the whole reduced graph when the graph before the step was
-    not known to be in class, as a Graph argument is not; otherwise it reads
-    only the dirty set.
+    not known to be in class, as a Graph argument is not; otherwise it is one
+    flow test across the boundary (see the module docstring).
     """
     work = g if isinstance(g, _Work) else _Work(g)
     step = _APPLIERS[rule](work, match)
@@ -616,12 +646,12 @@ def solve_cubic(g: Graph) -> FvsCertificate:
     place; after each one only the dirty set (surviving neighbors of the
     dropped vertices, endpoints of the added edges) is re-indexed for the
     matchers. Each step checks that the reduced graph is simple and smaller,
-    and, from the dirty set alone (see the module docstring), that it has
-    maximum degree 3 and is 2-connected. R5 asks its flow tests first and
-    enumerates the cuts of the whole graph only when they find one, or while
-    no graph has been proven 3-edge-connected yet. The base case and the
-    final check, which validates the set against ``g`` and the bound, run on
-    immutable Graphs.
+    and, by one flow test near the dirty sets (see the module docstring),
+    that it has maximum degree 3 and is 2-connected. R5 enumerates the cuts
+    of the whole graph only when that test finds one, or while no graph has
+    been proven 3-edge-connected yet. The base case and the final check,
+    which validates the set against ``g`` and the bound, run on immutable
+    Graphs.
 
     Deterministic: same input graph (same ids), same trace. A reduction that
     leaves the class raises InternalInvariantBroken: the rewrite proofs rule
@@ -631,13 +661,16 @@ def solve_cubic(g: Graph) -> FvsCertificate:
     _require_in_class(g)
     chosen: set[int] = set()
     trace: list[ReductionStep] = []
-    cur = _Work(g, in_class=True)
+    cur = _Work(g, in_class=True, defers=True)
     while cur.n > BASE_CASE_MAX_N:
         rule, match = find_rule(cur)
         cur, step = apply_rule(cur, rule, match)
         chosen |= set(step.designated)
         trace.append(step)
-    base = base_case(cur.freeze())
+    try:
+        base = base_case(cur.freeze())
+    except PreconditionViolated as exc:  # a deferred check failed, or a bug
+        raise InternalInvariantBroken(cur.pending[1] if cur.pending else str(exc)) from None
     chosen |= base.fvs
     trace.extend(base.trace)
     cert = FvsCertificate(fvs=frozenset(chosen),

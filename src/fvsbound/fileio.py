@@ -135,16 +135,19 @@ def read_graph(path: str) -> GraphFile:
         graph = Graph(vertices, edges)
     except ValueError as exc:
         raise ParseError(len(raw_lines), str(exc))
-    rot = _rotation_of(rotation, declared, len(raw_lines)) if rotation else None
+    rot = _rotation_of(rotation, graph, len(raw_lines)) if rotation else None
     return GraphFile(graph=graph, rotation=rot, name=name, meta=meta)
 
 
-def _rotation_of(order: dict[int, tuple[int, ...]], declared: set[int],
+def _rotation_of(order: dict[int, tuple[int, ...]], graph: Graph,
                  line_no: int) -> RotationSystem:
-    """A file's rotation, which must give a ring for every declared vertex."""
-    missing = declared - order.keys()
+    """A file's rotation: a ring of exactly its neighbors for every vertex, and no other."""
+    missing = set(graph.vertices) - order.keys()
     if missing:
         raise ParseError(line_no, f"rotation missing vertices {sorted(missing)}")
+    for v, ring in order.items():
+        if v not in graph or sorted(ring) != list(graph.neighbors(v)):
+            raise ParseError(line_no, f"rotation at {v} is not a permutation of its neighbors")
     return RotationSystem(dict(sorted(order.items())))
 
 
@@ -208,7 +211,7 @@ def _read_json(path: str) -> GraphFile:
             order = {int(v): tuple(_json_ints(ns, "rotation")) for v, ns in rot_raw.items()}
             if len(order) < len(rot_raw):
                 raise ParseError(1, "two rotation keys name the same vertex")
-            rotation = _rotation_of(order, declared, 1)
+            rotation = _rotation_of(order, graph, 1)
         return GraphFile(graph=graph, rotation=rotation,
                          name=payload.get("name"),
                          meta=dict(payload.get("meta") or {}))

@@ -33,13 +33,31 @@ class OracleResult:
     node_budget_hit: bool
 
 
-def _prune_forest_parts(g: Graph) -> Graph:
+class _Adjacency(dict):
+    """Vertex -> neighbor tuple, both ascending as in ``Graph``, with the API the search reads."""
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    neighbors = dict.__getitem__
+
+    def degree(self, v: int) -> int:
+        return len(self[v])
+
+    def without_vertices(self, drop) -> "_Adjacency":
+        drop = set(drop)
+        return _Adjacency({v: tuple(u for u in ns if u not in drop)
+                           for v, ns in self.items() if v not in drop})
+
+
+def _prune_forest_parts(g: _Adjacency) -> _Adjacency:
     """Strip what peeling degree <= 1 vertices removes; it lies on no cycle."""
     drop = peel_degree_le1(g)
     return g.without_vertices(drop) if drop else g
 
 
-def _packing_lower_bound(g: Graph, cycle: list[int]) -> int:
+def _packing_lower_bound(g: _Adjacency, cycle: list[int]) -> int:
     """Number of vertex-disjoint cycles found greedily, shortest first.
 
     ``g`` has no vertex of degree <= 1 and ``cycle`` is ``shortest_cycle(g)``.
@@ -52,7 +70,7 @@ def _packing_lower_bound(g: Graph, cycle: list[int]) -> int:
     return count
 
 
-def _greedy_upper_bound(g: Graph) -> set[int]:
+def _greedy_upper_bound(g: _Adjacency) -> set[int]:
     """A valid (not necessarily optimal) feedback vertex set, deterministically."""
     chosen: set[int] = set()
     g = _prune_forest_parts(g)
@@ -69,14 +87,17 @@ def min_fvs_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleRes
     """Exact decycling number with a witness, by branch and bound.
 
     The budget guards runtime on adversarial inputs; exceeding it degrades the
-    answer to a clearly marked upper bound, never to a wrong optimum.
+    answer to a clearly marked upper bound, never to a wrong optimum. Each
+    node is an adjacency view, not a rebuilt ``Graph``; it keeps ``Graph``'s
+    ascending order, so the nodes, their order and the witness are the same.
     """
     n = g.n
-    best = _greedy_upper_bound(g)
+    view = _Adjacency({v: g.neighbors(v) for v in g.vertices})
+    best = _greedy_upper_bound(view)
     nodes = 0
     budget_hit = False
 
-    def search(cur: Graph, chosen: set[int]) -> None:
+    def search(cur: _Adjacency, chosen: set[int]) -> None:
         nonlocal best, nodes, budget_hit
         nodes += 1
         if nodes > node_budget:
@@ -97,7 +118,7 @@ def min_fvs_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleRes
             if budget_hit:
                 return
 
-    search(g, set())
+    search(view, set())
     assert validate_fvs(g, best)
     return OracleResult(phi=len(best), forest_order=n - len(best),
                         witness=frozenset(best), node_budget_hit=budget_hit)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: exhaustive enumeration over cycles,
 cuts, and subsets, and a full rescan of the graph for each cubic rule match.
-Nothing imports solver internals beyond the Graph type, the rule ids and
-the bridge and 2-edge-cut queries.
+Nothing imports solver internals beyond the Graph type, the rule ids, the
+bridge and 2-edge-cut queries, and the peeling and shortest-cycle helpers
+that the reference oracle search shares with the real one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ from contextlib import contextmanager
 from itertools import combinations
 
 from fvsbound.cubic import RuleId
-from fvsbound.graph import Graph, bridges, is_connected, min_side_two_edge_cut
+from fvsbound.graph import (
+    Graph,
+    bridges,
+    is_connected,
+    min_side_two_edge_cut,
+    peel_degree_le1,
+    shortest_cycle,
+)
 from fvsbound.instances import random_cubic_2connected
 from fvsbound.planar import embed
 
@@ -292,6 +300,62 @@ def reference_trivial_baseline_picks(g: Graph) -> list[int]:
         picks.append(v)
         g = g.without_vertices([v])
     return picks
+
+
+# -- reference exact oracle --------------------------------------------------
+
+
+def reference_min_fvs_exact(g: Graph, node_budget: int) -> tuple[int, frozenset[int], bool]:
+    """(phi, witness, budget hit) of the branch and bound, one rebuilt Graph per node.
+
+    The same shortest-cycle branching, greedy upper bound and packing lower
+    bound as ``oracle.min_fvs_exact``, each step on an immutable Graph.
+    """
+    def pruned(h: Graph) -> Graph:
+        drop = peel_degree_le1(h)
+        return h.without_vertices(drop) if drop else h
+
+    best: set[int] = set()
+    h = pruned(g)
+    while (cycle := shortest_cycle(h)) is not None:
+        v = max(cycle, key=lambda x: (h.degree(x), -x))
+        best.add(v)
+        h = pruned(h.without_vertices([v]))
+
+    def packing(h: Graph, cycle: list[int] | None) -> int:
+        count = 0
+        while cycle is not None:
+            count += 1
+            h = pruned(h.without_vertices(cycle))
+            cycle = shortest_cycle(h)
+        return count
+
+    nodes = 0
+    budget_hit = False
+
+    def search(cur: Graph, chosen: set[int]) -> None:
+        nonlocal best, nodes, budget_hit
+        nodes += 1
+        if nodes > node_budget:
+            budget_hit = True
+            return
+        cur = pruned(cur)
+        cycle = shortest_cycle(cur)
+        if cycle is None:
+            if len(chosen) < len(best):
+                best = set(chosen)
+            return
+        if len(chosen) + packing(cur, cycle) >= len(best):
+            return
+        for v in sorted(cycle):
+            chosen.add(v)
+            search(cur.without_vertices([v]), chosen)
+            chosen.remove(v)
+            if budget_hit:
+                return
+
+    search(g, set())
+    return len(best), frozenset(best), budget_hit
 
 
 # -- reference cubic rule matcher --------------------------------------------

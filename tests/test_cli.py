@@ -1,6 +1,7 @@
 """CLI surface: exit codes, determinism, file round-trips."""
 
 import csv
+import json
 import time
 
 import pytest
@@ -50,6 +51,19 @@ PARTIAL_ROTATION_JSON = ('{"format": "fvsbound-graph", "version": 1, "vertices":
                          '"edges": [[0, 1], [1, 2], [2, 0]], "meta": {}, '
                          '"rotation": {"0": [1, 2], "1": [2, 0]}}')
 
+
+# A triangle whose rotation names an undeclared vertex 7, or repeats a neighbor.
+TRIANGLE = "graph 1 3\nv 0\nv 1\nv 2\ne 0 1\ne 0 2\ne 1 2\n"
+TRIANGLE_JSON = {"format": "fvsbound-graph", "version": 1, "vertices": [0, 1, 2],
+                 "edges": [[0, 1], [1, 2], [2, 0]], "meta": {}}
+FOREIGN_ROTATIONS = {
+    "undeclared.g": TRIANGLE + "r 0: 1 2\nr 1: 2 0\nr 2: 0 1\nr 7: 0\n",
+    "repeated.g": TRIANGLE + "r 0: 1 1\nr 1: 2 0\nr 2: 0 1\n",
+    "undeclared.json": json.dumps(TRIANGLE_JSON | {"rotation": {
+        "0": [1, 2], "1": [2, 0], "2": [0, 1], "7": [0]}}),
+    "repeated.json": json.dumps(TRIANGLE_JSON | {"rotation": {
+        "0": [1, 1], "1": [2, 0], "2": [0, 1]}}),
+}
 
 ZERO_TRIANGLE = Graph(range(3), [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
 # The wheel W4 with hub 4 and every weight 0: its hub sends `auto` to the planar solver.
@@ -275,6 +289,18 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith("rotation missing vertices [2]\n")
 
+    @pytest.mark.parametrize("name", sorted(FOREIGN_ROTATIONS))
+    @pytest.mark.parametrize("command", [["solve", "--alg", alg] for alg in
+                                         ("auto", "cubic", "planar", "trivial", "exact")]
+                             + [["stats"]],
+                             ids=["auto", "cubic", "planar", "trivial", "exact", "stats"])
+    def test_rotation_foreign_to_the_graph_exits_2(self, tmp_path, capsys, command, name):
+        # The triangle would go to the cubic solver, which reads no rotation.
+        path = tmp_path / name
+        path.write_text(FOREIGN_ROTATIONS[name])
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert one_error_line(capsys)
+
     def test_exact(self, tmp_path, capsys):
         path = tmp_path / "c.g"
         run(capsys, "gen", "cube", str(path))
@@ -438,6 +464,34 @@ class TestBatch:
         rows = list(csv.DictReader(out_csv.open()))
         assert rows[0]["valid"] == "error"
         assert rows[1]["valid"] == "yes"
+
+    def test_rotation_foreign_to_the_graph_recorded(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name, text in FOREIGN_ROTATIONS.items():
+            (corpus / name).write_text(text)
+        out_csv = tmp_path / "report.csv"
+        code, _ = run(capsys, "batch", str(corpus), "--csv", str(out_csv))
+        assert code == 1
+        rows = list(csv.DictReader(out_csv.open()))
+        assert [(r["instance"], r["valid"]) for r in rows] == [
+            (name, "error") for name in sorted(FOREIGN_ROTATIONS)]
+
+    def test_minimum_cycle_weight_computed_once(self, tmp_path, capsys, monkeypatch):
+        import fvsbound.cli as cli_module
+
+        calls = []
+        weighted_girth = cli_module.weighted_girth
+        monkeypatch.setattr(cli_module, "weighted_girth",
+                            lambda g: calls.append(g.n) or weighted_girth(g))
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        wheel = Graph(range(7), [(6, i, 2) for i in range(6)]
+                      + [(i, (i + 1) % 6, 3) for i in range(6)])
+        write_graph(str(corpus / "w6.g"), wheel)
+        code, _ = run(capsys, "batch", str(corpus), "--csv", str(tmp_path / "report.csv"))
+        assert code == 0
+        assert calls == [7]
 
     def test_unreadable_files_recorded_and_nonzero(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

@@ -247,6 +247,69 @@ class TestSolveCubic:
         with pytest.raises(InternalInvariantBroken, match="injected"):
             cubic_module.solve_cubic(random_cubic_2connected(12, 5))
 
+    def test_bridge_behind_a_deferred_check_names_the_rule(self, monkeypatch):
+        # Petersen less the edges 0-1 and 6-8, and K4 with 11-12 subdivided
+        # by 10 and 13-14 by 15, joined by 1-10 and through 16 (on 0, 15 and
+        # 17, which subdivides 6-8). The sabotaged R4 drops 15, 16 and 17 and
+        # restores 6-8 and 13-14: 1-10 becomes a bridge and 0 the only
+        # degree-2 vertex, with neighbors 4 and 5 not adjacent. So the check
+        # waits for R1 to suppress 0, and of the vertices it covers only the
+        # deferred step's 13 and 14 lie across the bridge.
+        petersen = make_named("petersen").graph.edges()
+        g = Graph(range(18), [e for e in petersen if e not in ((0, 1), (6, 8))]
+                  + [(10, 11), (10, 12), (11, 13), (11, 14), (12, 13), (12, 14),
+                     (13, 15), (14, 15), (1, 10), (0, 16), (15, 16), (16, 17),
+                     (6, 17), (8, 17)])
+        assert is_two_connected(g) and g.max_degree() == 3
+        rule, match = find_rule(g)
+        assert rule is RuleId.R4_TWO_SQUARES
+
+        def sabotaged(work, match):
+            return cubic_module._build(work, [15, 16, 17], [(6, 8), (13, 14)],
+                                       rule, match, ())
+
+        monkeypatch.setitem(cubic_module._APPLIERS, rule, sabotaged)
+        with pytest.raises(InternalInvariantBroken) as caught:
+            solve_cubic(g)
+        assert str(caught.value) == (
+            f"{rule.value} on {match}: reduced graph is not 2-connected")
+
+    def test_bridge_left_for_the_base_case_names_the_rule(self, monkeypatch):
+        # K3,3 less the edge 0-3 and the triangle 6-7-8, joined by 3-6 and
+        # through the path 0-9-10-8 with the chord 7-9. R1 on 10 is
+        # sabotaged to drop 9 and 10 and add nothing: 3-6 becomes a bridge,
+        # and 0, the least degree-2 vertex, has neighbors 4 and 5 not
+        # adjacent. Nine vertices are left, so the loop ends with the check
+        # deferred and the base case's global check must catch it.
+        g = Graph(range(11), [(0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3),
+                              (2, 4), (2, 5), (6, 7), (6, 8), (7, 8), (3, 6),
+                              (0, 9), (7, 9), (9, 10), (8, 10)])
+        assert is_two_connected(g) and g.max_degree() == 3
+        rule, match = find_rule(g)
+        assert (rule, match) == (RuleId.R1_DEGREE2, (10, 8, 9))
+
+        def sabotaged(work, match):
+            return cubic_module._build(work, [9, 10], [], rule, match, ())
+
+        monkeypatch.setitem(cubic_module._APPLIERS, rule, sabotaged)
+        with pytest.raises(InternalInvariantBroken) as caught:
+            solve_cubic(g)
+        assert str(caught.value) == (
+            f"{rule.value} on {match}: reduced graph is not 2-connected")
+
+    def test_r5_enumerates_the_cuts_once_per_firing(self, monkeypatch):
+        # The applier reuses the cut its matcher found; the one extra
+        # enumeration is the query that finds no cut.
+        calls = []
+        enumerate_cuts = cubic_module.min_side_two_edge_cut
+        monkeypatch.setattr(cubic_module, "min_side_two_edge_cut",
+                            lambda g: calls.append(g.n) or enumerate_cuts(g))
+        g = cut_joined_pair(random.Random(1), 1, (150, 200))
+        cert = solve_cubic(g)
+        fired = sum(s.rule == RuleId.R5_TWO_EDGE_CUT.value for s in cert.trace)
+        assert fired >= 50
+        assert len(calls) <= fired + 1
+
     def test_r4_instances_solve_within_bound(self):
         for g in (r4_two_equal_instance(), r4_all_distinct_instance()):
             cert = solve_cubic(g)
@@ -363,6 +426,24 @@ class TestLocalChecks:
         with pytest.raises(InternalInvariantBroken, match="not 2-connected"):
             cubic_module._build(work, [10], [], RuleId.R1_DEGREE2, (10,), ())
 
+    def test_failed_three_edge_test_falls_back_to_the_two_edge_test(self):
+        # Two copies of the Petersen graph less vertex 0 (ports 1, 4, 5 and
+        # 11, 14, 15) joined port to port form a 3-edge-connected graph.
+        # Dropping the ports 4, 5, 14 and 15 and closing their neighbors in
+        # pairs leaves a cubic graph whose edge 1-11 is a bridge. The
+        # λ >= 3 test across the boundary fails, and the λ >= 2 test that
+        # must follow it finds the bridge.
+        half = [e for e in make_named("petersen").graph.edges() if 0 not in e]
+        g = Graph([], half + [(u + 10, v + 10) for u, v in half]
+                  + [(1, 11), (4, 14), (5, 15)])
+        assert connectivity_le3(g) == (3, 3)
+        work = _Work(g, in_class=True)
+        work.boundary = set()
+        with pytest.raises(InternalInvariantBroken, match="not 2-connected"):
+            cubic_module._build(work, [4, 5, 14, 15],
+                                [(3, 9), (7, 8), (13, 19), (17, 18)],
+                                RuleId.R7_GENERIC, (4,), ())
+
     def test_apply_rule_on_a_disconnected_graph_still_raises(self):
         # R1 on the 12-cycle is sound, but beside a disjoint 5-cycle the
         # result is not 2-connected. A caller's graph is not known to be in
@@ -379,19 +460,24 @@ class TestWorkingGraph:
     @staticmethod
     def step_through(g):
         """Yield each step's rule and the local R5 answer after it (None before any proof)."""
-        work = _Work(g)
+        work = _Work(g, defers=True)
         frozen = work.freeze()
         assert frozen == g
         while work.n > BASE_CASE_MAX_N:
             rule, match = find_rule(work)
             assert (rule, match) == reference_find_rule(frozen)
             before = frozen
+            known = work.boundary is not None
             _, step = apply_rule(work, rule, match)
             frozen = work.freeze()
             assert frozen == rewired(before, step.removed_vertices, step.added_edges)
             assert_indices_current(work)
             dirty = dirty_set(before, step.removed_vertices, step.added_edges)
             assert _edge_connected_within(work.adj, dirty, 2) == is_two_connected(frozen)
+            if known and not work.deg2:
+                # The step asked λ >= 3 across ∂: a pass proves the graph
+                # 3-edge-connected and empties ∂.
+                assert (work.boundary == set()) == (min_side_two_edge_cut(frozen) is None)
             r5_local = None
             if work.boundary is not None:
                 r5_local = _edge_connected_within(work.adj, work.boundary, 3)

@@ -200,6 +200,28 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=r"rotation missing vertices \[2\]"):
             read_graph(str(path))
 
+    @pytest.mark.parametrize("rings, fragment", [
+        ("r 0: 1 2\nr 1: 2 0\nr 2: 0 1\nr 7: 0\n", "rotation at 7 is not a permutation"),
+        ("r 0: 1 1\nr 1: 2 0\nr 2: 0 1\n", "rotation at 0 is not a permutation"),
+        ("r 0: 1\nr 1: 2 0\nr 2: 0 1\n", "rotation at 0 is not a permutation"),
+    ], ids=["undeclared", "repeated", "short"])
+    def test_rotation_that_is_not_the_graph_s(self, tmp_path, rings, fragment):
+        # Checked on reading, whichever solver the graph would go to.
+        self._expect(tmp_path, "graph 1 3\nv 0\nv 1\nv 2\ne 0 1\ne 0 2\ne 1 2\n" + rings,
+                     fragment)
+
+    @pytest.mark.parametrize("rings, fragment", [
+        ({"0": [1, 2], "1": [2, 0], "2": [0, 1], "7": [0]}, "rotation at 7 is not a permutation"),
+        ({"0": [1, 1], "1": [2, 0], "2": [0, 1]}, "rotation at 0 is not a permutation"),
+    ], ids=["undeclared", "repeated"])
+    def test_json_rotation_that_is_not_the_graph_s(self, tmp_path, rings, fragment):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"format": "fvsbound-graph", "version": 1, "name": None,
+                                    "meta": {}, "vertices": [0, 1, 2],
+                                    "edges": [[0, 1], [1, 2], [0, 2]], "rotation": rings}))
+        with pytest.raises(ParseError, match=fragment):
+            read_graph(str(path))
+
     def test_unknown_record(self, tmp_path):
         self._expect(tmp_path, "graph 1 1\nv 0\nq zzz\n", "unknown record",
                      line_no=3)

@@ -7,9 +7,9 @@ import pytest
 from fvsbound.errors import TooLarge
 from fvsbound.graph import Graph, validate_fvs
 from fvsbound.instances import disjoint_cycles, make_named
-from fvsbound.oracle import min_fvs_exact, min_fvs_naive
+from fvsbound.oracle import DEFAULT_NODE_BUDGET, min_fvs_exact, min_fvs_naive
 
-from bruteforce import random_simple_graph
+from bruteforce import random_simple_graph, reference_min_fvs_exact
 
 
 def cycle_graph(n):
@@ -55,6 +55,21 @@ class TestInvariants:
         for _ in range(200):
             g = random_simple_graph(rng.randint(1, 9), rng)
             assert min_fvs_exact(g).phi == min_fvs_naive(g)
+
+    def test_matches_the_graph_based_search(self):
+        # The search over adjacency views visits the nodes of the search over
+        # rebuilt Graphs in the same order: same optimum, witness and budget
+        # outcome, also when a budget of 7 nodes cuts it short.
+        rng = random.Random(15)
+        hits = set()
+        for _ in range(400):
+            g = random_simple_graph(rng.randint(1, 13), rng, rng.choice((0.2, 0.35, 0.5)))
+            for budget in (DEFAULT_NODE_BUDGET, 7):
+                result = min_fvs_exact(g, node_budget=budget)
+                got = (result.phi, result.witness, result.node_budget_hit)
+                assert got == reference_min_fvs_exact(g, budget)
+                hits.add(result.node_budget_hit)
+        assert hits == {True, False}
 
     def test_deterministic(self):
         g = make_named("petersen").graph
