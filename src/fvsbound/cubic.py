@@ -34,6 +34,20 @@ current graph. At maximum degree 3 a cut vertex leaves a bridge, so
   since: with three such paths no 2-edge cut exists. Otherwise the global
   enumeration picks the cut, which R5's rewrite reuses.
 
+R5's test needs fewer pairs than all of ∂. Let att(u) count the G0 edges
+from a survivor u to the vertices dropped since G0, and x(σ) the surviving
+added edges that cross a split σ | ∂∖σ. Every G0 edge between survivors
+survives, and both ends of an added edge lie in ∂. So if a cut C of at most
+2 edges splits ∂ so, putting every dropped vertex on the side of ∂∖σ
+extends it to a cut of G0: C's G0 edges plus the att(σ) edges at σ. Where
+the dropped vertices really lay does not matter, since G0 has no cut of
+fewer than 3 edges at all: att(σ) >= 3 − |C ∩ G0| >= 1 + x(σ). The same
+holds for ∂∖σ, so a split is possible only if
+min(att(σ), att(∂∖σ)) > x(σ), and from s = min ∂ one t on the far side of
+each possible split suffices. After an R7 step and the R1 step it defers
+to, ∂ is six vertices of att 1 paired by three added edges, and two tests
+do the work of five.
+
 So a step pays for one flow test. With no degree-2 vertex and ∂ known, a
 pass of λ >= 3 across ∂ proves the graph 3-edge-connected, so 2-connected,
 and empties ∂; only a fail runs the λ >= 2 test. When the least degree-2
@@ -53,6 +67,8 @@ first. The final check of the returned set is always global.
 from __future__ import annotations
 
 import enum
+import functools
+from itertools import combinations
 
 from .certificate import BoundKind, FvsCertificate, ReductionStep
 from .errors import InternalInvariantBroken, PreconditionViolated
@@ -99,7 +115,7 @@ class _Work:
     """
 
     __slots__ = ("adj", "deg2", "tri", "groups", "twins", "_weights",
-                 "in_class", "boundary", "defers", "pending", "cut")
+                 "in_class", "boundary", "att", "added", "defers", "pending", "cut")
 
     def __init__(self, g: Graph, in_class: bool = False, defers: bool = False):
         self.adj = {v: g.neighbors(v) for v in g.vertices}
@@ -113,7 +129,12 @@ class _Work:
         self.in_class = in_class
         # The dirty sets accumulated since the graph was last proven
         # 3-edge-connected, less the vertices dropped since; None before that.
+        # While it is known, ``att`` counts at each survivor the edges of that
+        # graph G0 to the vertices dropped since, and ``added`` holds the
+        # added edges that survive.
         self.boundary: set[int] | None = None
+        self.att: dict[int, int] = {}
+        self.added: set[EdgeKey] = set()
         # Only the solver's graph defers a check; a deferred one leaves the
         # dirty sets since the last graph proven 2-connected, and its error.
         self.defers = defers
@@ -147,13 +168,20 @@ class _Work:
         return Graph(self.adj, [(v, u, weights.get((v, u), 1))
                                 for v, ns in self.adj.items() for u in ns if v < u])
 
+    def mark_three_edge_connected(self) -> None:
+        """Make the current graph, proven 3-edge-connected, the new G0."""
+        self.boundary = set()
+        self.att = {}
+        self.added = set()
+
     def rewrite(self, drop: list[int], add: list[tuple[int, int]]) -> set[int]:
         """Remove vertices, then add edges among the survivors, in place.
 
-        Returns the dirty set and adds it to ``boundary``. The rewritten graph
-        is no longer known to be in class, nor its cut. Raises ValueError,
-        before changing anything, on a loop, a parallel edge, or an endpoint
-        that is not in the reduced graph.
+        Returns the dirty set and adds it to ``boundary``; while G0 is known,
+        ``att`` and ``added`` follow. The rewritten graph is no longer known
+        to be in class, nor its cut. Raises ValueError, before changing
+        anything, on a loop, a parallel edge, or an endpoint that is not in
+        the reduced graph.
         """
         adj = self.adj
         gone = set(drop)
@@ -175,6 +203,19 @@ class _Work:
             dirty[u].add(v)
             dirty[v].add(u)
         self._unindex(gone.union(dirty))
+        if self.boundary is not None:
+            # An edge at a dropped vertex is a G0 edge unless it was added; a
+            # G0 edge between two dropped vertices joins no survivor.
+            att, added = self.att, self.added
+            for v in gone:
+                att.pop(v, None)
+                for u in adj[v]:
+                    key = edge_key(u, v)
+                    if key in added:
+                        added.remove(key)
+                    elif u not in gone:
+                        att[u] = att.get(u, 0) + 1
+            added.update(edge_key(u, v) for u, v in add)
         for v in gone:
             del adj[v]
         for v, ns in dirty.items():
@@ -314,6 +355,53 @@ def _edge_connected_within(adj: dict[int, tuple[int, ...]], boundary, k: int) ->
     return all(_edge_disjoint_paths(adj, s, t, k) for t in rest)
 
 
+# Above this many boundary vertices the λ >= 3 test runs every star test.
+_SPLIT_PLAN_MAX = 8
+
+
+def _three_edge_connected(g: _Work) -> bool:
+    """True iff no cut of fewer than 3 edges splits ``g.boundary``.
+
+    The answer of ``_edge_connected_within(g.adj, g.boundary, 3)``, from
+    s = min ∂ but only to the t that ``_split_plan`` names for the shape of
+    ∂: its ``att`` counts in ascending order and its added edges.
+    """
+    order = sorted(g.boundary)
+    if len(order) > _SPLIT_PLAN_MAX:
+        return _edge_connected_within(g.adj, order, 3)
+    index = {v: i for i, v in enumerate(order)}
+    plan = _split_plan(tuple(g.att.get(v, 0) for v in order),
+                       tuple((index[u], index[v]) for u, v in sorted(g.added)))
+    return all(_edge_disjoint_paths(g.adj, order[0], order[t], 3) for t in plan)
+
+
+@functools.lru_cache(maxsize=4096)
+def _split_plan(att: tuple[int, ...], added: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The fewest t such that λ(0, t) >= 3 for each rules out every possible split.
+
+    Boundary vertex i has ``att[i]`` G0 edges to dropped vertices, and
+    ``added`` pairs the ends of each surviving added edge. A split of the
+    boundary is possible when min(att(σ), att(∂∖σ)) exceeds the number of
+    added edges crossing it (see the module docstring); a tested t must lie
+    on its far side, the one without vertex 0. Of the smallest such sets of
+    t, the first in lexicographic order.
+    """
+    k = len(att)
+    total = sum(att)
+    far_sides = []
+    for far in range(2, 1 << k, 2):
+        weight = sum(a for i, a in enumerate(att) if far >> i & 1)
+        crossing = sum((far >> i ^ far >> j) & 1 for i, j in added)
+        if min(weight, total - weight) > crossing:
+            far_sides.append(far)
+    for size in range(k - 1):
+        for ts in combinations(range(1, k), size):
+            mask = sum(1 << t for t in ts)
+            if all(far & mask for far in far_sides):
+                return ts
+    return tuple(range(1, k))
+
+
 # -- matchers ------------------------------------------------------------------
 
 
@@ -359,7 +447,7 @@ def _match_r5(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
     # 3-edge-connected; otherwise the global search finds the cut, if any.
     cut = None if g.boundary == set() else min_side_two_edge_cut(g)
     if cut is None:
-        g.boundary = set()
+        g.mark_three_edge_connected()
         return None
     e = min(sorted(cut.members))
     small_side = cut.sides[0]
@@ -447,8 +535,8 @@ def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
         return step
     # λ >= 3 across ∂ answers R5 too and, at maximum degree 3, means 2-connected.
     if (g.boundary is not None and not g.deg2 and g.n >= 3
-            and _edge_connected_within(g.adj, g.boundary, 3)):
-        g.boundary = set()
+            and _three_edge_connected(g)):
+        g.mark_three_edge_connected()
     elif not ((g.n >= 3 and _edge_connected_within(g.adj, cover, 2)) if local
               else is_two_connected(g)):
         raise InternalInvariantBroken(error)

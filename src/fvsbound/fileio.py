@@ -73,6 +73,9 @@ def read_graph(path: str) -> GraphFile:
     vertices: list[int] = []
     edges: list[tuple[int, int, int]] = []
     rotation: dict[int, tuple[int, ...]] = {}
+    # The line of each edge and ring record, for errors found after the scan.
+    edge_lines: list[int] = []
+    ring_lines: dict[int, int] = {}
 
     def bad(no: int, msg: str):
         raise ParseError(no, msg)
@@ -109,6 +112,7 @@ def read_graph(path: str) -> GraphFile:
             if w < 0:
                 bad(no, "edge weight must be non-negative")
             edges.append((u, v, w))
+            edge_lines.append(no)
         elif tag == "r":
             if len(parts) < 2 or not parts[1].endswith(":"):
                 bad(no, "rotation line must be 'r <v>: <n1> <n2> ...'")
@@ -119,6 +123,7 @@ def read_graph(path: str) -> GraphFile:
             if v in rotation:
                 bad(no, f"duplicate rotation for vertex {v}")
             rotation[v] = tuple(int(p) for p in parts[2:])
+            ring_lines[v] = no
         else:
             bad(no, f"unknown record {tag!r}")
     if header_n is None:
@@ -128,26 +133,30 @@ def read_graph(path: str) -> GraphFile:
     if header_n != len(vertices):
         bad(len(raw_lines), f"header says n = {header_n} but {len(vertices)} vertices declared")
     declared = set(vertices)
-    for u, v, _ in edges:
+    for (u, v, _), no in zip(edges, edge_lines):
         if u not in declared or v not in declared:
-            bad(len(raw_lines), f"edge ({u}, {v}) uses an undeclared vertex")
+            bad(no, f"edge ({u}, {v}) uses an undeclared vertex")
     try:
         graph = Graph(vertices, edges)
     except ValueError as exc:
         raise ParseError(len(raw_lines), str(exc))
-    rot = _rotation_of(rotation, graph, len(raw_lines)) if rotation else None
+    rot = _rotation_of(rotation, graph, len(raw_lines), ring_lines) if rotation else None
     return GraphFile(graph=graph, rotation=rot, name=name, meta=meta)
 
 
-def _rotation_of(order: dict[int, tuple[int, ...]], graph: Graph,
-                 line_no: int) -> RotationSystem:
-    """A file's rotation: a ring of exactly its neighbors for every vertex, and no other."""
+def _rotation_of(order: dict[int, tuple[int, ...]], graph: Graph, line_no: int,
+                 ring_lines: dict[int, int]) -> RotationSystem:
+    """A file's rotation: a ring of exactly its neighbors for every vertex, and no other.
+
+    A bad ring is reported at its line in ``ring_lines``, else at ``line_no``.
+    """
     missing = set(graph.vertices) - order.keys()
     if missing:
         raise ParseError(line_no, f"rotation missing vertices {sorted(missing)}")
     for v, ring in order.items():
         if v not in graph or sorted(ring) != list(graph.neighbors(v)):
-            raise ParseError(line_no, f"rotation at {v} is not a permutation of its neighbors")
+            raise ParseError(ring_lines.get(v, line_no),
+                             f"rotation at {v} is not a permutation of its neighbors")
     return RotationSystem(dict(sorted(order.items())))
 
 
@@ -211,7 +220,7 @@ def _read_json(path: str) -> GraphFile:
             order = {int(v): tuple(_json_ints(ns, "rotation")) for v, ns in rot_raw.items()}
             if len(order) < len(rot_raw):
                 raise ParseError(1, "two rotation keys name the same vertex")
-            rotation = _rotation_of(order, graph, 1)
+            rotation = _rotation_of(order, graph, 1, {})
         return GraphFile(graph=graph, rotation=rotation,
                          name=payload.get("name"),
                          meta=dict(payload.get("meta") or {}))

@@ -75,7 +75,7 @@ def _measure(g: Graph) -> tuple[int, int]:
 def _check_child(cfg: SolverConfig, parent: Graph, child: PlaneGraph) -> PlaneGraph:
     """Under ``validate_every_step``, re-check the girth and the measure drop."""
     if cfg.validate_every_step:
-        if child.graph.m and weighted_girth(child.graph) < cfg.g:
+        if child.graph.m and weighted_girth(child.graph, below=cfg.g) < cfg.g:
             raise InternalInvariantBroken(
                 "a rule produced a cycle lighter than g")
         if _measure(child.graph) >= _measure(parent):
@@ -92,7 +92,7 @@ def solve_planar_weighted(pg: PlaneGraph, cfg: SolverConfig) -> FvsCertificate:
     along with the termination measure.
     """
     graph = pg.graph
-    if graph.m and weighted_girth(graph) < cfg.g:
+    if graph.m and weighted_girth(graph, below=cfg.g) < cfg.g:
         raise PreconditionViolated(
             f"some cycle weighs less than g = {cfg.g}")
     fvs, trace = _solve(pg, cfg)

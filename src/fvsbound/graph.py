@@ -194,16 +194,18 @@ def girth(g: Graph) -> int | float:
     return INFINITE if cycle is None else len(cycle)
 
 
-def weighted_girth(g: Graph) -> int | float:
+def weighted_girth(g: Graph, below: int | float = INFINITE) -> int | float:
     """Minimum total edge weight over all cycles; ``INFINITE`` for forests.
 
     Exact even with zero-weight edges: for each edge, Dijkstra around it.
     Each search stays on vertices no smaller than the edge's smaller end: the
     lightest cycle is found from its least vertex x, because removing an edge
-    at x leaves a path through vertices above x.
+    at x leaves a path through vertices above x. With ``below``, the searches
+    stop at that weight and the result is min(minimum, below): a cheaper
+    answer to "is some cycle lighter than g?".
     """
     adj = {v: [(u, g.weight(v, u)) for u in g.neighbors(v)] for v in g.vertices}
-    best = INFINITE
+    best = below
     for u, v in g.edges():
         w_uv = g.weight(u, v)
         if w_uv >= best:

@@ -301,6 +301,13 @@ class TestSolve:
         assert main([command[0], str(path), *command[1:]]) == 2
         assert one_error_line(capsys)
 
+    def test_bad_ring_named_at_its_line(self, tmp_path, capsys):
+        path = tmp_path / "ring.g"
+        path.write_text(TRIANGLE + "r 0: 1 1\nr 1: 2 0\nr 2: 0 1\n# end\n")
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 8: rotation at 0 is not a permutation of its neighbors\n")
+
     def test_exact(self, tmp_path, capsys):
         path = tmp_path / "c.g"
         run(capsys, "gen", "cube", str(path))

@@ -1,6 +1,7 @@
 """Reduction rules and the certified subcubic solver."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,8 @@ from fvsbound.cubic import (
     BASE_CASE_MAX_N,
     RuleId,
     _edge_connected_within,
+    _split_plan,
+    _three_edge_connected,
     _Work,
     apply_rule,
     base_case,
@@ -400,6 +403,15 @@ def dirty_set(before, drop, add):
             | {x for e in add for x in e})
 
 
+def assert_records_current(work, g0):
+    """``att`` and ``added`` as recomputed from G0 and the current graph."""
+    now = work.freeze()
+    att = Counter(u for d in g0.vertices if d not in now
+                  for u in g0.neighbors(d) if u in now)
+    assert work.att == dict(att)
+    assert work.added == {e for e in now.edges() if not g0.has_edge(*e)}
+
+
 class TestLocalChecks:
     """The flow tests that stand in for the global connectivity queries."""
 
@@ -444,6 +456,50 @@ class TestLocalChecks:
                                 [(3, 9), (7, 8), (13, 19), (17, 18)],
                                 RuleId.R7_GENERIC, (4,), ())
 
+    def test_split_plan_after_an_r7_and_its_r1_step_has_two_tests(self):
+        # Six boundary vertices with one G0 edge each, paired by the three
+        # added edges: a cut of at most 2 edges can only take one pair, or
+        # one pair and one end of another, so one t in each of the two pairs
+        # without vertex 0 covers every split.
+        six = range(6)
+        for a, b in combinations(six, 2):
+            for c, d in combinations(sorted(set(six) - {a, b}), 2):
+                e, f = sorted(set(six) - {a, b, c, d})
+                added = tuple(sorted([(a, b), (c, d), (e, f)]))
+                assert len(_split_plan((1,) * 6, added)) == 2
+
+    def test_split_plan_needs_no_test_without_dropped_vertices(self):
+        # Only added edges since G0: the graph holds G0, so it is 3-edge-connected.
+        assert _split_plan((0, 0, 0, 0), ((0, 1), (2, 3))) == ()
+        assert _split_plan((), ()) == ()
+
+    def test_two_edge_cut_around_two_whole_added_pairs_fails_the_test(self, monkeypatch):
+        # Two copies of the Petersen graph less vertex 0 joined port to port
+        # (1-11, 4-14, 5-15) form a 3-edge-connected cubic graph G0. R7 at
+        # port 1 adds 3-7 and 8-9, and R1 then suppresses 11 by adding 12-16.
+        # That leaves 4-14 and 5-15 a 2-edge cut with the pairs {3, 7} and
+        # {8, 9} on one side and {12, 16} on the other.
+        half = [e for e in make_named("petersen").graph.edges() if 0 not in e]
+        g = Graph([], half + [(u + 10, v + 10) for u, v in half]
+                  + [(1, 11), (4, 14), (5, 15)])
+        assert connectivity_le3(g) == (3, 3)
+        work = _Work(g, in_class=True, defers=True)
+        work.mark_three_edge_connected()
+        apply_rule(work, RuleId.R7_GENERIC, (1, 2, 6))
+        assert work.pending is not None
+        tests = []
+        paths = cubic_module._edge_disjoint_paths
+        monkeypatch.setattr(cubic_module, "_edge_disjoint_paths",
+                            lambda adj, s, t, k: tests.append((s, t)) or paths(adj, s, t, k))
+        apply_rule(work, RuleId.R1_DEGREE2, (11, 12, 16))
+        assert work.att == dict.fromkeys((3, 7, 8, 9, 12, 16), 1)
+        assert work.added == {(3, 7), (8, 9), (12, 16)}
+        # The λ >= 3 test fails at its second t, across the cut, and ∂ stays.
+        assert tests[:2] == [(3, 8), (3, 12)]
+        assert work.boundary == {3, 7, 8, 9, 12, 16}
+        assert not _three_edge_connected(work)
+        assert min_side_two_edge_cut(work.freeze()) is not None
+
     def test_apply_rule_on_a_disconnected_graph_still_raises(self):
         # R1 on the 12-cycle is sound, but beside a disjoint 5-cycle the
         # result is not 2-connected. A caller's graph is not known to be in
@@ -463,9 +519,12 @@ class TestWorkingGraph:
         work = _Work(g, defers=True)
         frozen = work.freeze()
         assert frozen == g
+        g0 = None
         while work.n > BASE_CASE_MAX_N:
             rule, match = find_rule(work)
             assert (rule, match) == reference_find_rule(frozen)
+            if work.boundary == set():
+                g0 = frozen  # R5's global search found no cut
             before = frozen
             known = work.boundary is not None
             _, step = apply_rule(work, rule, match)
@@ -479,9 +538,13 @@ class TestWorkingGraph:
                 # 3-edge-connected and empties ∂.
                 assert (work.boundary == set()) == (min_side_two_edge_cut(frozen) is None)
             r5_local = None
+            if work.boundary == set():
+                g0 = frozen
             if work.boundary is not None:
+                assert_records_current(work, g0)
                 r5_local = _edge_connected_within(work.adj, work.boundary, 3)
                 assert r5_local == (min_side_two_edge_cut(frozen) is None)
+                assert _three_edge_connected(work) == r5_local
             yield rule, r5_local
 
     def corpus(self):
@@ -521,7 +584,7 @@ class TestWorkingGraph:
         for g in starts:
             work = _Work(g)
             if connectivity_le3(g)[1] == 3:
-                work.boundary = set()
+                work.mark_three_edge_connected()
             for _ in range(3):
                 vertices = work.vertices
                 drop = rng.sample(vertices, rng.randint(0, min(3, len(vertices))))
@@ -539,10 +602,13 @@ class TestWorkingGraph:
                     local = after.n >= 3 and _edge_connected_within(work.adj, dirty, 2)
                     assert local == is_two_connected(after)
                     answers.add((2, local))
-                if work.boundary is not None and after.n >= 2:
+                if work.boundary is not None:
+                    assert_records_current(work, g)
                     local = _edge_connected_within(work.adj, work.boundary, 3)
-                    assert local == (connectivity_le3(after)[1] == 3)
-                    answers.add((3, local))
+                    assert _three_edge_connected(work) == local
+                    if after.n >= 2:
+                        assert local == (connectivity_le3(after)[1] == 3)
+                        answers.add((3, local))
         assert answers == {(2, True), (2, False), (3, True), (3, False)}
 
     def test_graph_arguments_are_left_unchanged(self):

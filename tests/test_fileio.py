@@ -174,6 +174,11 @@ class TestParseErrors:
     def test_undeclared_endpoint(self, tmp_path):
         self._expect(tmp_path, "graph 1 2\nv 0\nv 1\ne 0 7\n", "undeclared vertex")
 
+    def test_undeclared_endpoint_reported_at_its_edge(self, tmp_path):
+        # Found after the scan, but named at the record: not at the last line.
+        self._expect(tmp_path, "graph 1 3\nv 0\nv 1\nv 2\ne 0 1\ne 1 9\ne 0 2\n# end\n",
+                     "edge (1, 9) uses an undeclared vertex", line_no=6)
+
     def test_negative_weight(self, tmp_path):
         self._expect(tmp_path, "graph 1 2\nv 0\nv 1\ne 0 1 -3\n", "non-negative",
                      line_no=4)
@@ -209,6 +214,18 @@ class TestParseErrors:
         # Checked on reading, whichever solver the graph would go to.
         self._expect(tmp_path, "graph 1 3\nv 0\nv 1\nv 2\ne 0 1\ne 0 2\ne 1 2\n" + rings,
                      fragment)
+
+    def test_bad_ring_reported_at_its_line(self, tmp_path):
+        # The bad ring is line 8; two more rings and a comment follow it.
+        self._expect(tmp_path, "graph 1 3\nv 0\nv 1\nv 2\ne 0 1\ne 0 2\ne 1 2\n"
+                     "r 0: 1 1\nr 1: 2 0\nr 2: 0 1\n# end\n",
+                     "line 8: rotation at 0 is not a permutation of its neighbors",
+                     line_no=8)
+
+    def test_missing_rings_reported_at_the_last_line(self, tmp_path):
+        # No record is at fault, so the error names the file's last line.
+        self._expect(tmp_path, "graph 1 3\nv 0\nv 1\nv 2\ne 0 1\ne 0 2\ne 1 2\n"
+                     "r 0: 1 2\n# end\n", "rotation missing vertices [1, 2]", line_no=9)
 
     @pytest.mark.parametrize("rings, fragment", [
         ({"0": [1, 2], "1": [2, 0], "2": [0, 1], "7": [0]}, "rotation at 7 is not a permutation"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fvsbound.errors import MemberNotInGraph, PreconditionViolated
 from fvsbound.graph import (
+    INFINITE,
     Graph,
     bridges,
     connectivity_le3,
@@ -178,6 +179,19 @@ class TestWeightedGirth:
             g = Graph(base.vertices,
                       [(u, v, rng.randint(0, 5)) for u, v in base.edges()])
             assert weighted_girth(g) == weighted_girth_by_enumeration(g)
+
+    def test_bounded_search_matches_enumeration_below_the_bound(self):
+        # The exact minimum when some cycle is lighter than the bound, else
+        # the bound itself.
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            base = random_simple_graph(n, rng)
+            g = Graph(base.vertices,
+                      [(u, v, rng.randint(0, 5)) for u, v in base.edges()])
+            exact = weighted_girth_by_enumeration(g)
+            for below in (0, 1, 3, 6, 10, INFINITE):
+                assert weighted_girth(g, below=below) == min(exact, below)
 
 
 @st.composite
