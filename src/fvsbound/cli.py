@@ -3,7 +3,8 @@
 Exit codes are part of the contract so CI can assert on them:
   0  success (and, for solve/verify, the set validates and meets its bound)
   1  verify: the set is not a feedback vertex set
-  2  bad arguments, parse failure, or input outside the algorithm's domain
+  2  bad arguments, parse failure, an output file that cannot be written, or
+     input outside the algorithm's domain
   3  a produced certificate failed validation or an internal invariant broke
      (must never happen)
   4  verify: valid set, requested bound violated
@@ -101,9 +102,9 @@ def cmd_gen(args) -> int:
         else:
             inst = make_named(spec)
             graph, rotation, name = inst.graph, inst.rotation, inst.name
-    except FvsError as exc:
+        write_graph(args.out, graph, rotation=rotation, name=name)
+    except (FvsError, OSError) as exc:
         return _fail(str(exc), 2)
-    write_graph(args.out, graph, rotation=rotation, name=name)
     _print(f"wrote {name}: n={graph.n} m={graph.m} -> {args.out}")
     return 0
 
@@ -211,6 +212,13 @@ def cmd_solve(args) -> int:
         return _fail(str(exc), 2)
     except (InternalInvariantBroken, RecursionError) as exc:
         return _fail(str(exc), 3)
+    if args.trace:
+        try:
+            with open(args.trace, "w", encoding="ascii") as fh:
+                for step in cert.trace:
+                    fh.write(_format_step(step) + "\n")
+        except OSError as exc:
+            return _fail(str(exc), 2)
     valid = cert.validate(gf.graph)
     _print(f"algorithm = {alg}")
     _print(f"S = {' '.join(str(v) for v in sorted(cert.fvs))}")
@@ -218,10 +226,6 @@ def cmd_solve(args) -> int:
     _print(f"bound = {_fmt_fraction(cert.bound_num, cert.bound_den)} "
            f"({cert.bound_kind.value})")
     _print(f"bound satisfied = {'yes' if valid else 'NO'}")
-    if args.trace:
-        with open(args.trace, "w", encoding="ascii") as fh:
-            for step in cert.trace:
-                fh.write(_format_step(step) + "\n")
     if not valid:
         return 3
     return 0
@@ -335,10 +339,13 @@ def cmd_batch(args) -> int:
             _print(f"{path.name}: error {exc}")
         row["ms"] = round(1000 * (time.perf_counter() - start), 3)
         rows.append(row)
-    with open(args.csv, "w", newline="", encoding="ascii") as fh:
-        writer = csv.DictWriter(fh, fieldnames=BATCH_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    try:
+        with open(args.csv, "w", newline="", encoding="ascii") as fh:
+            writer = csv.DictWriter(fh, fieldnames=BATCH_COLUMNS)
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as exc:
+        return _fail(str(exc), 2)
     return 1 if any_failed else 0
 
 

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from .certificate import BoundKind, FvsCertificate, ReductionStep
 from .errors import InternalInvariantBroken, PreconditionViolated
 from .cubic import solve_cubic
-from .graph import (EdgeKey, Graph, connected_components, cut_vertices, edge_key, girth,
-                    is_two_connected, peel_degree_le1, validate_fvs, weighted_girth)
+from .graph import (EdgeKey, Graph, _components, connected_components, cut_vertices, edge_key,
+                    girth, is_two_connected, peel_degree_le1, validate_fvs, weighted_girth)
 from .planar import (
     PlaneGraph,
     _plane_graph_of,
@@ -138,7 +138,9 @@ def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionS
                       comp) for comp in comps[:-1]] + [(None, comps[-1])]
         elif cuts := cut_vertices(graph):
             x = cuts[0]
-            first = connected_components(graph.without_vertices([x]))[0]
+            # The first component once x's edges are gone, other than {x}.
+            first = next(comp for comp in _components(graph, [(x, u) for u in graph.neighbors(x)])
+                         if x not in comp)
             sides = [(ReductionStep(rule="P1_decompose", matched=(x,)), first | {x}),
                      (None, set(graph.vertices) - first)]
         if sides:
@@ -303,7 +305,7 @@ def trivial_baseline(pg: PlaneGraph) -> FvsCertificate:
     if wg == 0:
         raise PreconditionViolated(
             "a cycle of weight 0 leaves the bound 2*weight/g undefined")
-    face_of = {dart: face.id for face in pg.faces for dart in face.boundary}
+    face_of = pg.dart_faces()
     parent = list(range(len(pg.faces)))
 
     def find(f: int) -> int:

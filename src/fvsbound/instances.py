@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .errors import GenerationFailed, PreconditionViolated, UnknownInstanceName
 from .graph import Graph, edge_key, is_two_connected
-from .planar import PlaneGraph, RotationSystem, embed, faces_of
+from .planar import PlaneGraph, RotationSystem, _plane_graph_of, embed, faces_of
 
 GENERATOR_RETRY_CAP = 2000
 
@@ -178,56 +178,48 @@ def random_planar_girth(n_target: int, g: int, seed: int) -> tuple[Graph, Rotati
         raise PreconditionViolated("need n_target >= 4")
     rng = random.Random(seed)
     base = make_named("k4")
-    graph, rotation = base.graph, base.rotation
-    assert rotation is not None
-    pg = faces_of(graph, rotation)
+    assert base.rotation is not None
+    pg = faces_of(base.graph, base.rotation)
     t = -(-g // 3) - 1
     # Subdividing every edge t times turns a cubic base with n vertices into
     # n + 1.5*n*t vertices; grow the base so the final size lands near target.
     base_target = max(4, round(n_target / (1 + 1.5 * t)))
     while pg.graph.n + 2 <= base_target:
         pg = _expand_inside_face(pg, rng)
-    graph, rotation = pg.graph, pg.rotation
     if t > 0:
-        graph, rotation = _subdivide_every_edge(graph, rotation, t)
-    faces_of(graph, rotation)  # re-validate the Euler relation
-    return graph, rotation
+        pg = _subdivide_every_edge(pg, t)
+    return pg.graph, pg.rotation
 
 
 def _expand_inside_face(pg: PlaneGraph, rng: random.Random) -> PlaneGraph:
     """Subdivide two boundary edges of a random face and join them by a chord."""
-    graph, rotation = pg.graph, pg.rotation
     face = pg.faces[rng.randrange(len(pg.faces))]
     i, j = sorted(rng.sample(range(len(face.boundary)), 2))
     (x_a, y_a), (x_b, y_b) = face.boundary[i], face.boundary[j]
-    top = max(graph.vertices)
+    top = max(pg.graph.vertices)
     a, b = top + 1, top + 2
-    order = dict(rotation.order)
+    order, weights = dict(pg.rotation.order), pg.graph.edge_weights()
     for x, y, mid in ((x_a, y_a, a), (x_b, y_b, b)):
         order[x] = tuple(mid if z == y else z for z in order[x])
         order[y] = tuple(mid if z == x else z for z in order[y])
+        del weights[edge_key(x, y)]
+        weights[x, mid] = weights[y, mid] = 1
     order[a] = (x_a, b, y_a)
     order[b] = (x_b, a, y_b)
-    new_graph = Graph(order, [(v, u) for v, ring in order.items() for u in ring if v < u])
-    return faces_of(new_graph, RotationSystem({v: order[v] for v in sorted(order)}))
+    weights[a, b] = 1
+    return _plane_graph_of(order, weights)
 
 
-def _subdivide_every_edge(graph: Graph, rotation: RotationSystem,
-                          t: int) -> tuple[Graph, RotationSystem]:
+def _subdivide_every_edge(pg: PlaneGraph, t: int) -> PlaneGraph:
     """Replace each edge by a path with t inner vertices; multiplies cycle lengths."""
-    order = {v: list(rotation.order[v]) for v in graph.vertices}
-    edges: list[tuple[int, int]] = []
-    next_id = max(graph.vertices) + 1
-    for u, v in graph.edges():
-        inner = list(range(next_id, next_id + t))
+    order, weights = dict(pg.rotation.order), {}
+    next_id = max(pg.graph.vertices) + 1
+    for u, v in pg.graph.edges():
+        path = [u, *range(next_id, next_id + t), v]
         next_id += t
-        path = [u] + inner + [v]
-        edges.extend(zip(path, path[1:]))
-        order[u] = [inner[0] if z == v else z for z in order[u]]
-        order[v] = [inner[-1] if z == u else z for z in order[v]]
+        weights.update(dict.fromkeys(map(edge_key, path, path[1:]), 1))
+        order[u] = tuple(path[1] if z == v else z for z in order[u])
+        order[v] = tuple(path[-2] if z == u else z for z in order[v])
         for prev_v, mid, nxt in zip(path, path[1:], path[2:]):
-            order[mid] = [prev_v, nxt]
-    vertices = list(graph.vertices) + list(range(max(graph.vertices) + 1, next_id))
-    new_graph = Graph(vertices, edges)
-    new_rotation = RotationSystem({v: tuple(ns) for v, ns in sorted(order.items())})
-    return new_graph, new_rotation
+            order[mid] = (prev_v, nxt)
+    return _plane_graph_of(order, weights)

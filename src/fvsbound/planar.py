@@ -6,11 +6,14 @@ arriving at ``v`` from ``u``, leave along the successor of ``u`` in ``v``'s
 rotation); the rotation encodes a plane embedding exactly when the number of
 face walks matches Euler's formula, which ``faces_of`` enforces.
 
-Faces are always walked from scratch rather than updated incrementally, so
-every walk re-checks Euler's relation. The planar cascade walks them once
-per run of vertex splits and degree-2 suppressions, not once per surgery:
-both surgeries also exist as in-place edits of a rotation dict and a weight
-map, and only the graph at the end of the run is built and walked.
+Every derived plane graph (an induced subgraph, a merger's result, the end
+of a run of surgeries, a generator step) is built by ``_plane_graph_of``
+from a rotation dict, which doubles as the adjacency map, and a weight map.
+So the face ids the trace records are numbered one way: by first dart,
+scanning vertices in ascending order and each ring clockwise. Faces are
+walked from scratch, so every walk re-checks Euler's relation; the planar
+cascade walks them once per run of vertex splits and degree-2 suppressions,
+which edit the two maps in place.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .errors import (
     InternalInvariantBroken,
     InvalidMerger,
     InvalidRotation,
+    MemberNotInGraph,
     NonPlanarRotation,
     PreconditionViolated,
     WouldCreateParallelEdge,
@@ -54,14 +58,6 @@ class RotationSystem:
             if sorted(ring) != sorted(g.neighbors(v)):
                 raise InvalidRotation(
                     f"rotation at {v} is not a permutation of its neighbors")
-
-    def restricted_to(self, g: Graph) -> "RotationSystem":
-        """Drop absent vertices and absent neighbors; preserves planarity."""
-        keep = set(g.vertices)
-        return RotationSystem({
-            v: tuple(u for u in self.order[v] if u in keep and g.has_edge(v, u))
-            for v in sorted(keep)
-        })
 
 
 @dataclass(frozen=True)
@@ -94,13 +90,10 @@ class PlaneGraph:
     def face_count(self) -> int:
         return len(self.faces)
 
-    def edge_face_map(self) -> dict[EdgeKey, tuple[int, ...]]:
-        """Undirected edge -> ids of the (one or two) faces it borders."""
-        out: dict[EdgeKey, list[int]] = {}
-        for face in self.faces:
-            for u, v in face.boundary:
-                out.setdefault(edge_key(u, v), []).append(face.id)
-        return {e: tuple(fids) for e, fids in out.items()}
+    def dart_faces(self) -> dict[tuple[int, int], int]:
+        """Dart (u, v) -> id of the face whose walk takes it; an edge's two
+        darts name the faces on its two sides, one face twice for a bridge."""
+        return {dart: face.id for face in self.faces for dart in face.boundary}
 
 
 def faces_of(g: Graph, rotation: RotationSystem) -> PlaneGraph:
@@ -161,10 +154,25 @@ def embed(g: Graph) -> RotationSystem | None:
     return RotationSystem(order)
 
 
+def _plane_graph_of(order: dict[int, tuple[int, ...]],
+                    weights: dict[EdgeKey, int]) -> PlaneGraph:
+    """The plane graph of a rotation dict (each vertex's neighbors, clockwise)
+    and a weight map, faces walked afresh; every derived plane graph is built here."""
+    graph = Graph(order, [(u, v, w) for (u, v), w in weights.items()])
+    return faces_of(graph, RotationSystem({v: order[v] for v in sorted(order)}))
+
+
 def plane_subgraph(pg: PlaneGraph, keep: Iterable[int]) -> PlaneGraph:
-    """Induced plane subgraph: restrict both the graph and its rotation."""
-    sub = pg.graph.subgraph(keep)
-    return faces_of(sub, pg.rotation.restricted_to(sub))
+    """Induced plane subgraph: restrict both the rotation and the weights."""
+    keep = set(keep)
+    rings = pg.rotation.order
+    missing = keep - rings.keys()
+    if missing:
+        raise MemberNotInGraph(f"vertices {sorted(missing)} not in graph")
+    order = {v: tuple(u for u in rings[v] if u in keep) for v in keep}
+    weight = pg.graph.weight
+    return _plane_graph_of(order, {(v, u): weight(v, u)
+                                   for v, ring in order.items() for u in ring if v < u})
 
 
 # -- mergers -----------------------------------------------------------------
@@ -187,14 +195,11 @@ class MergerSpec:
     removed_weight: int
 
 
-def _merger_removed_edges(edge_faces: dict[EdgeKey, tuple[int, ...]],
+def _merger_removed_edges(pg: PlaneGraph, face_of: dict[tuple[int, int], int],
                           fids: set[int]) -> frozenset[EdgeKey]:
-    removed = []
-    for e, incident in edge_faces.items():
-        if len(incident) == 2 and incident[0] != incident[1] \
-                and set(incident) <= fids:
-            removed.append(e)
-    return frozenset(removed)
+    """The edges whose two sides are two different faces among ``fids``."""
+    return frozenset(edge_key(u, v) for f in fids for u, v in pg.faces[f].boundary
+                     if face_of[v, u] != f and face_of[v, u] in fids)
 
 
 def find_guaranteed_merger(pg: PlaneGraph, g_min: int) -> MergerSpec | None:
@@ -211,35 +216,28 @@ def find_guaranteed_merger(pg: PlaneGraph, g_min: int) -> MergerSpec | None:
         raise PreconditionViolated("merger search requires a 2-connected graph")
     if all(graph.degree(v) == 2 for v in graph.vertices):
         raise PreconditionViolated("merger search requires a non-cycle")
-    edge_faces = pg.edge_face_map()
+    face_of = pg.dart_faces()
     for face in pg.faces:
         branch = sum(1 for v in face.boundary_vertices if graph.degree(v) >= 3)
         if branch > 2:
             continue
-        boundary = face.boundary_edges
-        neighbor_fids = set()
-        for e in boundary:
-            neighbor_fids.update(edge_faces[e])
-        neighbor_fids.discard(face.id)
+        # The faces across the boundary edges at each boundary vertex.
+        across: dict[int, set[int]] = {}
+        for u, v in face.boundary:
+            f = face_of[v, u]
+            across.setdefault(u, set()).add(f)
+            across.setdefault(v, set()).add(f)
+        neighbor_fids = set().union(*across.values()) - {face.id}
         if len(neighbor_fids) != 2:
             raise InternalInvariantBroken(
                 f"face {face.id} with <=2 branch vertices is adjacent to "
                 f"{len(neighbor_fids)} faces; expected exactly 2")
         fa, fb = sorted(neighbor_fids)
-        crucial = None
-        for v in sorted(face.boundary_vertices):
-            touched = set()
-            for u in graph.neighbors(v):
-                e = edge_key(u, v)
-                if e in boundary:
-                    touched.update(edge_faces[e])
-            if fa in touched and fb in touched:
-                crucial = v
-                break
+        crucial = min((v for v, fs in across.items() if fa in fs and fb in fs), default=None)
         if crucial is None:
             raise InternalInvariantBroken(
                 f"face {face.id}: no vertex meets both adjacent faces")
-        removed = _merger_removed_edges(edge_faces, {face.id, fa, fb})
+        removed = _merger_removed_edges(pg, face_of, {face.id, fa, fb})
         weight = sum(graph.weight(u, v) for u, v in removed)
         if 4 * weight < 3 * g_min:
             raise InternalInvariantBroken(
@@ -253,10 +251,10 @@ def find_guaranteed_merger(pg: PlaneGraph, g_min: int) -> MergerSpec | None:
 def apply_merger(pg: PlaneGraph, spec: MergerSpec) -> PlaneGraph:
     """Delete the merger's edges and any vertex that ends up isolated.
 
-    Faces are recomputed from scratch; when the result stays connected and
-    non-empty the face count drops by exactly 2 (three faces became one).
+    Both leave the rotation dict and the weight map, and ``_plane_graph_of``
+    walks the faces afresh; when the result stays connected and non-empty the
+    face count drops by exactly 2 (three faces became one).
     """
-    graph = pg.graph
     fids = {spec.f0, spec.f1, spec.f2}
     if len(fids) != 3 or any(f >= len(pg.faces) or f < 0 for f in fids):
         raise InvalidMerger("merger must name three distinct existing faces")
@@ -269,18 +267,18 @@ def apply_merger(pg: PlaneGraph, spec: MergerSpec) -> PlaneGraph:
                 f"crucial vertex {spec.crucial} is not on the boundary of face {fid}")
     if not (b0 & b1) or not (b1 & b2):
         raise InvalidMerger("middle face must share an edge with both others")
-    expected = _merger_removed_edges(pg.edge_face_map(), fids)
-    if spec.removed_edges != expected:
+    if spec.removed_edges != _merger_removed_edges(pg, pg.dart_faces(), fids):
         raise InvalidMerger("removed_edges does not match the three faces' shared edges")
-    stripped = graph.without_edges(spec.removed_edges)
-    isolated = [v for v in stripped.vertices if stripped.degree(v) == 0]
-    new_graph = stripped.without_vertices(isolated)
-    new_rotation = pg.rotation.restricted_to(new_graph)
-    result = faces_of(new_graph, new_rotation)
-    if new_graph.n and len(connected_components(new_graph)) == 1:
-        if result.face_count() != pg.face_count() - 2:
-            raise InternalInvariantBroken(
-                "connected merger result must lose exactly two faces")
+    order, weights = dict(pg.rotation.order), pg.graph.edge_weights()
+    for u, v in spec.removed_edges:
+        del weights[u, v]
+        order[u] = tuple(x for x in order[u] if x != v)
+        order[v] = tuple(x for x in order[v] if x != u)
+    result = _plane_graph_of({v: ring for v, ring in order.items() if ring}, weights)
+    # faces_of checked f = m - n + 2c, so the result is connected iff f = m - n + 2.
+    n, m, f = result.graph.n, result.graph.m, result.face_count()
+    if n and f == m - n + 2 and f != pg.face_count() - 2:
+        raise InternalInvariantBroken("connected merger result must lose exactly two faces")
     return result
 
 
@@ -321,13 +319,6 @@ def _suppress_in_place(order: dict[int, tuple[int, ...]], weights: dict[EdgeKey,
     weights[edge_key(u, w)] = weights.pop(edge_key(u, v)) + weights.pop(edge_key(v, w))
     order[u] = _relabel(order[u], v, w)
     order[w] = _relabel(order[w], v, u)
-
-
-def _plane_graph_of(order: dict[int, tuple[int, ...]],
-                    weights: dict[EdgeKey, int]) -> PlaneGraph:
-    """The plane graph of a rotation dict and weight map, faces walked afresh."""
-    graph = Graph(order, [(u, v, w) for (u, v), w in weights.items()])
-    return faces_of(graph, RotationSystem({v: order[v] for v in sorted(order)}))
 
 
 def split_high_degree_vertex(pg: PlaneGraph, v: int) -> tuple[PlaneGraph, tuple[int, int, int]]:

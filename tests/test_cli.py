@@ -113,6 +113,11 @@ class TestGen:
         code, _ = run(capsys, "gen", "nonsense", str(tmp_path / "x.g"))
         assert code == 2
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        code = main(["gen", "k4", str(tmp_path / "missing" / "x.g")])
+        assert code == 2
+        assert one_error_line(capsys)
+
 
 class TestStats:
     def test_dodecahedron(self, tmp_path, capsys):
@@ -325,6 +330,13 @@ class TestSolve:
         body = trace.read_text()
         assert "R7_generic" in body
 
+    def test_unwritable_trace_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "k4.g"
+        run(capsys, "gen", "k4", str(path))
+        code = main(["solve", str(path), "--trace", str(tmp_path / "missing" / "t.txt")])
+        assert code == 2
+        assert one_error_line(capsys)
+
     def test_deterministic_stdout(self, tmp_path, capsys):
         path = tmp_path / "d.g"
         run(capsys, "gen", "dodecahedron", str(path))
@@ -426,6 +438,14 @@ class TestVerify:
 
 
 class TestBatch:
+    def test_unwritable_report_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        run(capsys, "gen", "k4", str(corpus / "k4.g"))
+        code = main(["batch", str(corpus), "--csv", str(tmp_path / "missing" / "r.csv")])
+        assert code == 2
+        assert one_error_line(capsys)
+
     def test_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

@@ -10,6 +10,7 @@ import fvsbound.cubic as cubic_module
 from fvsbound.certificate import BoundKind
 from fvsbound.cubic import (
     BASE_CASE_MAX_N,
+    _SPLIT_PLAN_MAX,
     RuleId,
     _edge_connected_within,
     _split_plan,
@@ -499,6 +500,39 @@ class TestLocalChecks:
         assert work.boundary == {3, 7, 8, 9, 12, 16}
         assert not _three_edge_connected(work)
         assert min_side_two_edge_cut(work.freeze()) is not None
+
+    def test_boundary_past_the_plan_limit_runs_every_star_test(self):
+        # Rewrites since a 3-edge-connected G0 grow ∂ past _SPLIT_PLAN_MAX,
+        # where the test falls back to every boundary pair. Cuts of fewer
+        # than 3 edges split ∂ exactly when the graph has one. Half the runs
+        # replace a vertex by a triangle on its neighbors, which keeps
+        # λ >= 3 as a rule; the others drop and add at random.
+        rng = random.Random(83)
+        answers = Counter()
+        for trial in range(30):
+            g = random_cubic_2connected(2 * rng.randint(12, 30), trial)
+            if connectivity_le3(g)[1] != 3:
+                continue
+            work = _Work(g)
+            work.mark_three_edge_connected()
+            for _ in range(8):
+                if trial % 2:
+                    drop = rng.sample(work.vertices, rng.randint(0, 2))
+                    rest = [v for v in work.vertices if v not in drop]
+                    absent = [e for e in combinations(rest, 2) if not work.has_edge(*e)]
+                    add = rng.sample(absent, rng.randint(0, 3))
+                else:
+                    drop = [rng.choice(work.vertices)]
+                    add = [e for e in combinations(work.neighbors(drop[0]), 2)
+                           if not work.has_edge(*e)]
+                work.rewrite(drop, add)
+                if len(work.boundary) <= _SPLIT_PLAN_MAX:
+                    continue
+                local = _three_edge_connected(work)
+                assert local == _edge_connected_within(work.adj, work.boundary, 3)
+                assert local == (connectivity_le3(work.freeze())[1] == 3)
+                answers[local] += 1
+        assert answers[True] >= 20 and answers[False] >= 20
 
     def test_apply_rule_on_a_disconnected_graph_still_raises(self):
         # R1 on the 12-cycle is sound, but beside a disjoint 5-cycle the

@@ -2,17 +2,19 @@
 
 import random
 
+import networkx as nx
 import pytest
 
 from fvsbound.errors import (
     InvalidMerger,
     InvalidRotation,
+    MemberNotInGraph,
     NonPlanarRotation,
     PreconditionViolated,
     WouldCreateParallelEdge,
 )
 from fvsbound.girth import doubled_potential
-from fvsbound.graph import Graph, bridges, is_forest, weighted_girth
+from fvsbound.graph import Graph, bridges, is_forest, is_two_connected, weighted_girth
 from fvsbound.instances import make_named, random_planar_girth
 from fvsbound.planar import (
     RotationSystem,
@@ -43,7 +45,7 @@ def random_plane_with_bridges(rng):
     vertices and shuffled ids, built on the rotation of a random plane graph."""
     g, rot = random_planar_girth(rng.randint(4, 30), rng.choice([3, 4, 5]), rng.randrange(10**6))
     g = g.without_edges(rng.sample(g.edges(), rng.randint(0, g.m // 2)))
-    order = {v: list(ring) for v, ring in rot.restricted_to(g).order.items()}
+    order = {v: [u for u in rot.order[v] if g.has_edge(v, u)] for v in g.vertices}
     edges = g.edges()
     for _ in range(rng.randint(0, 6)):
         v, w = rng.choice(sorted(order)), max(order) + 1
@@ -363,7 +365,56 @@ class TestSuppress:
             suppress_degree2_vertex(plane(make_named("cube").graph), 0)
 
 
+def filtered_faces(pg, g):
+    """``faces_of`` on g with pg's rotation cut down to g's edges."""
+    return faces_of(g, RotationSystem({v: tuple(u for u in pg.rotation.order[v]
+                                                if g.has_edge(v, u)) for v in g.vertices}))
+
+
+def assert_same_plane_graph(got, want):
+    assert got.graph == want.graph
+    assert got.rotation.order == want.rotation.order
+    assert [(f.id, f.boundary) for f in got.faces] == [(f.id, f.boundary) for f in want.faces]
+
+
 class TestPlaneSubgraph:
+    def test_matches_faces_of_on_the_derived_graph(self):
+        # plane_subgraph and apply_merger build from a rotation dict and a
+        # weight map; the reference derives each result the long way, with a
+        # Graph method, a filtered rotation and a fresh faces_of. Mergers are
+        # searched on the 2-connected blocks, reached by keep sets too.
+        rng = random.Random(31)
+        mergers = 0
+        for _ in range(200):
+            pg = random_plane_with_bridges(rng)
+            g = Graph(pg.graph.vertices,
+                      [(u, v, rng.randint(1, 4)) for u, v in pg.graph.edges()])
+            pg = faces_of(g, pg.rotation)
+            keeps = [rng.sample(g.vertices, rng.randint(0, g.n)) for _ in range(3)]
+            nxg = nx.Graph(g.edges())
+            keeps += [block for block in nx.biconnected_components(nxg) if len(block) >= 3]
+            for keep in keeps:
+                sub = plane_subgraph(pg, keep)
+                assert_same_plane_graph(sub, filtered_faces(pg, g.subgraph(keep)))
+                # Merge while the result stays 2-connected and not a cycle.
+                while is_two_connected(sub.graph) and sub.graph.max_degree() >= 3:
+                    spec = find_guaranteed_merger(sub, 3)
+                    if spec is None:
+                        break
+                    stripped = sub.graph.without_edges(spec.removed_edges)
+                    rest = stripped.without_vertices(
+                        [v for v in stripped.vertices if stripped.degree(v) == 0])
+                    merged = apply_merger(sub, spec)
+                    assert_same_plane_graph(merged, filtered_faces(sub, rest))
+                    sub = merged
+                    mergers += 1
+        assert mergers > 40
+
+    def test_missing_vertex_rejected(self):
+        pg = plane(make_named("cube").graph)
+        with pytest.raises(MemberNotInGraph):
+            plane_subgraph(pg, [0, 1, 8])
+
     def test_restriction_stays_plane(self):
         g = make_named("cube").graph
         pg = plane(g)
