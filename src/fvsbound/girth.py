@@ -33,7 +33,7 @@ drop whole vertex sets.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .certificate import BoundKind, FvsCertificate, ReductionStep
 from .errors import InternalInvariantBroken, PreconditionViolated
@@ -42,11 +42,11 @@ from .graph import (EdgeKey, Graph, _components, connected_components, cut_verti
                     girth, is_two_connected, peel_degree_le1, validate_fvs, weighted_girth)
 from .planar import (
     PlaneGraph,
+    _guaranteed_merger,
     _plane_graph_of,
     _split_in_place,
     _suppress_in_place,
     apply_merger,
-    find_guaranteed_merger,
     plane_subgraph,
 )
 
@@ -131,9 +131,10 @@ def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionS
 
         # P1: decompose across components or at a cut vertex; the sides share
         # at most the cut vertex, so their sets union to a feedback vertex set.
-        comps = connected_components(graph)
+        # faces_of checked f = m - n + 2c, so connected means f = m - n + 2.
         sides = []
-        if len(comps) > 1:
+        if pg.face_count() != graph.m - graph.n + 2:
+            comps = connected_components(graph)
             sides = [(ReductionStep(rule="P1_decompose", matched=(min(comp),), note="disconnected"),
                       comp) for comp in comps[:-1]] + [(None, comps[-1])]
         elif cuts := cut_vertices(graph):
@@ -150,7 +151,8 @@ def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionS
             continue
 
         # P2: a lone cycle needs one vertex; otherwise a guaranteed merger
-        # trades its crucial vertex for a 3g/4 drop in total weight.
+        # trades its crucial vertex for a 3g/4 drop in total weight. P0 and P1
+        # have left a 2-connected graph, so the search skips that check.
         if all(graph.degree(v) == 2 for v in graph.vertices):
             v = min(graph.vertices)
             trace.append(ReductionStep(
@@ -158,7 +160,7 @@ def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionS
                 note="single cycle"))
             chosen.add(v)
             continue
-        spec = find_guaranteed_merger(pg, cfg.g)
+        spec = _guaranteed_merger(pg, cfg.g)
         if spec is not None:
             trace.append(ReductionStep(
                 rule="P2_merge", matched=(spec.f0, spec.f1, spec.f2),
@@ -254,7 +256,7 @@ def _check_tail_edit(cfg: SolverConfig, parent: Graph, order: dict[int, tuple[in
     """Build the graph after one split or suppression and check P0-P2 stay silent."""
     child = _check_child(cfg, parent, _plane_graph_of(order, weights))
     graph = child.graph
-    if not is_two_connected(graph) or find_guaranteed_merger(child, cfg.g) is not None \
+    if not is_two_connected(graph) or _guaranteed_merger(child, cfg.g) is not None \
             or (surgery == "suppression" and graph.max_degree() > 3):
         raise InternalInvariantBroken(f"a {surgery} let an earlier rule match")
     return graph
@@ -269,8 +271,7 @@ def solve_planar_unweighted(pg: PlaneGraph) -> FvsCertificate:
                               bound_kind=BoundKind.PLANAR_4M_OVER_3G,
                               bound_num=0, bound_den=1)
     unit = Graph(graph.vertices, [(u, v, 1) for u, v in graph.edges()])
-    unit_pg = PlaneGraph(graph=unit, rotation=pg.rotation, faces=pg.faces)
-    cert = solve_planar_weighted(unit_pg, SolverConfig(g=int(gr)))
+    cert = solve_planar_weighted(replace(pg, graph=unit), SolverConfig(g=int(gr)))
     out = FvsCertificate(fvs=cert.fvs,
                          bound_kind=BoundKind.PLANAR_4M_OVER_3G,
                          bound_num=4 * graph.m, bound_den=3 * int(gr),
@@ -305,7 +306,7 @@ def trivial_baseline(pg: PlaneGraph) -> FvsCertificate:
     if wg == 0:
         raise PreconditionViolated(
             "a cycle of weight 0 leaves the bound 2*weight/g undefined")
-    face_of = pg.dart_faces()
+    face_of = pg.dart_face
     parent = list(range(len(pg.faces)))
 
     def find(f: int) -> int:

@@ -127,12 +127,6 @@ class Graph:
         drop_set = set(drop)
         return self.subgraph(self._adj.keys() - drop_set)
 
-    def without_edges(self, drop: Iterable[EdgeKey]) -> "Graph":
-        drop_set = {edge_key(*e) for e in drop}
-        edges = [(u, v, w) for (u, v), w in self._weights.items()
-                 if (u, v) not in drop_set]
-        return Graph(self._adj.keys(), edges)
-
 
 # -- forests and feedback vertex sets --------------------------------------
 
@@ -326,10 +320,6 @@ def _components(g: Graph, skip: Iterable[EdgeKey]) -> list[set[int]]:
                     stack.append(u)
         comps.append(comp)
     return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
 
 
 def _lowpoint_dfs(g: Graph) -> tuple[list[int], list[EdgeKey], int]:

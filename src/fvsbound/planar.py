@@ -14,6 +14,10 @@ scanning vertices in ascending order and each ring clockwise. Faces are
 walked from scratch, so every walk re-checks Euler's relation; the planar
 cascade walks them once per run of vertex splits and degree-2 suppressions,
 which edit the two maps in place.
+
+The walk also maps each dart to the id of its face (``PlaneGraph.dart_face``),
+and it checks f = m - n + 2c, so a non-empty plane graph with m - n + 2 faces
+is connected: the cascade reads connectivity off the face count.
 """
 
 from __future__ import annotations
@@ -81,19 +85,17 @@ class Face:
 
 @dataclass(frozen=True)
 class PlaneGraph:
-    """A graph, the rotation system embedding it, and the derived faces."""
+    """A graph, the rotation system embedding it, the derived faces, and the
+    walk's map from each dart to its face: an edge's two darts name the faces
+    on its two sides, one face twice for a bridge."""
 
     graph: Graph
     rotation: RotationSystem
     faces: tuple[Face, ...]
+    dart_face: dict[tuple[int, int], int]
 
     def face_count(self) -> int:
         return len(self.faces)
-
-    def dart_faces(self) -> dict[tuple[int, int], int]:
-        """Dart (u, v) -> id of the face whose walk takes it; an edge's two
-        darts name the faces on its two sides, one face twice for a bridge."""
-        return {dart: face.id for face in self.faces for dart in face.boundary}
 
 
 def faces_of(g: Graph, rotation: RotationSystem) -> PlaneGraph:
@@ -106,15 +108,15 @@ def faces_of(g: Graph, rotation: RotationSystem) -> PlaneGraph:
     """
     rotation.validate_for(g)
     faces: list[Face] = []
-    visited: set[tuple[int, int]] = set()
+    dart_face: dict[tuple[int, int], int] = {}
     darts = [(u, v) for u in g.vertices for v in rotation.order[u]]
     for start in darts:
-        if start in visited:
+        if start in dart_face:
             continue
         walk = []
         cur = start
-        while cur not in visited:
-            visited.add(cur)
+        while cur not in dart_face:
+            dart_face[cur] = len(faces)
             walk.append(cur)
             u, v = cur
             cur = (v, rotation.successor(v, u))
@@ -130,7 +132,7 @@ def faces_of(g: Graph, rotation: RotationSystem) -> PlaneGraph:
         raise NonPlanarRotation(
             f"face count {len(faces)} != m - n + 2c = {expected}; "
             "rotation is not a plane embedding")
-    return PlaneGraph(graph=g, rotation=rotation, faces=tuple(faces))
+    return PlaneGraph(graph=g, rotation=rotation, faces=tuple(faces), dart_face=dart_face)
 
 
 def embed(g: Graph) -> RotationSystem | None:
@@ -195,9 +197,9 @@ class MergerSpec:
     removed_weight: int
 
 
-def _merger_removed_edges(pg: PlaneGraph, face_of: dict[tuple[int, int], int],
-                          fids: set[int]) -> frozenset[EdgeKey]:
+def _merger_removed_edges(pg: PlaneGraph, fids: set[int]) -> frozenset[EdgeKey]:
     """The edges whose two sides are two different faces among ``fids``."""
+    face_of = pg.dart_face
     return frozenset(edge_key(u, v) for f in fids for u, v in pg.faces[f].boundary
                      if face_of[v, u] != f and face_of[v, u] in fids)
 
@@ -216,7 +218,12 @@ def find_guaranteed_merger(pg: PlaneGraph, g_min: int) -> MergerSpec | None:
         raise PreconditionViolated("merger search requires a 2-connected graph")
     if all(graph.degree(v) == 2 for v in graph.vertices):
         raise PreconditionViolated("merger search requires a non-cycle")
-    face_of = pg.dart_faces()
+    return _guaranteed_merger(pg, g_min)
+
+
+def _guaranteed_merger(pg: PlaneGraph, g_min: int) -> MergerSpec | None:
+    """``find_guaranteed_merger`` on a graph known to be 2-connected and not a cycle."""
+    graph, face_of = pg.graph, pg.dart_face
     for face in pg.faces:
         branch = sum(1 for v in face.boundary_vertices if graph.degree(v) >= 3)
         if branch > 2:
@@ -237,7 +244,7 @@ def find_guaranteed_merger(pg: PlaneGraph, g_min: int) -> MergerSpec | None:
         if crucial is None:
             raise InternalInvariantBroken(
                 f"face {face.id}: no vertex meets both adjacent faces")
-        removed = _merger_removed_edges(pg, face_of, {face.id, fa, fb})
+        removed = _merger_removed_edges(pg, {face.id, fa, fb})
         weight = sum(graph.weight(u, v) for u, v in removed)
         if 4 * weight < 3 * g_min:
             raise InternalInvariantBroken(
@@ -267,7 +274,7 @@ def apply_merger(pg: PlaneGraph, spec: MergerSpec) -> PlaneGraph:
                 f"crucial vertex {spec.crucial} is not on the boundary of face {fid}")
     if not (b0 & b1) or not (b1 & b2):
         raise InvalidMerger("middle face must share an edge with both others")
-    if spec.removed_edges != _merger_removed_edges(pg, pg.dart_faces(), fids):
+    if spec.removed_edges != _merger_removed_edges(pg, fids):
         raise InvalidMerger("removed_edges does not match the three faces' shared edges")
     order, weights = dict(pg.rotation.order), pg.graph.edge_weights()
     for u, v in spec.removed_edges:

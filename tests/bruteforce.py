@@ -19,7 +19,6 @@ from fvsbound.cubic import RuleId
 from fvsbound.graph import (
     Graph,
     bridges,
-    is_connected,
     min_side_two_edge_cut,
     peel_degree_le1,
     shortest_cycle,
@@ -82,7 +81,7 @@ def edge_connectivity_le3_bruteforce(g: Graph) -> int:
         if g.n <= 1:
             break
         ok = all(
-            is_connected(g.without_edges(cut))
+            is_connected(without_edges(g, cut))
             for size in range(k)
             for cut in combinations(edges, size))
         if not ok:
@@ -96,7 +95,7 @@ def all_two_edge_cuts(g: Graph) -> list[tuple[frozenset, tuple[set, set]]]:
     out = []
     edges = g.edges()
     for e, f in combinations(edges, 2):
-        rest = g.without_edges([e, f])
+        rest = without_edges(g, [e, f])
         if is_connected(rest):
             continue
         comps = [set(c) for c in _components(rest)]
@@ -104,6 +103,17 @@ def all_two_edge_cuts(g: Graph) -> list[tuple[frozenset, tuple[set, set]]]:
             continue
         out.append((frozenset((e, f)), (comps[0], comps[1])))
     return out
+
+
+def without_edges(g: Graph, drop) -> Graph:
+    """g with the edges ``drop`` deleted and every vertex kept."""
+    drop_set = {tuple(sorted(e)) for e in drop}
+    return Graph(g.vertices, [(u, v, w) for (u, v), w in g.edge_weights().items()
+                              if (u, v) not in drop_set])
+
+
+def is_connected(g: Graph) -> bool:
+    return g.n <= 1 or len(_components(g)) == 1
 
 
 def rewired(g: Graph, drop_vertices=(), add_edges=()) -> Graph:
@@ -229,7 +239,7 @@ def subdivided(g: Graph, rng: random.Random, count: int) -> Graph:
     """Subdivide ``count`` sampled edges of g in sample order, new ids from max + 1."""
     nxt = max(g.vertices) + 1
     for u, v in rng.sample(g.edges(), count):
-        g = rewired(g.without_edges([(u, v)]), add_edges=[(u, nxt), (nxt, v)])
+        g = rewired(without_edges(g, [(u, v)]), add_edges=[(u, nxt), (nxt, v)])
         nxt += 1
     return g
 

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -10,7 +12,7 @@ from fvsbound.cli import main
 from fvsbound.errors import InternalInvariantBroken
 from fvsbound.fileio import read_graph, write_graph
 from fvsbound.graph import Graph
-from fvsbound.instances import make_named, random_cubic_2connected
+from fvsbound.instances import make_named, random_cubic_2connected, random_planar_girth
 from fvsbound.oracle import min_fvs_exact
 from fvsbound.planar import RotationSystem, embed
 
@@ -624,3 +626,55 @@ class TestBatch:
         code, _ = run(capsys, "batch", str(corpus), "--csv", str(out_csv))
         assert code == 0
         assert out_csv.read_text().startswith("instance,")
+
+
+# Characters a mutation may put in: digits, separators and record letters.
+MUTATION_CHARS = '0123456789 -:,.[]{}"\nervgxn'
+
+
+def mutate(text, rng):
+    """One seeded edit of a file: drop, duplicate or swap lines, or replace,
+    delete or insert one character."""
+    lines = text.splitlines(keepends=True)
+    kind = rng.randrange(4)
+    if kind == 0:
+        del lines[rng.randrange(len(lines))]
+    elif kind == 1:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+    elif kind == 2:
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        i, c = rng.randrange(len(text)), rng.choice(MUTATION_CHARS)
+        return text[:i] + rng.choice([c, "", text[i] + c]) + text[i + 1:]
+    return "".join(lines)
+
+
+class TestMutatedInputs:
+    def test_readers_never_crash_the_cli(self, tmp_path, capsys):
+        # Seeded edits of the .g and .json files of four instances; every
+        # solve and stats run on the result exits 0, or 2 with one error line.
+        bases = {name: (make_named(name).graph, make_named(name).rotation)
+                 for name in ("k4", "petersen", "cube")}
+        bases["rp30"] = random_planar_girth(30, 3, 1)
+        texts = {}
+        for name, (graph, rotation) in bases.items():
+            for ext in ("g", "json"):
+                path = tmp_path / f"{name}.{ext}"
+                write_graph(str(path), graph, rotation=rotation, name=name)
+                texts[path.name] = path.read_text()
+        commands = [["solve", "--alg", alg] for alg in ("auto", "planar", "trivial", "exact")]
+        commands.append(["stats"])
+        rng = random.Random(16)
+        codes = Counter()
+        for i in range(400):
+            base = rng.choice(sorted(texts))
+            path = tmp_path / f"mutant{i}.{base.split('.')[1]}"
+            path.write_text(mutate(texts[base], rng))
+            for command in commands:
+                code = main([command[0], str(path)] + command[1:])
+                assert code == 0 or (code == 2 and one_error_line(capsys)), \
+                    (base, command, code, path.read_text())
+                capsys.readouterr()
+                codes[code] += 1
+        assert codes[0] > 300 and codes[2] > 300

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,8 @@ from fvsbound.planar import embed, faces_of, split_high_degree_vertex, suppress_
 
 from bruteforce import (far_cut_triangle_chain, random_simple_graph,
                         reference_trivial_baseline_picks, rewired, shallow_recursion_limit,
-                        subdivided_rim_wheel, triangle_chain, weighted_chorded_cycle)
+                        subdivided_rim_wheel, triangle_chain, weighted_chorded_cycle,
+                        without_edges)
 
 # The package re-exports graph.girth under the submodule's name.
 girth_module = importlib.import_module("fvsbound.girth")
@@ -84,7 +86,7 @@ class TestSolveWeighted:
 
     def test_subdivided_cube_goes_through_suppress(self):
         cube = make_named("cube").graph
-        g = rewired(cube.without_edges([(0, 1)]), add_edges=[(0, 100), (100, 1)])
+        g = rewired(without_edges(cube, [(0, 1)]), add_edges=[(0, 100), (100, 1)])
         cert = solve_planar_weighted(plane(g), SolverConfig(g=4, validate_every_step=True))
         assert cert.validate(g)
         assert any(s.rule == "P4_suppress" for s in cert.trace)
@@ -205,13 +207,13 @@ class TestLoop:
     def _merger_fires_on_call(monkeypatch, k):
         """Make the k-th merger search report a merger; returns the graphs searched."""
         searched = []
-        find_merger = girth_module.find_guaranteed_merger
+        find_merger = girth_module._guaranteed_merger
 
         def sabotaged(pg, g_min):
             searched.append(pg.graph)
             return object() if len(searched) == k else find_merger(pg, g_min)
 
-        monkeypatch.setattr(girth_module, "find_guaranteed_merger", sabotaged)
+        monkeypatch.setattr(girth_module, "_guaranteed_merger", sabotaged)
         return searched
 
     def test_batch_rechecks_earlier_rules_after_each_suppression(self, monkeypatch):
@@ -223,6 +225,21 @@ class TestLoop:
             solve_planar_weighted(pg, SolverConfig(g=4, validate_every_step=True))
         assert len(searched) == 5
         assert searched[-1].n == 15
+
+    def test_a_merger_step_runs_one_lowpoint_dfs(self, monkeypatch):
+        # Every step on the chain is a merger on a connected graph: the face
+        # count answers connectivity, the lowpoint DFS rules out a cut
+        # vertex, and the search does not re-check 2-connectivity.
+        calls = Counter()
+        for name in ("connected_components", "cut_vertices", "is_two_connected",
+                     "_guaranteed_merger"):
+            def counted(*args, _fn=getattr(girth_module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(girth_module, name, counted)
+        cert = solve_planar_unweighted(plane(chain(30)))
+        assert [step.rule for step in cert.trace] == ["P2_merge"] * 30
+        assert calls == Counter(cut_vertices=30, _guaranteed_merger=30)
 
     def test_tail_rechecks_earlier_rules_after_each_split(self, monkeypatch):
         # One search in P2, then one after the first split: 7 + 1 vertices.

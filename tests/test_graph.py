@@ -18,7 +18,6 @@ from fvsbound.graph import (
     edge_key,
     girth,
     has_two_edge_cut,
-    is_connected,
     is_forest,
     is_two_connected,
     min_side_two_edge_cut,
@@ -34,10 +33,12 @@ from bruteforce import (
     all_two_edge_cuts,
     edge_connectivity_le3_bruteforce,
     girth_by_enumeration,
+    is_connected,
     random_max_deg3_graph,
     random_simple_graph,
     vertex_connectivity_le3_bruteforce,
     weighted_girth_by_enumeration,
+    without_edges,
 )
 
 
@@ -229,7 +230,7 @@ class TestWeightedGirthProperties:
         if not g.m:
             return
         e = rnd.choice(g.edges())
-        assert weighted_girth(g.without_edges([e])) >= weighted_girth(g)
+        assert weighted_girth(without_edges(g, [e])) >= weighted_girth(g)
 
 
 class TestConnectivity:
@@ -367,7 +368,7 @@ class TestTwoEdgeCuts:
             assert cut.members == pair
             assert cut.sides == (frozenset(small), frozenset(big))
             # the reported members really disconnect into the reported sides
-            rest = g.without_edges(cut.members)
+            rest = without_edges(g, cut.members)
             comps = sorted(sorted(c) for c in brute_components(rest))
             assert sorted(map(sorted, cut.sides)) == comps
         assert with_cut >= 300 and tied >= 200

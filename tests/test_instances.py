@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from fvsbound.errors import PreconditionViolated, UnknownInstanceName
-from fvsbound.graph import Graph, bridges, girth, is_connected, is_two_connected
+from fvsbound.graph import Graph, bridges, girth, is_two_connected
 from fvsbound.instances import (
     chain,
     disjoint_cycles,
@@ -16,6 +16,8 @@ from fvsbound.instances import (
 )
 from fvsbound.oracle import min_fvs_exact
 from fvsbound.planar import faces_of
+
+from bruteforce import is_connected
 
 
 class TestNamed:

@@ -14,7 +14,8 @@ from fvsbound.errors import (
     WouldCreateParallelEdge,
 )
 from fvsbound.girth import doubled_potential
-from fvsbound.graph import Graph, bridges, is_forest, is_two_connected, weighted_girth
+from fvsbound.graph import (Graph, bridges, connected_components, is_forest, is_two_connected,
+                            weighted_girth)
 from fvsbound.instances import make_named, random_planar_girth
 from fvsbound.planar import (
     RotationSystem,
@@ -27,7 +28,7 @@ from fvsbound.planar import (
     suppress_degree2_vertex,
 )
 
-from bruteforce import enumerate_simple_cycles
+from bruteforce import enumerate_simple_cycles, without_edges
 
 
 def cycle_graph(n):
@@ -44,7 +45,7 @@ def random_plane_with_bridges(rng):
     """A random plane graph with deleted edges, pendant trees, isolated
     vertices and shuffled ids, built on the rotation of a random plane graph."""
     g, rot = random_planar_girth(rng.randint(4, 30), rng.choice([3, 4, 5]), rng.randrange(10**6))
-    g = g.without_edges(rng.sample(g.edges(), rng.randint(0, g.m // 2)))
+    g = without_edges(g, rng.sample(g.edges(), rng.randint(0, g.m // 2)))
     order = {v: [u for u in rot.order[v] if g.has_edge(v, u)] for v in g.vertices}
     edges = g.edges()
     for _ in range(rng.randint(0, 6)):
@@ -377,38 +378,57 @@ def assert_same_plane_graph(got, want):
     assert [(f.id, f.boundary) for f in got.faces] == [(f.id, f.boundary) for f in want.faces]
 
 
+def assert_walk_answers(pg):
+    """The walk's dart map names each dart's face, and m - n + 2 faces means
+    connected; returns whether the graph is connected."""
+    g = pg.graph
+    assert pg.dart_face == {d: f.id for f in pg.faces for d in f.boundary}
+    connected = len(connected_components(g)) == 1
+    assert (pg.face_count() == g.m - g.n + 2) == connected
+    return connected
+
+
 class TestPlaneSubgraph:
     def test_matches_faces_of_on_the_derived_graph(self):
         # plane_subgraph and apply_merger build from a rotation dict and a
         # weight map; the reference derives each result the long way, with a
         # Graph method, a filtered rotation and a fresh faces_of. Mergers are
         # searched on the 2-connected blocks, reached by keep sets too.
+        # Every plane graph met also checks the walk's dart map and the
+        # Euler connectivity count, forests and isolated vertices included.
         rng = random.Random(31)
-        mergers = 0
+        mergers = forests = 0
+        connectivity = set()
         for _ in range(200):
             pg = random_plane_with_bridges(rng)
             g = Graph(pg.graph.vertices,
                       [(u, v, rng.randint(1, 4)) for u, v in pg.graph.edges()])
             pg = faces_of(g, pg.rotation)
+            connectivity.add(assert_walk_answers(pg))
+            forests += g.m > 0 and is_forest(g)
             keeps = [rng.sample(g.vertices, rng.randint(0, g.n)) for _ in range(3)]
             nxg = nx.Graph(g.edges())
             keeps += [block for block in nx.biconnected_components(nxg) if len(block) >= 3]
             for keep in keeps:
                 sub = plane_subgraph(pg, keep)
                 assert_same_plane_graph(sub, filtered_faces(pg, g.subgraph(keep)))
+                connectivity.add(assert_walk_answers(sub))
+                forests += sub.graph.m > 0 and is_forest(sub.graph)
                 # Merge while the result stays 2-connected and not a cycle.
                 while is_two_connected(sub.graph) and sub.graph.max_degree() >= 3:
                     spec = find_guaranteed_merger(sub, 3)
                     if spec is None:
                         break
-                    stripped = sub.graph.without_edges(spec.removed_edges)
+                    stripped = without_edges(sub.graph, spec.removed_edges)
                     rest = stripped.without_vertices(
                         [v for v in stripped.vertices if stripped.degree(v) == 0])
                     merged = apply_merger(sub, spec)
                     assert_same_plane_graph(merged, filtered_faces(sub, rest))
+                    connectivity.add(assert_walk_answers(merged))
                     sub = merged
                     mergers += 1
         assert mergers > 40
+        assert connectivity == {True, False} and forests > 100
 
     def test_missing_vertex_rejected(self):
         pg = plane(make_named("cube").graph)
