@@ -9,12 +9,17 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import GenerationFailed, PreconditionViolated, UnknownInstanceName
 from .graph import Graph, edge_key, is_two_connected
-from .planar import PlaneGraph, RotationSystem, _plane_graph_of, embed, faces_of
+from .planar import PlaneGraph, RotationSystem, _plane_graph_of, embed
 
 GENERATOR_RETRY_CAP = 2000
+
+# The plane K4 that ``random_planar_girth`` grows from: ``embed`` of K4 under
+# networkx 3.6.1, written out so the generator never loads networkx.
+_K4_ROTATION = {0: (1, 3, 2), 1: (0, 2, 3), 2: (1, 0, 3), 3: (2, 0, 1)}
 
 
 @dataclass(frozen=True)
@@ -149,8 +154,9 @@ def random_cubic_2connected(n: int, seed: int) -> Graph:
     if n < 4 or n % 2:
         raise PreconditionViolated("cubic graphs need even n >= 4")
     rng = random.Random(seed)
+    half_edges = [v for v in range(n) for _ in range(3)]
     for _ in range(GENERATOR_RETRY_CAP):
-        stubs = [v for v in range(n) for _ in range(3)]
+        stubs = half_edges.copy()
         rng.shuffle(stubs)
         pairs = list(zip(stubs[::2], stubs[1::2]))
         if any(u == v for u, v in pairs):
@@ -167,19 +173,18 @@ def random_cubic_2connected(n: int, seed: int) -> Graph:
 def random_planar_girth(n_target: int, g: int, seed: int) -> tuple[Graph, RotationSystem]:
     """Random plane graph with girth >= g, embedding included.
 
-    Grows a 2-connected cubic planar base from K4 by repeatedly subdividing
-    two edges of one face and joining the new vertices inside it, then
-    subdivides every edge ceil(g/3) - 1 times so all cycle lengths scale past
-    g. Deterministic in the seed.
+    Grows a 2-connected cubic planar base from a fixed plane K4 by repeatedly
+    subdividing two edges of one face and joining the new vertices inside it,
+    then subdivides every edge ceil(g/3) - 1 times so all cycle lengths scale
+    past g. Deterministic in the seed, and independent of the installed
+    networkx, which it never loads.
     """
     if g < 3:
         raise PreconditionViolated("girth target must be >= 3")
     if n_target < 4:
         raise PreconditionViolated("need n_target >= 4")
     rng = random.Random(seed)
-    base = make_named("k4")
-    assert base.rotation is not None
-    pg = faces_of(base.graph, base.rotation)
+    pg = _plane_graph_of(_K4_ROTATION, {e: 1 for e in combinations(range(4), 2)})
     t = -(-g // 3) - 1
     # Subdividing every edge t times turns a cubic base with n vertices into
     # n + 1.5*n*t vertices; grow the base so the final size lands near target.

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import networkx as nx
-
 from .errors import (
     InternalInvariantBroken,
     InvalidMerger,
@@ -139,8 +137,13 @@ def embed(g: Graph) -> RotationSystem | None:
     """A rotation system embedding g in the plane, or None if g is non-planar.
 
     Deterministic for a given graph: the underlying left-right planarity test
-    is fed vertices and edges in sorted order.
+    is fed vertices and edges in sorted order. This is the one function that
+    uses networkx, and it imports it on its first call, so a process that
+    never embeds never loads it. The rings follow networkx's embedding order,
+    so a rotation found here depends on the installed networkx version.
     """
+    import networkx as nx
+
     nxg = nx.Graph()
     nxg.add_nodes_from(g.vertices)
     nxg.add_edges_from(g.edges())

@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -678,3 +682,65 @@ class TestMutatedInputs:
                 capsys.readouterr()
                 codes[code] += 1
         assert codes[0] > 300 and codes[2] > 300
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Each step reports whether networkx has been loaded so far. The subcubic file
+# carries no rotation and goes to the cubic solver; the generated plane file
+# carries its rotation, which the planar solver reads instead of embedding.
+COLD_START = """
+import sys
+def report(step):
+    print(f"networkx after {step}: {'networkx' in sys.modules}")
+import fvsbound, fvsbound.cli
+report("import")
+from fvsbound.fileio import write_graph
+from fvsbound.instances import random_cubic_2connected, random_planar_girth
+cubic = random_cubic_2connected(100, 1)
+random_planar_girth(60, 5, 1)
+report("generators")
+subcubic, plane = sys.argv[1:]
+write_graph(subcubic, cubic)
+codes = [fvsbound.cli.main(["gen", "random-planar", "--n", "60", "--g", "5", "--seed", "1", plane]),
+         fvsbound.cli.main(["solve", subcubic]),
+         fvsbound.cli.main(["solve", plane, "--alg", "planar"])]
+report("solves")
+sys.exit(max(codes))
+"""
+
+EMBED_K4 = """
+import sys
+from fvsbound.graph import Graph
+from fvsbound.instances import _K4_ROTATION
+from fvsbound.planar import embed
+before = "networkx" in sys.modules
+k4 = Graph(range(4), [(a, b) for a in range(4) for b in range(a + 1, 4)])
+print(before, embed(k4).order == _K4_ROTATION, "networkx" in sys.modules)
+"""
+
+
+def fresh_python(script, *args):
+    """Run a script in a new interpreter that imports fvsbound from src/."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestColdStart:
+    def test_networkx_stays_unloaded_without_an_embed(self, tmp_path):
+        proc = fresh_python(COLD_START, tmp_path / "rc100.g", tmp_path / "rp60.g")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line for line in lines if line.startswith("networkx")] == [
+            "networkx after import: False",
+            "networkx after generators: False",
+            "networkx after solves: False",
+        ]
+        assert lines.count("bound satisfied = yes") == 2
+        assert "algorithm = cubic" in lines and "algorithm = planar" in lines
+
+    def test_first_embed_loads_networkx(self):
+        proc = fresh_python(EMBED_K4)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True", "True"]

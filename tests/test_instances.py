@@ -7,6 +7,7 @@ import pytest
 from fvsbound.errors import PreconditionViolated, UnknownInstanceName
 from fvsbound.graph import Graph, bridges, girth, is_two_connected
 from fvsbound.instances import (
+    _K4_ROTATION,
     chain,
     disjoint_cycles,
     make_named,
@@ -15,7 +16,7 @@ from fvsbound.instances import (
     triangle_replace,
 )
 from fvsbound.oracle import min_fvs_exact
-from fvsbound.planar import faces_of
+from fvsbound.planar import RotationSystem, embed, faces_of
 
 from bruteforce import is_connected
 
@@ -180,6 +181,14 @@ class TestRandomPlanarGirth:
         for target in (10, 20, 40):
             graph, _ = random_planar_girth(target, 3, 1)
             assert target - 2 <= graph.n <= target + 2
+
+    def test_grows_from_the_embedding_of_k4(self):
+        # The literal is embed's rotation of K4 under networkx 3.6.1, the
+        # version CI pins; it walks into four triangular faces.
+        k4 = make_named("k4").graph
+        assert embed(k4).order == _K4_ROTATION
+        pg = faces_of(k4, RotationSystem(_K4_ROTATION))
+        assert [len(face) for face in pg.faces] == [3, 3, 3, 3]
 
 
 def generator_digest(graph, rotation=None) -> str:
