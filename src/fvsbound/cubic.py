@@ -714,6 +714,11 @@ def base_case(g: Graph) -> FvsCertificate:
     if g.n > BASE_CASE_MAX_N:
         raise PreconditionViolated(f"base case capped at n = {BASE_CASE_MAX_N}")
     _require_in_class(g)
+    return _exact_base(g)
+
+
+def _exact_base(g: Graph) -> FvsCertificate:
+    """``base_case`` without its precondition checks."""
     result = min_fvs_exact(g)
     step = ReductionStep(rule=RuleId.R0_BASE.value, matched=(),
                          removed_vertices=frozenset(g.vertices),
@@ -739,7 +744,7 @@ def solve_cubic(g: Graph) -> FvsCertificate:
     of the whole graph only when that test finds one, or while no graph has
     been proven 3-edge-connected yet. The base case and the final check,
     which validates the set against ``g`` and the bound, run on immutable
-    Graphs.
+    Graphs. The base case re-checks the class only after a rewrite step.
 
     Deterministic: same input graph (same ids), same trace. A reduction that
     leaves the class raises InternalInvariantBroken: the rewrite proofs rule
@@ -755,10 +760,14 @@ def solve_cubic(g: Graph) -> FvsCertificate:
         cur, step = apply_rule(cur, rule, match)
         chosen |= set(step.designated)
         trace.append(step)
-    try:
-        base = base_case(cur.freeze())
-    except PreconditionViolated as exc:  # a deferred check failed, or a bug
-        raise InternalInvariantBroken(cur.pending[1] if cur.pending else str(exc)) from None
+    last = g  # checked on entry
+    if trace:  # a rewrite ran: check again, which also covers a deferred check
+        last = cur.freeze()
+        try:
+            _require_in_class(last)
+        except PreconditionViolated as exc:  # a deferred check failed, or a bug
+            raise InternalInvariantBroken(cur.pending[1] if cur.pending else str(exc)) from None
+    base = _exact_base(last)
     chosen |= base.fvs
     trace.extend(base.trace)
     cert = FvsCertificate(fvs=frozenset(chosen),

@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MemberNotInGraph, PreconditionViolated
 
@@ -133,6 +133,20 @@ class Graph:
 
 def is_forest(g: Graph) -> bool:
     """True iff the graph contains no cycle."""
+    return _acyclic(g._weights, ())
+
+
+def validate_fvs(g: Graph, s: Iterable[int]) -> bool:
+    """True iff removing ``s`` leaves a forest. Raises if ``s`` ⊄ V(G)."""
+    s_set = set(s)
+    missing = s_set - g._adj.keys()
+    if missing:
+        raise MemberNotInGraph(f"vertices {sorted(missing)} not in graph")
+    return _acyclic(g._weights, s_set)
+
+
+def _acyclic(edges: Iterable[EdgeKey], skip) -> bool:
+    """True iff the edges with no end in ``skip`` form a forest: one union-find pass."""
     # Union-find beats DFS bookkeeping here and has no parent-edge subtlety.
     parent: dict[int, int] = {}
 
@@ -144,21 +158,14 @@ def is_forest(g: Graph) -> bool:
             parent[x], x = root, parent[x]
         return root
 
-    for u, v in g.edges():
+    for u, v in edges:
+        if u in skip or v in skip:
+            continue
         ru, rv = find(u), find(v)
         if ru == rv:
             return False
         parent[ru] = rv
     return True
-
-
-def validate_fvs(g: Graph, s: Iterable[int]) -> bool:
-    """True iff removing ``s`` leaves a forest. Raises if ``s`` ⊄ V(G)."""
-    s_set = set(s)
-    missing = s_set - set(g.vertices)
-    if missing:
-        raise MemberNotInGraph(f"vertices {sorted(missing)} not in graph")
-    return is_forest(g.without_vertices(s_set))
 
 
 def peel_degree_le1(g: Graph) -> set[int]:
@@ -191,50 +198,40 @@ def girth(g: Graph) -> int | float:
 def weighted_girth(g: Graph, below: int | float = INFINITE) -> int | float:
     """Minimum total edge weight over all cycles; ``INFINITE`` for forests.
 
-    Exact even with zero-weight edges: for each edge, Dijkstra around it.
-    Each search stays on vertices no smaller than the edge's smaller end: the
-    lightest cycle is found from its least vertex x, because removing an edge
-    at x leaves a path through vertices above x. With ``below``, the searches
-    stop at that weight and the result is min(minimum, below): a cheaper
-    answer to "is some cycle lighter than g?".
+    Exact even with zero-weight edges: one Dijkstra per root x over the
+    vertices >= x (Itai & Rodeh, SIAM J. Comput. 1978). A non-tree edge
+    (p, q) closes a tree walk x..p, q..x of weight d(p) + w(p, q) + d(q),
+    which contains a cycle, so no value is below the girth. The lightest
+    cycle C has a non-tree edge (p, q), and from C's least vertex x, d(p)
+    and d(q) are at most their distances to x along C away from that edge:
+    the value is at most w(C). As every vertex of C has d <= w(C) / 2, a
+    search stops once 2 * d reaches the best weight so far. With ``below``,
+    the best weight starts there and the result is min(minimum, below): a
+    cheaper answer to "is some cycle lighter than g?".
     """
     adj = {v: [(u, g.weight(v, u)) for u in g.neighbors(v)] for v in g.vertices}
     best = below
-    for u, v in g.edges():
-        w_uv = g.weight(u, v)
-        if w_uv >= best:
-            continue  # detours are non-negative, cannot beat best
-        around = _dijkstra_avoiding(adj, u, v, best - w_uv)
-        if around is not None and around + w_uv < best:
-            best = around + w_uv
+    for x in adj:
+        dist: dict[int, int] = {}
+        tentative = {x: 0}
+        heap = [(0, x, x)]
+        while heap:
+            d, v, p = heapq.heappop(heap)
+            if v in dist:
+                continue
+            if 2 * d >= best:
+                break
+            dist[v] = d
+            for u, w in adj[v]:
+                if u < x:
+                    continue
+                if u in dist:
+                    if u != p and d + w + dist[u] < best:
+                        best = d + w + dist[u]
+                elif d + w < tentative.get(u, INFINITE):
+                    tentative[u] = d + w
+                    heapq.heappush(heap, (d + w, u, v))
     return best
-
-
-def _dijkstra_avoiding(adj: dict[int, list[tuple[int, int]]], source: int, target: int,
-                       cutoff: int | float) -> int | None:
-    """Shortest path weight from source to target avoiding the edge (source, target).
-
-    The path uses no vertex smaller than source. ``adj`` maps each vertex to
-    its (neighbor, edge weight) pairs.
-    """
-    dist = {source: 0}
-    heap = [(0, source)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist.get(v, INFINITE):
-            continue
-        if v == target:
-            return d
-        for u, w in adj[v]:
-            if u < source or (v == source and u == target):
-                continue
-            nd = d + w
-            if nd >= cutoff:
-                continue
-            if nd < dist.get(u, INFINITE):
-                dist[u] = nd
-                heapq.heappush(heap, (nd, u))
-    return None
 
 
 def shortest_cycle(g: Graph) -> list[int] | None:
@@ -243,9 +240,20 @@ def shortest_cycle(g: Graph) -> list[int] | None:
     Deterministic: scans BFS roots in ascending id order and keeps the first
     cycle of the best length.
     """
+    return shortest_cycle_in(g._adj)
+
+
+def shortest_cycle_in(adj: dict[int, Sequence[int]]) -> list[int] | None:
+    """``shortest_cycle`` of the graph with this adjacency, keys and lists ascending.
+
+    The one BFS behind ``shortest_cycle``, ``girth`` and the exact oracle's
+    search nodes, which pass one adjacency per node.
+    """
     best_len = INFINITE
     best: list[int] | None = None
-    for root in g.vertices:
+    for root in adj:
+        if best_len == 3:
+            break  # no cycle is shorter, and only a shorter one replaces best
         dist = {root: 0}
         parent = {root: -1}
         frontier = [root]
@@ -255,7 +263,7 @@ def shortest_cycle(g: Graph) -> list[int] | None:
                 dv = dist[v]
                 if 2 * dv >= best_len - 1:
                     continue
-                for u in g.neighbors(v):
+                for u in adj[v]:
                     if u not in dist:
                         dist[u] = dv + 1
                         parent[u] = v

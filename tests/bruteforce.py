@@ -3,12 +3,14 @@
 Everything here is deliberately naive: exhaustive enumeration over cycles,
 cuts, and subsets, and a full rescan of the graph for each cubic rule match.
 Nothing imports solver internals beyond the Graph type, the rule ids, the
-bridge and 2-edge-cut queries, and the peeling and shortest-cycle helpers
-that the reference oracle search shares with the real one.
+bridge and 2-edge-cut queries, the forest test, and the peeling and
+shortest-cycle helpers that the reference oracle search shares with the
+real one.
 """
 
 from __future__ import annotations
 
+import heapq
 import inspect
 import random
 import sys
@@ -16,9 +18,11 @@ from contextlib import contextmanager
 from itertools import combinations
 
 from fvsbound.cubic import RuleId
+from fvsbound.errors import MemberNotInGraph
 from fvsbound.graph import (
     Graph,
     bridges,
+    is_forest,
     min_side_two_edge_cut,
     peel_degree_le1,
     shortest_cycle,
@@ -310,6 +314,46 @@ def reference_trivial_baseline_picks(g: Graph) -> list[int]:
         picks.append(v)
         g = g.without_vertices([v])
     return picks
+
+
+def reference_validate_fvs(g: Graph, s) -> bool:
+    """``validate_fvs`` by a rebuilt Graph: is g - s a forest? Raises if s ⊄ V(G)."""
+    s_set = set(s)
+    missing = s_set - set(g.vertices)
+    if missing:
+        raise MemberNotInGraph(f"vertices {sorted(missing)} not in graph")
+    return is_forest(g.without_vertices(s_set))
+
+
+def reference_weighted_girth(g: Graph, below: int | float = float("inf")) -> int | float:
+    """min(weighted girth, below) by one Dijkstra per edge (u, v), u < v.
+
+    Each search runs from u to v around the edge, on vertices no smaller
+    than u: the lightest cycle is found from the edges at its least vertex.
+    """
+    adj = {v: [(u, g.weight(v, u)) for u in g.neighbors(v)] for v in g.vertices}
+    best = below
+    for source, target in g.edges():
+        w_st = g.weight(source, target)
+        if w_st >= best:
+            continue
+        cutoff = best - w_st
+        dist = {source: 0}
+        heap = [(0, source)]
+        while heap:
+            d, v = heapq.heappop(heap)
+            if d > dist[v]:
+                continue
+            if v == target:
+                best = d + w_st
+                break
+            for u, w in adj[v]:
+                if u < source or (v == source and u == target) or d + w >= cutoff:
+                    continue
+                if d + w < dist.get(u, float("inf")):
+                    dist[u] = d + w
+                    heapq.heappush(heap, (d + w, u))
+    return best
 
 
 # -- reference exact oracle --------------------------------------------------

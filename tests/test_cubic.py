@@ -206,6 +206,19 @@ class TestSolveCubic:
     def test_prism(self):
         assert solve_cubic(make_named("prism").graph).size == 2
 
+    def test_a_base_case_input_is_checked_once(self, monkeypatch):
+        # With no rewrite step, the entry check is the only class check, and
+        # the certificate is the base case's.
+        checks = []
+        check = cubic_module.is_two_connected
+        monkeypatch.setattr(cubic_module, "is_two_connected",
+                            lambda g: checks.append(g.n) or check(g))
+        for name in ("k4", "prism", "petersen"):
+            g = make_named(name).graph
+            checks.clear()
+            assert solve_cubic(g) == base_case(g)
+            assert checks == [g.n, g.n]  # solve_cubic's, then base_case's
+
     def test_petersen_optimal(self):
         g = make_named("petersen").graph
         cert = solve_cubic(g)

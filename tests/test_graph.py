@@ -36,6 +36,8 @@ from bruteforce import (
     is_connected,
     random_max_deg3_graph,
     random_simple_graph,
+    reference_validate_fvs,
+    reference_weighted_girth,
     vertex_connectivity_le3_bruteforce,
     weighted_girth_by_enumeration,
     without_edges,
@@ -121,6 +123,26 @@ class TestForestAndFvs:
             g = random_simple_graph(rng.randint(1, 8), rng)
             assert validate_fvs(g, set(g.vertices))
 
+    def test_matches_the_rebuilt_graph_check(self):
+        # One union-find pass that skips s answers as g - s rebuilt does,
+        # and a set that leaves V(G) raises in both.
+        rng = random.Random(17)
+        outcomes = set()
+        for _ in range(400):
+            g = random_simple_graph(rng.randint(0, 12), rng, rng.choice((0.2, 0.35, 0.5)))
+            pool = list(g.vertices) + [-1, 50]
+            s = set(rng.sample(pool, rng.randint(0, len(pool))))
+            try:
+                expected = reference_validate_fvs(g, s)
+            except MemberNotInGraph:
+                expected = MemberNotInGraph
+                with pytest.raises(MemberNotInGraph):
+                    validate_fvs(g, s)
+            else:
+                assert validate_fvs(g, s) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False, MemberNotInGraph}
+
 
 class TestGirth:
     def test_k4(self):
@@ -193,6 +215,17 @@ class TestWeightedGirth:
             exact = weighted_girth_by_enumeration(g)
             for below in (0, 1, 3, 6, 10, INFINITE):
                 assert weighted_girth(g, below=below) == min(exact, below)
+
+    def test_matches_the_per_edge_search(self):
+        # One Dijkstra per root agrees with one per edge, zero weights and
+        # every bound included.
+        rng = random.Random(19)
+        for _ in range(300):
+            base = random_simple_graph(rng.randint(1, 14), rng, rng.choice((0.12, 0.2, 0.3, 0.5)))
+            g = Graph(base.vertices,
+                      [(u, v, rng.choice((0, 1, 2, 5))) for u, v in base.edges()])
+            for below in (0, 1, 3, 7, INFINITE):
+                assert weighted_girth(g, below=below) == reference_weighted_girth(g, below)
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 
 from fvsbound.errors import TooLarge
 from fvsbound.graph import Graph, validate_fvs
-from fvsbound.instances import disjoint_cycles, make_named
+from fvsbound.instances import disjoint_cycles, make_named, random_cubic_2connected
 from fvsbound.oracle import DEFAULT_NODE_BUDGET, min_fvs_exact, min_fvs_naive
 
 from bruteforce import random_simple_graph, reference_min_fvs_exact
@@ -30,6 +30,9 @@ class TestKnownValues:
     @pytest.mark.parametrize("n", [3, 5, 9, 17])
     def test_cycles_need_one(self, n):
         assert min_fvs_exact(cycle_graph(n)).phi == 1
+
+    def test_dodecahedron_witness(self):
+        assert min_fvs_exact(make_named("dodecahedron").graph).witness == {0, 1, 3, 5, 16, 17}
 
     def test_disjoint_cycles(self):
         g = disjoint_cycles(4, 5)
@@ -57,19 +60,43 @@ class TestInvariants:
             assert min_fvs_exact(g).phi == min_fvs_naive(g)
 
     def test_matches_the_graph_based_search(self):
-        # The search over adjacency views visits the nodes of the search over
+        # The search over bitmask nodes visits the nodes of the search over
         # rebuilt Graphs in the same order: same optimum, witness and budget
-        # outcome, also when a budget of 7 nodes cuts it short.
+        # outcome, also when a budget of 7 or 3 nodes cuts it short.
         rng = random.Random(15)
+        graphs = [random_simple_graph(rng.randint(1, 13), rng, rng.choice((0.2, 0.35, 0.5)))
+                  for _ in range(400)]
+        graphs += [random_cubic_2connected(10, seed) for seed in range(20)]
         hits = set()
-        for _ in range(400):
-            g = random_simple_graph(rng.randint(1, 13), rng, rng.choice((0.2, 0.35, 0.5)))
-            for budget in (DEFAULT_NODE_BUDGET, 7):
+        for g in graphs:
+            for budget in (DEFAULT_NODE_BUDGET, 7, 3):
                 result = min_fvs_exact(g, node_budget=budget)
                 got = (result.phi, result.witness, result.node_budget_hit)
                 assert got == reference_min_fvs_exact(g, budget)
                 hits.add(result.node_budget_hit)
         assert hits == {True, False}
+
+    def test_no_state_across_calls(self):
+        # The memo lives for one call. A full search between two squeezed
+        # ones answers as if alone.
+        g = make_named("dodecahedron").graph
+        for budget in (3, DEFAULT_NODE_BUDGET, 3):
+            result = min_fvs_exact(g, node_budget=budget)
+            got = (result.phi, result.witness, result.node_budget_hit)
+            assert got == reference_min_fvs_exact(g, budget)
+        # So does each graph run after four disjoint triangles on the same
+        # ids. A memo shared across calls would hand their packing bound, 4,
+        # to a graph whose full vertex set is its own pruned root; for one
+        # of these (greedy 4, optimum 3) that ends the search at the root.
+        triangles = Graph(range(12), [(3 * i + a, 3 * i + b) for i in range(4)
+                                      for a, b in ((0, 1), (1, 2), (0, 2))])
+        rng = random.Random(5)
+        for _ in range(10):
+            h = random_simple_graph(12, rng, rng.choice((0.25, 0.35, 0.5)))
+            min_fvs_exact(triangles)
+            result = min_fvs_exact(h)
+            got = (result.phi, result.witness, result.node_budget_hit)
+            assert got == reference_min_fvs_exact(h, DEFAULT_NODE_BUDGET)
 
     def test_deterministic(self):
         g = make_named("petersen").graph
@@ -91,7 +118,6 @@ class TestLimits:
 
     def test_subcubic_bound_sanity(self):
         # the theorem's (n+2)/3 must hold for the oracle's optimum in class
-        from fvsbound.instances import random_cubic_2connected
         for seed in range(20):
             g = random_cubic_2connected(10, seed)
             assert 3 * min_fvs_exact(g).phi <= g.n + 2
