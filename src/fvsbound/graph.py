@@ -209,7 +209,10 @@ def weighted_girth(g: Graph, below: int | float = INFINITE) -> int | float:
     the best weight starts there and the result is min(minimum, below): a
     cheaper answer to "is some cycle lighter than g?".
     """
-    adj = {v: [(u, g.weight(v, u)) for u in g.neighbors(v)] for v in g.vertices}
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g._adj}
+    for (v, u), w in g._weights.items():
+        adj[v].append((u, w))
+        adj[u].append((v, w))
     best = below
     for x in adj:
         dist: dict[int, int] = {}

@@ -6,20 +6,24 @@ Generators are deterministic functions of their parameters and seed.
 
 from __future__ import annotations
 
+import bisect
 import random
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import GenerationFailed, PreconditionViolated, UnknownInstanceName
-from .graph import Graph, edge_key, is_two_connected
-from .planar import PlaneGraph, RotationSystem, _plane_graph_of, embed
+from .graph import EdgeKey, Graph, edge_key, is_two_connected
+from .planar import RotationSystem, _plane_graph_of, embed
 
 GENERATOR_RETRY_CAP = 2000
 
 # The plane K4 that ``random_planar_girth`` grows from: ``embed`` of K4 under
 # networkx 3.6.1, written out so the generator never loads networkx.
 _K4_ROTATION = {0: (1, 3, 2), 1: (0, 2, 3), 2: (1, 0, 3), 3: (2, 0, 1)}
+# Its four faces, as ``faces_of`` walks and numbers them.
+_K4_FACES = (((0, 1), (1, 2), (2, 0)), ((0, 3), (3, 1), (1, 0)),
+             ((0, 2), (2, 3), (3, 0)), ((1, 3), (3, 2), (2, 1)))
 
 
 @dataclass(frozen=True)
@@ -178,53 +182,106 @@ def random_planar_girth(n_target: int, g: int, seed: int) -> tuple[Graph, Rotati
     then subdivides every edge ceil(g/3) - 1 times so all cycle lengths scale
     past g. Deterministic in the seed, and independent of the installed
     networkx, which it never loads.
+
+    The base grows in place on one rotation dict and one weight map, and keeps
+    its faces as lists of darts. Each starts at its least dart under the scan
+    key (v, order[v].index(u)) of dart (v, u), and the faces are ranked by
+    that key, as ``faces_of`` numbers them. The key never moves: a
+    subdivision puts the middle vertex at the old neighbor's place in the
+    ring, and new vertices take the largest ids. So an expansion changes the
+    rank of no face but the new one. The result is built, and its faces
+    walked, once: expansions and subdivisions only add vertices and edges and
+    keep the surface a sphere, so that build's checks cover every step.
     """
     if g < 3:
         raise PreconditionViolated("girth target must be >= 3")
     if n_target < 4:
         raise PreconditionViolated("need n_target >= 4")
     rng = random.Random(seed)
-    pg = _plane_graph_of(_K4_ROTATION, {e: 1 for e in combinations(range(4), 2)})
+    base = _GrowingCubicBase()
     t = -(-g // 3) - 1
     # Subdividing every edge t times turns a cubic base with n vertices into
     # n + 1.5*n*t vertices; grow the base so the final size lands near target.
     base_target = max(4, round(n_target / (1 + 1.5 * t)))
-    while pg.graph.n + 2 <= base_target:
-        pg = _expand_inside_face(pg, rng)
+    while base.top + 3 <= base_target:  # the base has top + 1 vertices
+        base.expand(rng)
+    order, weights = base.order, base.weights
     if t > 0:
-        pg = _subdivide_every_edge(pg, t)
+        weights = _subdivide_every_edge(order, weights, base.top + 1, t)
+    pg = _plane_graph_of({v: tuple(ring) for v, ring in order.items()}, weights)
     return pg.graph, pg.rotation
 
 
-def _expand_inside_face(pg: PlaneGraph, rng: random.Random) -> PlaneGraph:
-    """Subdivide two boundary edges of a random face and join them by a chord."""
-    face = pg.faces[rng.randrange(len(pg.faces))]
-    i, j = sorted(rng.sample(range(len(face.boundary)), 2))
-    (x_a, y_a), (x_b, y_b) = face.boundary[i], face.boundary[j]
-    top = max(pg.graph.vertices)
-    a, b = top + 1, top + 2
-    order, weights = dict(pg.rotation.order), pg.graph.edge_weights()
-    for x, y, mid in ((x_a, y_a, a), (x_b, y_b, b)):
-        order[x] = tuple(mid if z == y else z for z in order[x])
-        order[y] = tuple(mid if z == x else z for z in order[y])
-        del weights[edge_key(x, y)]
-        weights[x, mid] = weights[y, mid] = 1
-    order[a] = (x_a, b, y_a)
-    order[b] = (x_b, a, y_b)
-    weights[a, b] = 1
-    return _plane_graph_of(order, weights)
+class _GrowingCubicBase:
+    """The cubic base of ``random_planar_girth``: rings, weight map and ranked
+    face lists, edited in place; ``dart_face`` maps each dart to its face."""
+
+    def __init__(self) -> None:
+        self.order = {v: list(ring) for v, ring in _K4_ROTATION.items()}
+        self.weights = {e: 1 for e in combinations(range(4), 2)}
+        self.top = 3
+        self.faces = [list(face) for face in _K4_FACES]
+        self.dart_face = {d: face for face in self.faces for d in face}
+
+    def _key(self, dart: tuple[int, int]) -> tuple[int, int]:
+        v, u = dart
+        return v, self.order[v].index(u)
+
+    def expand(self, rng: random.Random) -> None:
+        """Subdivide two boundary edges of a random face and join them by a chord.
+
+        Face F = d_0..d_k with d_i = (x_a, y_a) and d_j = (x_b, y_b), i < j,
+        keeps its rank as d_0..d_{i-1}, (x_a, a), (a, b), (b, y_b), d_{j+1}..;
+        the new face (a, y_a), d_{i+1}..d_{j-1}, (x_b, b), (b, a) is turned to
+        start at its least dart and inserted at its rank. Each face across a
+        subdivided edge (x, y) gets (y, mid), (mid, x) in place of (y, x).
+        """
+        faces, order, weights, dart_face = self.faces, self.order, self.weights, self.dart_face
+        face = faces[rng.randrange(len(faces))]
+        i, j = sorted(rng.sample(range(len(face)), 2))
+        (x_a, y_a), (x_b, y_b) = face[i], face[j]
+        a, b = self.top + 1, self.top + 2
+        self.top = b
+        for x, y, mid in ((x_a, y_a, a), (x_b, y_b, b)):
+            for p, q in ((x, y), (y, x)):
+                ring = order[p]
+                ring[ring.index(q)] = mid
+            del weights[edge_key(x, y)]
+            weights[x, mid] = weights[y, mid] = 1
+            del dart_face[x, y]
+            across = dart_face.pop((y, x))
+            k = across.index((y, x))
+            across[k:k + 1] = [(y, mid), (mid, x)]
+            dart_face[y, mid] = dart_face[mid, x] = across
+        order[a] = [x_a, b, y_a]
+        order[b] = [x_b, a, y_b]
+        weights[a, b] = 1
+        inner = face[i + 1:j] + [(x_b, b)]
+        k = inner.index(min(inner, key=self._key))
+        new = inner[k:] + [(b, a), (a, y_a)] + inner[:k]
+        face[i:j + 1] = [(x_a, a), (a, b), (b, y_b)]
+        for d in face[i:i + 3]:
+            dart_face[d] = face
+        for d in new:
+            dart_face[d] = new
+        rank = bisect.bisect(faces, self._key(new[0]), key=lambda f: self._key(f[0]))
+        faces.insert(rank, new)
 
 
-def _subdivide_every_edge(pg: PlaneGraph, t: int) -> PlaneGraph:
-    """Replace each edge by a path with t inner vertices; multiplies cycle lengths."""
-    order, weights = dict(pg.rotation.order), {}
-    next_id = max(pg.graph.vertices) + 1
-    for u, v in pg.graph.edges():
+def _subdivide_every_edge(order: dict[int, list[int]], weights: dict[EdgeKey, int],
+                          next_id: int, t: int) -> dict[EdgeKey, int]:
+    """Replace each edge by a path with t inner vertices, ids from ``next_id``
+    in sorted edge order; edits the rings in place and returns the new weight
+    map. Multiplies every cycle length by t + 1."""
+    new_weights = {}
+    for u, v in sorted(weights):
         path = [u, *range(next_id, next_id + t), v]
         next_id += t
-        weights.update(dict.fromkeys(map(edge_key, path, path[1:]), 1))
-        order[u] = tuple(path[1] if z == v else z for z in order[u])
-        order[v] = tuple(path[-2] if z == u else z for z in order[v])
+        new_weights.update(dict.fromkeys(map(edge_key, path, path[1:]), 1))
+        ring = order[u]
+        ring[ring.index(v)] = path[1]
+        ring = order[v]
+        ring[ring.index(u)] = path[-2]
         for prev_v, mid, nxt in zip(path, path[1:], path[2:]):
-            order[mid] = (prev_v, nxt)
-    return _plane_graph_of(order, weights)
+            order[mid] = [prev_v, nxt]
+    return new_weights

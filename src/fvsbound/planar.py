@@ -7,7 +7,7 @@ rotation); the rotation encodes a plane embedding exactly when the number of
 face walks matches Euler's formula, which ``faces_of`` enforces.
 
 Every derived plane graph (an induced subgraph, a merger's result, the end
-of a run of surgeries, a generator step) is built by ``_plane_graph_of``
+of a run of surgeries, a generated graph) is built by ``_plane_graph_of``
 from a rotation dict, which doubles as the adjacency map, and a weight map.
 So the face ids the trace records are numbered one way: by first dart,
 scanning vertices in ascending order and each ring clockwise. Faces are
@@ -48,10 +48,6 @@ class RotationSystem:
     """Per-vertex clockwise cyclic order of neighbors."""
 
     order: dict[int, tuple[int, ...]]
-
-    def successor(self, v: int, u: int) -> int:
-        ring = self.order[v]
-        return ring[(ring.index(u) + 1) % len(ring)]
 
     def validate_for(self, g: Graph) -> None:
         if set(self.order) != set(g.vertices):
@@ -105,22 +101,25 @@ def faces_of(g: Graph, rotation: RotationSystem) -> PlaneGraph:
     rotation encodes a surface of positive genus.
     """
     rotation.validate_for(g)
+    order = rotation.order
     faces: list[Face] = []
     dart_face: dict[tuple[int, int], int] = {}
-    darts = [(u, v) for u in g.vertices for v in rotation.order[u]]
-    for start in darts:
-        if start in dart_face:
-            continue
-        walk = []
-        cur = start
-        while cur not in dart_face:
-            dart_face[cur] = len(faces)
-            walk.append(cur)
-            u, v = cur
-            cur = (v, rotation.successor(v, u))
-        if cur != start:
-            raise InvalidRotation("face traversal did not close on its start")
-        faces.append(Face(id=len(faces), boundary=tuple(walk)))
+    for v in g.vertices:
+        for u in order[v]:
+            if (v, u) in dart_face:
+                continue
+            walk = []
+            fid = len(faces)
+            cur = (v, u)
+            while cur not in dart_face:
+                dart_face[cur] = fid
+                walk.append(cur)
+                x, y = cur
+                ring = order[y]
+                cur = (y, ring[(ring.index(x) + 1) % len(ring)])
+            if cur != (v, u):
+                raise InvalidRotation("face traversal did not close on its start")
+            faces.append(Face(id=len(faces), boundary=tuple(walk)))
     for v in g.vertices:
         if g.degree(v) == 0:
             faces.append(Face(id=len(faces), boundary=()))

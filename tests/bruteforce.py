@@ -3,9 +3,10 @@
 Everything here is deliberately naive: exhaustive enumeration over cycles,
 cuts, and subsets, and a full rescan of the graph for each cubic rule match.
 Nothing imports solver internals beyond the Graph type, the rule ids, the
-bridge and 2-edge-cut queries, the forest test, and the peeling and
+bridge and 2-edge-cut queries, the forest test, the peeling and
 shortest-cycle helpers that the reference oracle search shares with the
-real one.
+real one, and the plane-graph constructor and K4 rotation that the
+reference generator grows from.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from fvsbound.errors import MemberNotInGraph
 from fvsbound.graph import (
     Graph,
     bridges,
+    edge_key,
     is_forest,
     min_side_two_edge_cut,
     peel_degree_le1,
     shortest_cycle,
 )
-from fvsbound.instances import random_cubic_2connected
-from fvsbound.planar import embed
+from fvsbound.instances import _K4_ROTATION, random_cubic_2connected
+from fvsbound.planar import PlaneGraph, _plane_graph_of, embed
 
 
 def enumerate_simple_cycles(g: Graph) -> list[tuple[int, ...]]:
@@ -464,3 +466,58 @@ def reference_find_rule(g: Graph) -> tuple[RuleId, tuple[int, ...]]:
     v = g.vertices[0]
     nbrs = g.neighbors(v)
     return RuleId.R7_GENERIC, (v, nbrs[0], nbrs[1])
+
+
+# -- reference plane-graph generator -----------------------------------------
+
+
+def reference_random_planar_girth(n_target: int, g: int, seed: int):
+    """``random_planar_girth`` with a full rebuild and face walk per expansion.
+
+    Each face-chord expansion rebuilds the plane graph and takes the face
+    from its freshly walked ``faces``; then every edge is subdivided on a
+    built plane graph. Quadratic in n; for differential tests only.
+    """
+    rng = random.Random(seed)
+    pg = _plane_graph_of(_K4_ROTATION, {e: 1 for e in combinations(range(4), 2)})
+    t = -(-g // 3) - 1
+    base_target = max(4, round(n_target / (1 + 1.5 * t)))
+    while pg.graph.n + 2 <= base_target:
+        pg = _reference_expand_inside_face(pg, rng)
+    if t > 0:
+        pg = _reference_subdivide_every_edge(pg, t)
+    return pg.graph, pg.rotation
+
+
+def _reference_expand_inside_face(pg: PlaneGraph, rng: random.Random) -> PlaneGraph:
+    """Subdivide two boundary edges of a random face and join them by a chord."""
+    face = pg.faces[rng.randrange(len(pg.faces))]
+    i, j = sorted(rng.sample(range(len(face.boundary)), 2))
+    (x_a, y_a), (x_b, y_b) = face.boundary[i], face.boundary[j]
+    top = max(pg.graph.vertices)
+    a, b = top + 1, top + 2
+    order, weights = dict(pg.rotation.order), pg.graph.edge_weights()
+    for x, y, mid in ((x_a, y_a, a), (x_b, y_b, b)):
+        order[x] = tuple(mid if z == y else z for z in order[x])
+        order[y] = tuple(mid if z == x else z for z in order[y])
+        del weights[edge_key(x, y)]
+        weights[x, mid] = weights[y, mid] = 1
+    order[a] = (x_a, b, y_a)
+    order[b] = (x_b, a, y_b)
+    weights[a, b] = 1
+    return _plane_graph_of(order, weights)
+
+
+def _reference_subdivide_every_edge(pg: PlaneGraph, t: int) -> PlaneGraph:
+    """Replace each edge by a path with t inner vertices; multiplies cycle lengths."""
+    order, weights = dict(pg.rotation.order), {}
+    next_id = max(pg.graph.vertices) + 1
+    for u, v in pg.graph.edges():
+        path = [u, *range(next_id, next_id + t), v]
+        next_id += t
+        weights.update(dict.fromkeys(map(edge_key, path, path[1:]), 1))
+        order[u] = tuple(path[1] if z == v else z for z in order[u])
+        order[v] = tuple(path[-2] if z == u else z for z in order[v])
+        for prev_v, mid, nxt in zip(path, path[1:], path[2:]):
+            order[mid] = (prev_v, nxt)
+    return _plane_graph_of(order, weights)

@@ -1,13 +1,16 @@
 """Named instances, tightness families, and the two random generators."""
 
 import hashlib
+import random
 
 import pytest
 
 from fvsbound.errors import PreconditionViolated, UnknownInstanceName
 from fvsbound.graph import Graph, bridges, girth, is_two_connected
 from fvsbound.instances import (
+    _K4_FACES,
     _K4_ROTATION,
+    _GrowingCubicBase,
     chain,
     disjoint_cycles,
     make_named,
@@ -16,9 +19,9 @@ from fvsbound.instances import (
     triangle_replace,
 )
 from fvsbound.oracle import min_fvs_exact
-from fvsbound.planar import RotationSystem, embed, faces_of
+from fvsbound.planar import RotationSystem, _plane_graph_of, embed, faces_of
 
-from bruteforce import is_connected
+from bruteforce import is_connected, reference_random_planar_girth
 
 
 class TestNamed:
@@ -183,12 +186,43 @@ class TestRandomPlanarGirth:
             assert target - 2 <= graph.n <= target + 2
 
     def test_grows_from_the_embedding_of_k4(self):
-        # The literal is embed's rotation of K4 under networkx 3.6.1, the
-        # version CI pins; it walks into four triangular faces.
+        # The rotation literal is embed's rotation of K4 under networkx 3.6.1,
+        # the version CI pins; it walks into the four triangles of the face
+        # literal, in that order.
         k4 = make_named("k4").graph
         assert embed(k4).order == _K4_ROTATION
         pg = faces_of(k4, RotationSystem(_K4_ROTATION))
+        assert [face.boundary for face in pg.faces] == list(_K4_FACES)
         assert [len(face) for face in pg.faces] == [3, 3, 3, 3]
+
+    def test_matches_the_rebuilding_reference(self):
+        # Edges, rings and the weight map's order: the graph is built from
+        # the weight map, so its order is part of the output.
+        for g_target in (3, 4, 5, 6, 7, 9):
+            for n_target in range(4, 71):
+                for seed in (1, 2, 3):
+                    args = (n_target, g_target, seed)
+                    graph, rot = random_planar_girth(*args)
+                    ref_graph, ref_rot = reference_random_planar_girth(*args)
+                    assert graph.edges() == ref_graph.edges(), args
+                    assert rot.order == ref_rot.order, args
+                    assert list(graph.edge_weights()) == list(ref_graph.edge_weights()), args
+
+    def test_kept_faces_match_a_fresh_walk(self):
+        # On K4 and after every expansion, the face lists kept in place equal
+        # the walk of the maps: the same boundaries, each starting at the same
+        # dart, in the same order, so with the same ids.
+        for seed in range(6):
+            rng = random.Random(seed)
+            base = _GrowingCubicBase()
+            for step in range(41):
+                if step:
+                    base.expand(rng)
+                pg = _plane_graph_of({v: tuple(ring) for v, ring in base.order.items()},
+                                     base.weights)
+                assert [list(face.boundary) for face in pg.faces] == base.faces
+                assert {d: base.faces.index(face) for d, face in base.dart_face.items()} \
+                    == pg.dart_face
 
 
 def generator_digest(graph, rotation=None) -> str:
@@ -206,6 +240,8 @@ class TestGeneratorPins:
         ((60, 3, 1), "355099cb0137211473b2afd3c189b4ed05defd38429921fe729eabf10b67fec7"),
         ((200, 5, 2), "17217fcc38e7c3a45977f9ab9daaf7d1c75644f49e99e9ef46d77af2f9305dce"),
         ((400, 7, 3), "2af7d3ca631b1778a45323a00793d48aae28d6ae2cfba8e9ac8f101a16da945d"),
+        ((4000, 5, 1), "4fbb7a17aebe71ad6b9fa764ac00051e013b7f9cd1ae747741f9894c05d44611"),
+        ((2000, 3, 4), "9c18093ceff7aec1f0e6a162c190e62dd8c4e75606d4710c22dac609a01564db"),
     ])
     def test_random_planar_girth(self, args, digest):
         assert generator_digest(*random_planar_girth(*args)) == digest
