@@ -736,11 +736,12 @@ def solve_cubic(g: Graph) -> FvsCertificate:
     """Feedback vertex set with 3|S| <= n + 2 for a 2-connected subcubic graph.
 
     The rewrites run on one working graph copied from ``g`` and changed in
-    place; after each one only the dirty set (surviving neighbors of the
-    dropped vertices, endpoints of the added edges) is re-indexed for the
-    matchers. Each step checks that the reduced graph is simple and smaller,
-    and, by one flow test near the dirty sets (see the module docstring),
-    that it has maximum degree 3 and is 2-connected. R5 enumerates the cuts
+    place, built only when ``g`` is above the base-case size; after each
+    one only the dirty set (surviving neighbors of the dropped vertices,
+    endpoints of the added edges) is re-indexed for the matchers. Each step
+    checks that the reduced graph is simple and smaller, and, by one flow
+    test near the dirty sets (see the module docstring), that it has
+    maximum degree 3 and is 2-connected. R5 enumerates the cuts
     of the whole graph only when that test finds one, or while no graph has
     been proven 3-edge-connected yet. The base case and the final check,
     which validates the set against ``g`` and the bound, run on immutable
@@ -754,15 +755,15 @@ def solve_cubic(g: Graph) -> FvsCertificate:
     _require_in_class(g)
     chosen: set[int] = set()
     trace: list[ReductionStep] = []
-    cur = _Work(g, in_class=True, defers=True)
-    while cur.n > BASE_CASE_MAX_N:
-        rule, match = find_rule(cur)
-        cur, step = apply_rule(cur, rule, match)
-        chosen |= set(step.designated)
-        trace.append(step)
     last = g  # checked on entry
-    if trace:  # a rewrite ran: check again, which also covers a deferred check
-        last = cur.freeze()
+    if g.n > BASE_CASE_MAX_N:  # else no rewrite can run, and no working graph is built
+        cur = _Work(g, in_class=True, defers=True)
+        while cur.n > BASE_CASE_MAX_N:
+            rule, match = find_rule(cur)
+            cur, step = apply_rule(cur, rule, match)
+            chosen |= set(step.designated)
+            trace.append(step)
+        last = cur.freeze()  # check again, which also covers a deferred check
         try:
             _require_in_class(last)
         except PreconditionViolated as exc:  # a deferred check failed, or a bug

@@ -2,17 +2,14 @@
 
 Ground truth for tests and tightness measurements: a branch-and-bound that
 branches on the vertices of a shortest cycle (complete, since every feedback
-vertex set hits every cycle) with a greedy vertex-disjoint cycle packing as
-an admissible lower bound, and a brute-force subset enumeration used to
-cross-check it.
+vertex set hits every cycle) with two admissible lower bounds, the
+cyclomatic bound and a greedy vertex-disjoint cycle packing, and a
+brute-force subset enumeration used to cross-check it.
 
 A search node is an int bitmask over the vertex indices. A memo that lives
-for one ``min_fvs_exact`` call keeps each pruned node's shortest cycle and
-packing bound: at most one entry per visited node, about 150 bytes each,
-where the search alone needs O(depth). On ``random_cubic_2connected(40, 1)``
-at ``node_budget=150_000`` it holds 16775 entries, and a fresh process peaks
-at 20.3 MB RSS (2.6 MB traced), against 18.1 MB for the memo-free search it
-replaced (CPython 3.11, x86-64).
+for one ``min_fvs_exact`` call keeps the shortest cycle and packing bound of
+each node that the cyclomatic bound did not prune: at most one entry per
+visited node, about 150 bytes each, where the search alone needs O(depth).
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .errors import TooLarge
+from .errors import InternalInvariantBroken, TooLarge
 from .graph import Graph, is_forest, shortest_cycle_in, validate_fvs
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -50,6 +47,23 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def cyclomatic_lower_bound(degrees: list[int]) -> int:
+    """Fewest vertices whose (degree - 1) values can cover m - n + 1.
+
+    Deleting a vertex of degree d lowers m - n + c by at most d - 1, and a
+    forest has m - n + c = 0, so no feedback vertex set is smaller when the
+    graph is nonempty (Speckenmeyer, J. Graph Theory 12, 1988).
+    """
+    need = sum(degrees) // 2 - len(degrees) + 1
+    k = 0
+    for d in sorted(degrees, reverse=True):
+        if need <= 0:
+            break
+        need -= d - 1
+        k += 1
+    return k
+
+
 def min_fvs_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Exact decycling number with a witness, by branch and bound.
 
@@ -58,6 +72,12 @@ def min_fvs_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleRes
     node is a bitmask over the vertex indices, in ascending id order, so the
     nodes, their order and the witness are those of a search over rebuilt
     Graphs.
+
+    A node's peeled core is a leaf when empty; otherwise it has minimum
+    degree 2 and holds a cycle. It is pruned by ``cyclomatic_lower_bound``
+    before any cycle search, then by the packing bound. No admissible bound
+    changes the witness: it is the greedy set when that is optimal, else the
+    first optimal leaf in branch order, which no admissible bound prunes.
     """
     vs = g.vertices
     index = {v: i for i, v in enumerate(vs)}
@@ -110,15 +130,18 @@ def min_fvs_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleRes
             budget_hit = True
             return
         alive = core(alive)
+        if not alive:  # a core of minimum degree 2 holds a cycle; this is a leaf
+            if chosen.bit_count() < best.bit_count():
+                best = chosen
+            return
+        degrees = [(nbr_masks[v] & alive).bit_count() for v in _bits(alive)]
+        if chosen.bit_count() + cyclomatic_lower_bound(degrees) >= best.bit_count():
+            return
         known = memo.get(alive)
         if known is None:
             cycle = cycle_of(alive)
             known = memo[alive] = (cycle, packing_lower_bound(alive, cycle))
         cycle, packing = known
-        if not cycle:
-            if chosen.bit_count() < best.bit_count():
-                best = chosen
-            return
         if chosen.bit_count() + packing >= best.bit_count():
             return
         for v in _bits(cycle):
@@ -128,7 +151,8 @@ def min_fvs_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleRes
 
     search((1 << len(vs)) - 1, 0)
     witness = frozenset(vs[v] for v in _bits(best))
-    assert validate_fvs(g, witness)
+    if not validate_fvs(g, witness):
+        raise InternalInvariantBroken("exact search returned a set that leaves a cycle")
     return OracleResult(phi=len(witness), forest_order=len(vs) - len(witness),
                         witness=witness, node_budget_hit=budget_hit)
 

@@ -361,11 +361,21 @@ def reference_weighted_girth(g: Graph, below: int | float = float("inf")) -> int
 # -- reference exact oracle --------------------------------------------------
 
 
-def reference_min_fvs_exact(g: Graph, node_budget: int) -> tuple[int, frozenset[int], bool]:
+def reference_cyclomatic_bound(h: Graph) -> int:
+    """Fewest k whose k largest (degree - 1) values reach m - n + 1; 0 if empty."""
+    if h.n == 0:
+        return 0
+    gains = sorted((h.degree(v) - 1 for v in h.vertices), reverse=True)
+    return min(k for k in range(h.n + 1) if sum(gains[:k]) >= h.m - h.n + 1)
+
+
+def reference_min_fvs_exact(g: Graph, node_budget: int, cyclomatic: bool = True
+                            ) -> tuple[int, frozenset[int], bool]:
     """(phi, witness, budget hit) of the branch and bound, one rebuilt Graph per node.
 
-    The same shortest-cycle branching, greedy upper bound and packing lower
-    bound as ``oracle.min_fvs_exact``, each step on an immutable Graph.
+    The same shortest-cycle branching, greedy upper bound, cyclomatic bound
+    and packing lower bound as ``oracle.min_fvs_exact``, each step on an
+    immutable Graph. ``cyclomatic=False`` prunes by the packing bound alone.
     """
     def pruned(h: Graph) -> Graph:
         drop = peel_degree_le1(h)
@@ -396,6 +406,8 @@ def reference_min_fvs_exact(g: Graph, node_budget: int) -> tuple[int, frozenset[
             budget_hit = True
             return
         cur = pruned(cur)
+        if cyclomatic and len(chosen) + reference_cyclomatic_bound(cur) >= len(best):
+            return
         cycle = shortest_cycle(cur)
         if cycle is None:
             if len(chosen) < len(best):

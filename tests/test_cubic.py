@@ -207,17 +207,24 @@ class TestSolveCubic:
         assert solve_cubic(make_named("prism").graph).size == 2
 
     def test_a_base_case_input_is_checked_once(self, monkeypatch):
-        # With no rewrite step, the entry check is the only class check, and
-        # the certificate is the base case's.
+        # With no rewrite step, the entry check is the only class check, no
+        # working graph is built, and the certificate is the base case's.
         checks = []
         check = cubic_module.is_two_connected
         monkeypatch.setattr(cubic_module, "is_two_connected",
                             lambda g: checks.append(g.n) or check(g))
+        works = []
+        init = cubic_module._Work.__init__
+        monkeypatch.setattr(cubic_module._Work, "__init__",
+                            lambda self, *args, **kw: works.append(1) or init(self, *args, **kw))
         for name in ("k4", "prism", "petersen"):
             g = make_named(name).graph
             checks.clear()
             assert solve_cubic(g) == base_case(g)
             assert checks == [g.n, g.n]  # solve_cubic's, then base_case's
+        assert not works
+        solve_cubic(random_cubic_2connected(12, 1))
+        assert works
 
     def test_petersen_optimal(self):
         g = make_named("petersen").graph

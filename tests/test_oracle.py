@@ -4,16 +4,30 @@ import random
 
 import pytest
 
-from fvsbound.errors import TooLarge
+import fvsbound.oracle as oracle_module
+from fvsbound.errors import InternalInvariantBroken, TooLarge
 from fvsbound.graph import Graph, validate_fvs
 from fvsbound.instances import disjoint_cycles, make_named, random_cubic_2connected
-from fvsbound.oracle import DEFAULT_NODE_BUDGET, min_fvs_exact, min_fvs_naive
+from fvsbound.oracle import (
+    DEFAULT_NODE_BUDGET,
+    cyclomatic_lower_bound,
+    min_fvs_exact,
+    min_fvs_naive,
+)
 
-from bruteforce import random_simple_graph, reference_min_fvs_exact
+from bruteforce import random_simple_graph, reference_cyclomatic_bound, reference_min_fvs_exact
 
 
 def cycle_graph(n):
     return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+def search_corpus():
+    """420 small graphs: 400 random ones of varied density, 20 cubic ones."""
+    rng = random.Random(15)
+    graphs = [random_simple_graph(rng.randint(1, 13), rng, rng.choice((0.2, 0.35, 0.5)))
+              for _ in range(400)]
+    return graphs + [random_cubic_2connected(10, seed) for seed in range(20)]
 
 
 class TestKnownValues:
@@ -63,18 +77,39 @@ class TestInvariants:
         # The search over bitmask nodes visits the nodes of the search over
         # rebuilt Graphs in the same order: same optimum, witness and budget
         # outcome, also when a budget of 7 or 3 nodes cuts it short.
-        rng = random.Random(15)
-        graphs = [random_simple_graph(rng.randint(1, 13), rng, rng.choice((0.2, 0.35, 0.5)))
-                  for _ in range(400)]
-        graphs += [random_cubic_2connected(10, seed) for seed in range(20)]
         hits = set()
-        for g in graphs:
+        for g in search_corpus():
             for budget in (DEFAULT_NODE_BUDGET, 7, 3):
                 result = min_fvs_exact(g, node_budget=budget)
                 got = (result.phi, result.witness, result.node_budget_hit)
                 assert got == reference_min_fvs_exact(g, budget)
                 hits.add(result.node_budget_hit)
         assert hits == {True, False}
+
+    def test_matches_the_packing_only_search(self):
+        # Any admissible bound keeps the witness: the greedy set if it is
+        # optimal, else the first optimal leaf in the unchanged branch order.
+        # So the cyclomatic bound only saves nodes at the default budget.
+        graphs = search_corpus() + [random_cubic_2connected(n, 0) for n in range(12, 29, 2)]
+        for g in graphs:
+            result = min_fvs_exact(g)
+            got = (result.phi, result.witness, result.node_budget_hit)
+            assert got == reference_min_fvs_exact(g, DEFAULT_NODE_BUDGET, cyclomatic=False)
+
+    def test_cyclomatic_bound_is_admissible(self):
+        rng = random.Random(16)
+        tight = above_cubic = 0
+        for _ in range(300):
+            g = random_simple_graph(rng.randint(1, 12), rng, rng.choice((0.2, 0.35, 0.5, 0.7)))
+            degrees = [g.degree(v) for v in g.vertices]
+            bound = cyclomatic_lower_bound(degrees)
+            assert bound == reference_cyclomatic_bound(g)
+            phi = min_fvs_naive(g)
+            assert bound <= phi
+            tight += 0 < bound == phi
+            above_cubic += max(degrees, default=0) > 3
+        assert tight and above_cubic
+        assert cyclomatic_lower_bound([]) == 0
 
     def test_no_state_across_calls(self):
         # The memo lives for one call. A full search between two squeezed
@@ -115,6 +150,19 @@ class TestLimits:
         assert squeezed.node_budget_hit
         assert validate_fvs(g, squeezed.witness)
         assert squeezed.phi >= truth.phi
+
+    def test_cubic_40_is_proved_at_the_root_bound(self):
+        # The greedy set meets ceil((n + 2) / 4) = 11, so the cyclomatic
+        # bound proves it optimal at once; the packing bound alone ran out
+        # of this budget.
+        result = min_fvs_exact(random_cubic_2connected(40, 1), node_budget=150_000)
+        assert (result.phi, result.node_budget_hit) == (11, False)
+
+    def test_a_bad_witness_raises(self, monkeypatch):
+        # An explicit check, not an assert, so it also runs under python -O.
+        monkeypatch.setattr(oracle_module, "validate_fvs", lambda g, s: False)
+        with pytest.raises(InternalInvariantBroken):
+            min_fvs_exact(make_named("k4").graph)
 
     def test_subcubic_bound_sanity(self):
         # the theorem's (n+2)/3 must hold for the oracle's optimum in class
