@@ -44,24 +44,22 @@ the dropped vertices really lay does not matter, since G0 has no cut of
 fewer than 3 edges at all: att(σ) >= 3 − |C ∩ G0| >= 1 + x(σ). The same
 holds for ∂∖σ, so a split is possible only if
 min(att(σ), att(∂∖σ)) > x(σ), and from s = min ∂ one t on the far side of
-each possible split suffices. After an R7 step and the R1 step it defers
-to, ∂ is six vertices of att 1 paired by three added edges, and two tests
+each possible split suffices. After an R7 step and the R1 step that checks
+it, ∂ is six vertices of att 1 paired by three added edges, and two tests
 do the work of five.
 
 So a step pays for one flow test. With no degree-2 vertex and ∂ known, a
 pass of λ >= 3 across ∂ proves the graph 3-edge-connected, so 2-connected,
 and empties ∂; only a fail runs the λ >= 2 test. When the least degree-2
 vertex v has non-adjacent neighbors, R1 suppresses v next, and the graph is
-2-connected iff the suppressed one is. The solver's graph then defers the
-check to that step, whose boundary includes this one's; a failure names the
-deferred step, and if the loop ends first the base case's global check
-covers it.
+2-connected iff the suppressed one is. So the check waits for that step,
+whose boundary includes this one's; a failure names the deferred step.
 
 R5 is global until one of its queries finds no cut, because only then is a
-G0 known. The class check stays global on a caller's ``Graph``, which
-``find_rule`` and ``apply_rule`` wrap in a fresh working graph: it is not
-known to be 2-connected, while ``solve_cubic`` proves its input in class
-first. The final check of the returned set is always global.
+G0 known. The graph the rewrites leave is checked whole once, which covers
+a check still deferred; ``apply_rule`` runs that exit check on a caller's
+``Graph`` too, which is not known to be in class. The final check of the
+returned set is always global.
 """
 
 from __future__ import annotations
@@ -115,9 +113,9 @@ class _Work:
     """
 
     __slots__ = ("adj", "deg2", "tri", "groups", "twins", "_weights",
-                 "in_class", "boundary", "att", "added", "defers", "pending", "cut")
+                 "boundary", "att", "added", "pending", "cut")
 
-    def __init__(self, g: Graph, in_class: bool = False, defers: bool = False):
+    def __init__(self, g: Graph):
         self.adj = {v: g.neighbors(v) for v in g.vertices}
         self._weights = g.edge_weights()
         self.deg2: set[int] = set()
@@ -125,8 +123,6 @@ class _Work:
         self.groups: dict[tuple[int, ...], set[int]] = {}
         self.twins: set[tuple[int, ...]] = set()
         self._index(self.adj)
-        # True while the graph is known to be 2-connected and subcubic.
-        self.in_class = in_class
         # The dirty sets accumulated since the graph was last proven
         # 3-edge-connected, less the vertices dropped since; None before that.
         # While it is known, ``att`` counts at each survivor the edges of that
@@ -135,9 +131,8 @@ class _Work:
         self.boundary: set[int] | None = None
         self.att: dict[int, int] = {}
         self.added: set[EdgeKey] = set()
-        # Only the solver's graph defers a check; a deferred one leaves the
-        # dirty sets since the last graph proven 2-connected, and its error.
-        self.defers = defers
+        # A deferred check leaves the dirty sets since the last graph proven
+        # 2-connected, and its error.
         self.pending: tuple[set[int], str] | None = None
         # The match R5 found on the current graph, with its cut.
         self.cut: tuple[tuple[int, ...], CutStructure] | None = None
@@ -178,10 +173,9 @@ class _Work:
         """Remove vertices, then add edges among the survivors, in place.
 
         Returns the dirty set and adds it to ``boundary``; while G0 is known,
-        ``att`` and ``added`` follow. The rewritten graph is no longer known
-        to be in class, nor its cut. Raises ValueError, before changing
-        anything, on a loop, a parallel edge, or an endpoint that is not in
-        the reduced graph.
+        ``att`` and ``added`` follow, and the cut is forgotten. Raises
+        ValueError, before changing anything, on a loop, a parallel edge, or
+        an endpoint that is not in the reduced graph.
         """
         adj = self.adj
         gone = set(drop)
@@ -221,7 +215,6 @@ class _Work:
         for v, ns in dirty.items():
             adj[v] = tuple(sorted(ns))
         self._index(dirty)
-        self.in_class = False
         self.cut = None
         touched = set(dirty)
         if self.boundary is not None:
@@ -507,7 +500,6 @@ def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
         edge_key(v, u) for v in drop_set for u in g.neighbors(v))
     n_before = g.n
     # ``cover`` gathers the dirty sets since the last graph proven 2-connected.
-    local = g.in_class or g.pending is not None
     cover, error = g.pending or (
         set(), f"{rule.value} on {match}: reduced graph is not 2-connected")
     g.pending = None
@@ -518,8 +510,8 @@ def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
             f"{rule.value} on {match}: reduced graph is not simple ({exc})")
     if g.n >= n_before:
         raise InternalInvariantBroken(f"{rule.value} did not shrink the graph")
-    # From a graph in class, or deferred, only the dirty vertices changed degree.
-    if (max(map(g.degree, dirty), default=0) if local else g.max_degree()) > 3:
+    # Only the dirty vertices changed degree.
+    if max(map(g.degree, dirty), default=0) > 3:
         raise InternalInvariantBroken(
             f"{rule.value} on {match}: reduced graph exceeds degree 3")
     step = ReductionStep(
@@ -529,7 +521,7 @@ def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
         added_edges=frozenset(edge_key(u, v) for u, v in add),
         designated=designated)
     cover = (cover - drop_set) | dirty
-    if local and g.defers and g.deg2 and not g.has_edge(*g.adj[min(g.deg2)]):
+    if g.deg2 and not g.has_edge(*g.adj[min(g.deg2)]):
         # R1 suppresses that vertex next, whose check then covers this one.
         g.pending = (cover, error)
         return step
@@ -537,10 +529,8 @@ def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
     if (g.boundary is not None and not g.deg2 and g.n >= 3
             and _three_edge_connected(g)):
         g.mark_three_edge_connected()
-    elif not ((g.n >= 3 and _edge_connected_within(g.adj, cover, 2)) if local
-              else is_two_connected(g)):
+    elif not (g.n >= 3 and _edge_connected_within(g.adj, cover, 2)):
         raise InternalInvariantBroken(error)
-    g.in_class = True
     return step
 
 
@@ -681,18 +671,34 @@ def apply_rule(g: Graph | _Work, rule: RuleId,
                match: tuple[int, ...]) -> tuple[Graph | _Work, ReductionStep]:
     """Apply one rule to its match; the result is checked to stay in class.
 
-    A Graph is left as it is and the reduced graph is returned as a new
-    Graph; the solver's working graph is rewritten in place and returned.
-    Raises InternalInvariantBroken when the reduced graph leaves the class of
-    simple 2-connected subcubic graphs; the rewrite proofs guarantee closure,
-    so that only ever signals a bug (or a match from a stale graph). The
-    check reads the whole reduced graph when the graph before the step was
-    not known to be in class, as a Graph argument is not; otherwise it is one
-    flow test across the boundary (see the module docstring).
+    The solver's working graph is rewritten in place and returned; a Graph
+    is left as it is and the reduced graph returned as a new Graph. Each step
+    runs one flow test across the boundary (see the module docstring); a
+    Graph is not known to be in class, so its result also passes the
+    whole-graph exit check. Raises InternalInvariantBroken when the reduced
+    graph leaves the class of simple 2-connected subcubic graphs: the rewrite
+    proofs guarantee closure, so that only signals a bug or a stale match.
     """
-    work = g if isinstance(g, _Work) else _Work(g)
+    if isinstance(g, _Work):
+        return g, _APPLIERS[rule](g, match)
+    work = _Work(g)
     step = _APPLIERS[rule](work, match)
-    return (work if work is g else work.freeze()), step
+    return _checked_freeze(work, step), step
+
+
+def _checked_freeze(work: _Work, step: ReductionStep) -> Graph:
+    """The working graph after ``step``, frozen and checked whole to be in class.
+
+    A graph that is not 2-connected names the deferred step, if one is pending.
+    """
+    out = work.freeze()
+    name = f"{step.rule} on {step.matched}"
+    if out.max_degree() > 3:
+        raise InternalInvariantBroken(f"{name}: reduced graph exceeds degree 3")
+    if not is_two_connected(out):
+        raise InternalInvariantBroken(
+            work.pending[1] if work.pending else f"{name}: reduced graph is not 2-connected")
+    return out
 
 
 # -- solver --------------------------------------------------------------------
@@ -736,16 +742,15 @@ def solve_cubic(g: Graph) -> FvsCertificate:
     """Feedback vertex set with 3|S| <= n + 2 for a 2-connected subcubic graph.
 
     The rewrites run on one working graph copied from ``g`` and changed in
-    place, built only when ``g`` is above the base-case size; after each
-    one only the dirty set (surviving neighbors of the dropped vertices,
+    place, built only when ``g`` is above the base-case size; after each one
+    only the dirty set (surviving neighbors of the dropped vertices,
     endpoints of the added edges) is re-indexed for the matchers. Each step
     checks that the reduced graph is simple and smaller, and, by one flow
-    test near the dirty sets (see the module docstring), that it has
-    maximum degree 3 and is 2-connected. R5 enumerates the cuts
-    of the whole graph only when that test finds one, or while no graph has
-    been proven 3-edge-connected yet. The base case and the final check,
-    which validates the set against ``g`` and the bound, run on immutable
-    Graphs. The base case re-checks the class only after a rewrite step.
+    test near the dirty sets (see the module docstring), that it has maximum
+    degree 3 and is 2-connected. R5 enumerates the cuts of the whole graph
+    only when that test finds one, or while no graph has been proven
+    3-edge-connected yet. The exit check, the base case and the final check,
+    which validates the set against ``g`` and the bound, run on Graphs.
 
     Deterministic: same input graph (same ids), same trace. A reduction that
     leaves the class raises InternalInvariantBroken: the rewrite proofs rule
@@ -757,17 +762,13 @@ def solve_cubic(g: Graph) -> FvsCertificate:
     trace: list[ReductionStep] = []
     last = g  # checked on entry
     if g.n > BASE_CASE_MAX_N:  # else no rewrite can run, and no working graph is built
-        cur = _Work(g, in_class=True, defers=True)
+        cur = _Work(g)
         while cur.n > BASE_CASE_MAX_N:
             rule, match = find_rule(cur)
             cur, step = apply_rule(cur, rule, match)
             chosen |= set(step.designated)
             trace.append(step)
-        last = cur.freeze()  # check again, which also covers a deferred check
-        try:
-            _require_in_class(last)
-        except PreconditionViolated as exc:  # a deferred check failed, or a bug
-            raise InternalInvariantBroken(cur.pending[1] if cur.pending else str(exc)) from None
+        last = _checked_freeze(cur, trace[-1])
     base = _exact_base(last)
     chosen |= base.fvs
     trace.extend(base.trace)

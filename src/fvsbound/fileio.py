@@ -171,7 +171,9 @@ def _read_ascii(path: str) -> str:
 
 
 def _is_int(token: str) -> bool:
-    return token.removeprefix("-").isdigit()
+    """True iff ``token`` is ``-?[0-9]+``; ``str.isdigit`` alone takes any Unicode digit."""
+    digits = token.removeprefix("-")
+    return digits.isascii() and digits.isdigit()
 
 
 def _write_json(path: str, graph: Graph, rotation: RotationSystem | None,

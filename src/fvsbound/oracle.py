@@ -5,11 +5,6 @@ branches on the vertices of a shortest cycle (complete, since every feedback
 vertex set hits every cycle) with two admissible lower bounds, the
 cyclomatic bound and a greedy vertex-disjoint cycle packing, and a
 brute-force subset enumeration used to cross-check it.
-
-A search node is an int bitmask over the vertex indices. A memo that lives
-for one ``min_fvs_exact`` call keeps the shortest cycle and packing bound of
-each node that the cyclomatic bound did not prune: at most one entry per
-visited node, about 150 bytes each, where the search alone needs O(depth).
 """
 
 from __future__ import annotations
@@ -120,8 +115,6 @@ def min_fvs_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleRes
         alive = core(alive ^ 1 << v)
     nodes = 0
     budget_hit = False
-    # Pruned node -> (its shortest cycle, its packing bound), for this call only.
-    memo: dict[int, tuple[int, int]] = {}
 
     def search(alive: int, chosen: int) -> None:
         nonlocal best, nodes, budget_hit
@@ -137,12 +130,8 @@ def min_fvs_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleRes
         degrees = [(nbr_masks[v] & alive).bit_count() for v in _bits(alive)]
         if chosen.bit_count() + cyclomatic_lower_bound(degrees) >= best.bit_count():
             return
-        known = memo.get(alive)
-        if known is None:
-            cycle = cycle_of(alive)
-            known = memo[alive] = (cycle, packing_lower_bound(alive, cycle))
-        cycle, packing = known
-        if chosen.bit_count() + packing >= best.bit_count():
+        cycle = cycle_of(alive)
+        if chosen.bit_count() + packing_lower_bound(alive, cycle) >= best.bit_count():
             return
         for v in _bits(cycle):
             search(alive ^ 1 << v, chosen | 1 << v)

@@ -30,7 +30,7 @@ from fvsbound.graph import (
     shortest_cycle,
 )
 from fvsbound.instances import _K4_ROTATION, random_cubic_2connected
-from fvsbound.planar import PlaneGraph, _plane_graph_of, embed
+from fvsbound.planar import PlaneGraph, _plane_graph_of, embed, faces_of
 
 
 def enumerate_simple_cycles(g: Graph) -> list[tuple[int, ...]]:
@@ -127,6 +127,27 @@ def rewired(g: Graph, drop_vertices=(), add_edges=()) -> Graph:
     drop = set(drop_vertices)
     kept = [(u, v, g.weight(u, v)) for u, v in g.edges() if u not in drop and v not in drop]
     return Graph(set(g.vertices) - drop, kept + list(add_edges))
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+def chorded_c6() -> Graph:
+    return Graph(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+
+
+def wheel(k: int) -> Graph:
+    """The rim 0..k-1 and the hub k."""
+    return Graph(range(k + 1),
+                 [(k, i) for i in range(k)] + [(i, (i + 1) % k) for i in range(k)])
+
+
+def plane(g: Graph) -> PlaneGraph:
+    """g with the faces of the rotation ``embed`` finds; g must be planar."""
+    rot = embed(g)
+    assert rot is not None
+    return faces_of(g, rot)
 
 
 def _components(g: Graph) -> list[set[int]]:

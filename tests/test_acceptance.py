@@ -33,6 +33,7 @@ from fvsbound.planar import apply_merger, embed, faces_of, find_guaranteed_merge
 from bruteforce import (
     edge_connectivity_le3_bruteforce,
     enumerate_simple_cycles,
+    plane,
     random_max_deg3_graph,
     vertex_connectivity_le3_bruteforce,
 )
@@ -41,12 +42,6 @@ from bruteforce import (
 def report(num: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok
-
-
-def plane(g):
-    rot = embed(g)
-    assert rot is not None
-    return faces_of(g, rot)
 
 
 def test_criterion_01_k4_tight_case():

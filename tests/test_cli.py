@@ -52,6 +52,13 @@ TWICE_ROTATED_JSON = ('{"format": "fvsbound-graph", "version": 1, "vertices": [0
                       '"edges": [[0, 1], [1, 2], [2, 0]], "meta": {}, '
                       '"rotation": {"0": [1, 2], "1": [0, 2], "01": [2, 0], "2": [0, 1]}}')
 
+# K4 whose ring at vertex 3 is keyed by the Arabic-Indic digit three, written
+# as a JSON escape, so the file itself is ASCII.
+NON_ASCII_KEY_JSON = ('{"format": "fvsbound-graph", "version": 1, "vertices": [0, 1, 2, 3], '
+                      '"edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]], "meta": {}, '
+                      '"rotation": {"0": [1, 2, 3], "1": [0, 3, 2], "2": [0, 1, 3], '
+                      '"\\u0663": [0, 2, 1]}}')
+
 # A triangle whose rotation leaves out vertex 2.
 PARTIAL_ROTATION_JSON = ('{"format": "fvsbound-graph", "version": 1, "vertices": [0, 1, 2], '
                          '"edges": [[0, 1], [1, 2], [2, 0]], "meta": {}, '
@@ -285,6 +292,13 @@ class TestSolve:
     def test_json_rotation_naming_a_vertex_twice_exits_2(self, tmp_path, capsys):
         path = tmp_path / "twice.json"
         path.write_text(TWICE_ROTATED_JSON)
+        code = main(["solve", str(path)])
+        assert code == 2
+        assert one_error_line(capsys)
+
+    def test_json_rotation_key_in_non_ascii_digits_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "digits.json"
+        path.write_text(NON_ASCII_KEY_JSON)
         code = main(["solve", str(path)])
         assert code == 2
         assert one_error_line(capsys)

@@ -33,7 +33,9 @@ from fvsbound.instances import make_named, random_cubic_2connected, triangle_rep
 from fvsbound.oracle import min_fvs_exact, min_fvs_naive
 
 from bruteforce import (
+    chorded_c6,
     cut_joined_pair,
+    cycle_graph,
     edge_connectivity_le3_bruteforce,
     r4_all_distinct_instance,
     r4_two_equal_instance,
@@ -43,14 +45,6 @@ from bruteforce import (
     rewired,
     subdivided,
 )
-
-
-def cycle_graph(n):
-    return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
-
-
-def chorded_c6():
-    return rewired(cycle_graph(6), add_edges=[(0, 3)])
 
 
 class TestFindRule:
@@ -448,16 +442,18 @@ class TestLocalChecks:
                 assert _edge_connected_within(adj, g.vertices, k) == (lam >= k)
 
     def test_solver_graph_catches_a_bridge_behind_one_dirty_vertex(self):
-        # Dropping v (ids 1, 2 on the square 1-2-3-4, 0 on the hexagon
-        # 0, 5..9) leaves the edge 3-7 a bridge. Only the dirty vertex 0 lies
-        # on its far side, so a check that skipped it would pass.
-        edges = ([(1, 2), (2, 3), (3, 4), (4, 1), (10, 1), (10, 2), (10, 0), (3, 7)]
-                 + [(a, b) for a, b in zip((0, 5, 6, 7, 8, 9), (5, 6, 7, 8, 9, 0))])
-        g = Graph(range(11), edges)
+        # Dropping 0 (joined to the square 1-3-2-4 at 1 and 2, and to the
+        # diamond 5-6-7-8 at 5) and adding 1-2 leaves the edge 3-8 a bridge.
+        # The degree-2 vertices 4 and 5 both have adjacent neighbors, so the
+        # step is checked at once. Of the dirty vertices 1, 2 and 5, only 5
+        # lies across the bridge, so a check that skipped it would pass.
+        g = Graph(range(9), [(1, 3), (2, 3), (2, 4), (1, 4), (0, 1), (0, 2), (0, 5),
+                             (3, 8), (5, 6), (5, 7), (6, 7), (6, 8), (7, 8)])
         assert is_two_connected(g) and g.max_degree() == 3
-        work = _Work(g, in_class=True)
+        work = _Work(g)
         with pytest.raises(InternalInvariantBroken, match="not 2-connected"):
-            cubic_module._build(work, [10], [], RuleId.R1_DEGREE2, (10,), ())
+            cubic_module._build(work, [0], [(1, 2)], RuleId.R7_GENERIC, (0,), ())
+        assert work.pending is None
 
     def test_failed_three_edge_test_falls_back_to_the_two_edge_test(self):
         # Two copies of the Petersen graph less vertex 0 (ports 1, 4, 5 and
@@ -470,7 +466,7 @@ class TestLocalChecks:
         g = Graph([], half + [(u + 10, v + 10) for u, v in half]
                   + [(1, 11), (4, 14), (5, 15)])
         assert connectivity_le3(g) == (3, 3)
-        work = _Work(g, in_class=True)
+        work = _Work(g)
         work.boundary = set()
         with pytest.raises(InternalInvariantBroken, match="not 2-connected"):
             cubic_module._build(work, [4, 5, 14, 15],
@@ -504,7 +500,7 @@ class TestLocalChecks:
         g = Graph([], half + [(u + 10, v + 10) for u, v in half]
                   + [(1, 11), (4, 14), (5, 15)])
         assert connectivity_le3(g) == (3, 3)
-        work = _Work(g, in_class=True, defers=True)
+        work = _Work(g)
         work.mark_three_edge_connected()
         apply_rule(work, RuleId.R7_GENERIC, (1, 2, 6))
         assert work.pending is not None
@@ -557,7 +553,8 @@ class TestLocalChecks:
     def test_apply_rule_on_a_disconnected_graph_still_raises(self):
         # R1 on the 12-cycle is sound, but beside a disjoint 5-cycle the
         # result is not 2-connected. A caller's graph is not known to be in
-        # class, so the check is global: both dirty vertices sit on one cycle.
+        # class, so its result passes the whole-graph exit check: both dirty
+        # vertices sit on one cycle.
         g = Graph(range(17), [(i, (i + 1) % 12) for i in range(12)]
                   + [(12 + i, 12 + (i + 1) % 5) for i in range(5)])
         with pytest.raises(InternalInvariantBroken, match="not 2-connected"):
@@ -570,7 +567,7 @@ class TestWorkingGraph:
     @staticmethod
     def step_through(g):
         """Yield each step's rule and the local R5 answer after it (None before any proof)."""
-        work = _Work(g, defers=True)
+        work = _Work(g)
         frozen = work.freeze()
         assert frozen == g
         g0 = None
@@ -584,6 +581,8 @@ class TestWorkingGraph:
             _, step = apply_rule(work, rule, match)
             frozen = work.freeze()
             assert frozen == rewired(before, step.removed_vertices, step.added_edges)
+            # The public path on a caller's Graph gives the same result and step.
+            assert apply_rule(before, rule, match) == (frozen, step)
             assert_indices_current(work)
             dirty = dirty_set(before, step.removed_vertices, step.added_edges)
             assert _edge_connected_within(work.adj, dirty, 2) == is_two_connected(frozen)

@@ -116,9 +116,12 @@ class TestJsonRoundTrip:
          "rotation: 1.0 is not an integer"),
         ("rotation", {"0": [1, 2], "1": [2, 0], "2.0": [0, 1]},
          "rotation keys must be integers"),
+        # Arabic-Indic two: str.isdigit and int() both take it for 2.
+        ("rotation", {"0": [1, 2], "1": [2, 0], "\u0662": [0, 1]},
+         "rotation keys must be integers"),
     ], ids=["float-id", "bool-id", "repeated-id", "ids-not-a-list", "float-weight",
             "float-endpoint", "bool-weight", "undeclared-endpoint", "float-rotation-entry",
-            "float-rotation-key"])
+            "float-rotation-key", "non-ascii-digit-rotation-key"])
     def test_rejects_non_integer_numbers(self, tmp_path, field, value, fragment):
         # Graph() would truncate these with int(), or add the undeclared
         # vertex, so a different graph than the file's would be certified.

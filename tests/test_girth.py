@@ -21,19 +21,13 @@ from fvsbound.instances import chain, disjoint_cycles, make_named, random_planar
 from fvsbound.oracle import min_fvs_exact
 from fvsbound.planar import embed, faces_of, split_high_degree_vertex, suppress_degree2_vertex
 
-from bruteforce import (far_cut_triangle_chain, random_simple_graph,
+from bruteforce import (far_cut_triangle_chain, plane, random_simple_graph,
                         reference_trivial_baseline_picks, rewired, shallow_recursion_limit,
-                        subdivided_rim_wheel, triangle_chain, weighted_chorded_cycle,
+                        subdivided_rim_wheel, triangle_chain, weighted_chorded_cycle, wheel,
                         without_edges)
 
 # The package re-exports graph.girth under the submodule's name.
 girth_module = importlib.import_module("fvsbound.girth")
-
-
-def plane(g):
-    rot = embed(g)
-    assert rot is not None
-    return faces_of(g, rot)
 
 
 def named_plane(name):
@@ -43,11 +37,6 @@ def named_plane(name):
 
 def reweighted(g, rng, lo=1, hi=6):
     return Graph(g.vertices, [(u, v, rng.randint(lo, hi)) for u, v in g.edges()])
-
-
-def wheel(k):
-    return Graph(range(k + 1),
-                 [(k, i) for i in range(k)] + [(i, (i + 1) % k) for i in range(k)])
 
 
 class TestConfig:

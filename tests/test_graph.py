@@ -31,6 +31,7 @@ from fvsbound.instances import make_named
 from bruteforce import (
     _components as brute_components,
     all_two_edge_cuts,
+    cycle_graph,
     edge_connectivity_le3_bruteforce,
     girth_by_enumeration,
     is_connected,
@@ -46,10 +47,6 @@ from bruteforce import (
 
 def path_graph(n):
     return Graph(range(n), [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n):
-    return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 K4 = make_named("k4").graph

@@ -15,11 +15,8 @@ from fvsbound.oracle import (
     min_fvs_naive,
 )
 
-from bruteforce import random_simple_graph, reference_cyclomatic_bound, reference_min_fvs_exact
-
-
-def cycle_graph(n):
-    return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+from bruteforce import (cycle_graph, random_simple_graph, reference_cyclomatic_bound,
+                        reference_min_fvs_exact)
 
 
 def search_corpus():
@@ -112,15 +109,15 @@ class TestInvariants:
         assert cyclomatic_lower_bound([]) == 0
 
     def test_no_state_across_calls(self):
-        # The memo lives for one call. A full search between two squeezed
-        # ones answers as if alone.
+        # The search keeps no state across calls. A full search between two
+        # squeezed ones answers as if alone.
         g = make_named("dodecahedron").graph
         for budget in (3, DEFAULT_NODE_BUDGET, 3):
             result = min_fvs_exact(g, node_budget=budget)
             got = (result.phi, result.witness, result.node_budget_hit)
             assert got == reference_min_fvs_exact(g, budget)
         # So does each graph run after four disjoint triangles on the same
-        # ids. A memo shared across calls would hand their packing bound, 4,
+        # ids. A cache shared across calls would hand their packing bound, 4,
         # to a graph whose full vertex set is its own pruned root; for one
         # of these (greedy 4, optimum 3) that ends the search at the root.
         triangles = Graph(range(12), [(3 * i + a, 3 * i + b) for i in range(4)

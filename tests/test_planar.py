@@ -28,17 +28,7 @@ from fvsbound.planar import (
     suppress_degree2_vertex,
 )
 
-from bruteforce import enumerate_simple_cycles, without_edges
-
-
-def cycle_graph(n):
-    return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
-
-
-def plane(g):
-    rot = embed(g)
-    assert rot is not None
-    return faces_of(g, rot)
+from bruteforce import chorded_c6, cycle_graph, enumerate_simple_cycles, plane, wheel, without_edges
 
 
 def random_plane_with_bridges(rng):
@@ -62,19 +52,9 @@ def random_plane_with_bridges(rng):
                                        for v, ring in order.items()}))
 
 
-def chorded_c6():
-    return Graph(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
-
-
 def theta_graph():
     # two branch vertices joined by three length-2 paths
     return Graph(range(5), [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
-
-
-def wheel(k):
-    hub = k
-    return Graph(range(k + 1),
-                 [(hub, i) for i in range(k)] + [(i, (i + 1) % k) for i in range(k)])
 
 
 class TestFacesOf:
