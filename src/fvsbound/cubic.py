@@ -154,9 +154,6 @@ class _Work:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj.get(u, ())
 
-    def max_degree(self) -> int:
-        return max(map(len, self.adj.values()), default=0)
-
     def freeze(self) -> Graph:
         """The current graph as an immutable Graph; added edges weigh 1."""
         weights = self._weights

@@ -9,7 +9,9 @@ The connectivity queries ``connected_components``, ``is_two_connected``,
 ``cut_vertices``, ``bridges``, ``has_two_edge_cut`` and
 ``min_side_two_edge_cut`` read a graph only through ``n``, ``vertices``
 (ascending) and ``neighbors`` (sorted), so the cubic solver can ask them
-about its mutable working graph without building a ``Graph``.
+about its mutable working graph without building a ``Graph``. One lowpoint
+DFS answers cut vertices, bridges and the number of components, and its
+forest feeds the cycle-space labelling of the 2-edge-cut queries.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ def shortest_cycle_in(adj: dict[int, Sequence[int]]) -> list[int] | None:
         if best_len == 3:
             break  # no cycle is shorter, and only a shorter one replaces best
         dist = {root: 0}
-        parent = {root: -1}
+        parent = {root: root}
         frontier = [root]
         while frontier:
             nxt = []
@@ -285,14 +287,11 @@ def shortest_cycle_in(adj: dict[int, Sequence[int]]) -> list[int] | None:
 def _walk_cycle(parent: dict[int, int], v: int, u: int) -> list[int] | None:
     """Close the BFS-tree paths of v and u into a simple cycle, if they form one."""
     path_v, path_u = [v], [u]
-    x = v
-    while parent[x] != -1:
-        x = parent[x]
-        path_v.append(x)
-    x = u
-    while parent[x] != -1:
-        x = parent[x]
-        path_u.append(x)
+    for path in (path_v, path_u):
+        x = path[0]
+        while parent[x] != x:
+            x = parent[x]
+            path.append(x)
     set_v = set(path_v)
     # Lowest common ancestor: first vertex of u's path already on v's path.
     lca_idx = next(i for i, x in enumerate(path_u) if x in set_v)
@@ -333,59 +332,62 @@ def _components(g: Graph, skip: Iterable[EdgeKey]) -> list[set[int]]:
     return comps
 
 
-def _lowpoint_dfs(g: Graph) -> tuple[list[int], list[EdgeKey], int]:
-    """Cut vertices and bridges, both sorted, plus the number of components.
+def _lowpoint_dfs(g: Graph) -> tuple[list[int], list[EdgeKey], int, list[tuple], list[tuple]]:
+    """Sorted cut vertices and bridges, the component count, and the DFS forest.
 
     One iterative Hopcroft-Tarjan lowpoint DFS per component (Tarjan, SIAM
-    J. Comput. 1972): a non-root v is a cut vertex iff some tree child c has
-    low[c] >= disc[v], the root iff it has two or more tree children, and a
-    tree edge (v, c) is a bridge iff low[c] > disc[v].
+    J. Comput. 1972), from its least vertex, neighbors ascending: a non-root v
+    is a cut vertex iff some tree child c has low[c] >= disc[v], the root iff
+    it has two or more tree children, and a tree edge (v, c) is a bridge iff
+    low[c] > disc[v]. The forest: tree edges (parent, child) in postorder and
+    back edges (descendant, ancestor) as found. A root is its own parent.
     """
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     cuts: set[int] = set()
     cut_edges: list[EdgeKey] = []
+    tree: list[tuple[int, int]] = []
+    back: list[tuple[int, int]] = []
     components = 0
-    timer = 0
     for root in g.vertices:
         if root in disc:
             continue
         components += 1
         root_children = 0
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(g.neighbors(root)))]
-        disc[root] = low[root] = timer
-        timer += 1
+        stack: list[tuple[int, int, Iterator[int]]] = [(root, root, iter(g.neighbors(root)))]
+        disc[root] = low[root] = len(disc)
         while stack:
             v, parent, it = stack[-1]
-            advanced = False
             for u in it:
                 if u == parent:
                     # Simple graph: the only v-parent edge is the tree edge.
                     continue
                 if u in disc:
-                    if disc[u] < low[v]:
-                        low[v] = disc[u]
+                    # No cross edges in an undirected DFS: u is an ancestor, or
+                    # a finished descendant whose back edge to v is recorded.
+                    if disc[u] < disc[v]:
+                        back.append((v, u))
+                        if disc[u] < low[v]:
+                            low[v] = disc[u]
                 else:
-                    disc[u] = low[u] = timer
-                    timer += 1
+                    disc[u] = low[u] = len(disc)
                     if v == root:
                         root_children += 1
                     stack.append((u, v, iter(g.neighbors(u))))
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                    if pv != root and low[v] >= disc[pv]:
-                        cuts.add(pv)
-                    if low[v] > disc[pv]:
-                        cut_edges.append(edge_key(pv, v))
+                if v != root:
+                    tree.append((parent, v))
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if parent != root and low[v] >= disc[parent]:
+                        cuts.add(parent)
+                    if low[v] > disc[parent]:
+                        cut_edges.append(edge_key(parent, v))
         if root_children >= 2:
             cuts.add(root)
-    return sorted(cuts), sorted(cut_edges), components
+    return sorted(cuts), sorted(cut_edges), components, tree, back
 
 
 def cut_vertices(g: Graph) -> list[int]:
@@ -402,72 +404,39 @@ def is_two_connected(g: Graph) -> bool:
     """2-connected per the convention |V| > 2, connected, no cut vertex."""
     if g.n < 3:
         return False
-    cuts, _, components = _lowpoint_dfs(g)
+    cuts, _, components, _, _ = _lowpoint_dfs(g)
     return components == 1 and not cuts
 
 
 def _two_edge_cuts(g: Graph) -> Iterator[tuple[tuple[EdgeKey, EdgeKey], list[set[int]]]]:
     """Every 2-edge cut-set of a connected bridgeless graph, with its two sides.
 
-    Cycle-space labelling (Pritchard & Thurimella, ACM TALG 2011): each DFS
-    back edge gets a random 64-bit label, each tree edge the XOR of the labels
-    of the back edges covering it. Two edges form a cut-set iff they lie on
-    the same fundamental cycles, so every cut pair shares a label; labels may
-    collide, so each candidate pair is confirmed by a component search that
-    skips both edges. Raises before yielding anything if the graph is
-    disconnected or has a bridge (a tree edge that no back edge covers).
+    Cycle-space labelling (Pritchard & Thurimella, ACM TALG 2011) of the
+    lowpoint DFS forest: each back edge gets a random 64-bit label, each tree
+    edge the XOR of the labels of the back edges covering it. Two edges form
+    a cut-set iff they lie on the same fundamental cycles, so every cut pair
+    shares a label; labels may collide, so each candidate pair is confirmed
+    by a component search that skips both edges. Raises before yielding
+    anything if the DFS finds more than one component or a bridge.
     """
-    if g.n < 2:
-        return
-    vertices = g.vertices
-    root = vertices[0]
-    disc: dict[int, int] = {root: 0}
-    parent: dict[int, int] = {root: -1}
-    postorder: list[int] = []
-    rng = random.Random(0x5EED)
-    acc_xor = dict.fromkeys(vertices, 0)
-    acc_cnt = dict.fromkeys(vertices, 0)
-    groups: dict[int, list[EdgeKey]] = {}
-    timer = 1
-    stack: list[tuple[int, Iterator[int]]] = [(root, iter(g.neighbors(root)))]
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for u in it:
-            if u == parent[v]:
-                continue
-            if u in disc:
-                if disc[u] < disc[v]:
-                    # Back edge to an ancestor (a DFS of an undirected graph
-                    # produces no cross edges): stamp descendant and ancestor.
-                    tag = rng.getrandbits(64)
-                    acc_xor[v] ^= tag
-                    acc_xor[u] ^= tag
-                    acc_cnt[v] += 1
-                    acc_cnt[u] -= 1
-                    groups.setdefault(tag, []).append(edge_key(u, v))
-                continue
-            disc[u] = timer
-            timer += 1
-            parent[u] = v
-            stack.append((u, iter(g.neighbors(u))))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-            postorder.append(v)
-    if len(disc) != g.n:
+    _, cut_edges, components, tree, back = _lowpoint_dfs(g)
+    if components > 1:
         raise PreconditionViolated("graph must be connected")
-    # Children precede parents in postorder and the root comes last, so
-    # acc_*[v] is final when v is reached: the label and cover count of the
-    # tree edge (parent[v], v).
-    for v in postorder[:-1]:
-        p = parent[v]
-        if acc_cnt[v] == 0:
-            raise PreconditionViolated("graph must be 2-edge-connected (bridge found)")
-        acc_xor[p] ^= acc_xor[v]
-        acc_cnt[p] += acc_cnt[v]
-        groups.setdefault(acc_xor[v], []).append(edge_key(p, v))
+    if cut_edges:
+        raise PreconditionViolated("graph must be 2-edge-connected (bridge found)")
+    rng = random.Random(0x5EED)
+    label = dict.fromkeys(g.vertices, 0)
+    groups: dict[int, list[EdgeKey]] = {}
+    for v, u in back:
+        tag = rng.getrandbits(64)
+        label[v] ^= tag
+        label[u] ^= tag
+        groups.setdefault(tag, []).append(edge_key(u, v))
+    # Children precede parents in postorder, so label[v] is final when
+    # (p, v) is reached: the label of that tree edge.
+    for p, v in tree:
+        label[p] ^= label[v]
+        groups.setdefault(label[v], []).append(edge_key(p, v))
     for members in groups.values():
         for pair in combinations(members, 2):
             sides = _components(g, pair)
@@ -479,8 +448,8 @@ def has_two_edge_cut(g: Graph) -> bool:
     """True iff a connected bridgeless graph has a 2-edge cut-set.
 
     Stops at the first cut of the cycle-space labelling (Pritchard &
-    Thurimella, ACM TALG 2011). Raises PreconditionViolated if the graph is
-    disconnected or has a bridge.
+    Thurimella, ACM TALG 2011) of the lowpoint DFS forest. Raises
+    PreconditionViolated if that DFS finds more than one component or a bridge.
     """
     return next(_two_edge_cuts(g), None) is not None
 
@@ -498,8 +467,8 @@ def min_side_two_edge_cut(g: Graph) -> CutStructure | None:
 
     Ties broken by the lexicographically smallest sorted smaller side, then
     the sorted pair, over all cuts of the cycle-space labelling (Pritchard &
-    Thurimella, ACM TALG 2011). Raises PreconditionViolated if the graph is
-    disconnected or has a bridge.
+    Thurimella, ACM TALG 2011) of the lowpoint DFS forest. Raises
+    PreconditionViolated if that DFS finds more than one component or a bridge.
     """
     best = None
     for pair, sides in _two_edge_cuts(g):
@@ -521,7 +490,7 @@ def connectivity_le3(g: Graph) -> tuple[int, int]:
     """
     if g.n <= 1:
         return 0, 0
-    cuts, cut_edges, components = _lowpoint_dfs(g)
+    cuts, cut_edges, components, _, _ = _lowpoint_dfs(g)
     if components > 1:
         return 0, 0
     edge = 1 if cut_edges else 2 if has_two_edge_cut(g) else 3

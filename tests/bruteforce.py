@@ -129,6 +129,17 @@ def rewired(g: Graph, drop_vertices=(), add_edges=()) -> Graph:
     return Graph(set(g.vertices) - drop, kept + list(add_edges))
 
 
+def shifted(g: Graph) -> tuple[Graph, int]:
+    """g with every id moved by d so that the largest is -1, and d.
+
+    The move keeps the order of ids, so every sorted answer of g, moved by
+    d, is the answer of the shifted graph.
+    """
+    d = -1 - max(g.vertices)
+    return Graph([v + d for v in g.vertices],
+                 [(u + d, v + d, w) for (u, v), w in g.edge_weights().items()]), d
+
+
 def cycle_graph(n: int) -> Graph:
     return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
 

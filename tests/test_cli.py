@@ -165,6 +165,18 @@ class TestStats:
         code, _ = run(capsys, "stats", str(bad))
         assert code == 2
 
+    def test_negative_ids_up_to_minus_one(self, tmp_path, capsys):
+        # The readers accept any integer id, so no id may serve as a
+        # traversal's "no parent" mark.
+        path = tmp_path / "c5.g"
+        write_graph(str(path), Graph(range(-5, 0), [(v, v + 1) for v in range(-5, -1)] + [(-5, -1)]))
+        code, out = run(capsys, "stats", str(path))
+        assert code == 0
+        assert "girth = 5" in out
+        code, out = run(capsys, "solve", str(path), "--alg", "planar")
+        assert code == 0
+        assert "bound satisfied = yes" in out
+
     def test_connectivity_of_a_400_vertex_cubic_graph_is_quick(self, tmp_path, capsys):
         path = tmp_path / "c400.g"
         write_graph(str(path), random_cubic_2connected(400, 1))

@@ -12,6 +12,7 @@ from fvsbound.errors import MemberNotInGraph, PreconditionViolated
 from fvsbound.graph import (
     INFINITE,
     Graph,
+    _two_edge_cuts,
     bridges,
     connectivity_le3,
     cut_vertices,
@@ -39,6 +40,7 @@ from bruteforce import (
     random_simple_graph,
     reference_validate_fvs,
     reference_weighted_girth,
+    shifted,
     vertex_connectivity_le3_bruteforce,
     weighted_girth_by_enumeration,
     without_edges,
@@ -160,6 +162,8 @@ class TestGirth:
         for _ in range(300):
             g = random_simple_graph(rng.randint(1, 8), rng)
             assert girth(g) == girth_by_enumeration(g)
+            # ids up to -1: no id may double as the BFS root's parent mark
+            assert girth(shifted(g)[0]) == girth(g)
 
     def test_shortest_cycle_is_shortest(self):
         rng = random.Random(99)
@@ -174,6 +178,9 @@ class TestGirth:
                 for i, v in enumerate(cyc):
                     assert g.has_edge(v, cyc[(i + 1) % len(cyc)])
             assert girth(g) == (float("inf") if cyc is None else len(cyc))
+            moved = shortest_cycle(shifted(g)[0])
+            assert (moved is None) == (cyc is None)
+            assert moved is None or len(moved) == len(cyc)
 
 
 class TestWeightedGirth:
@@ -298,6 +305,11 @@ class TestConnectivity:
             assert cut_vertices(g) == sorted(nx.articulation_points(nxg))
             assert bridges(g) == sorted(edge_key(u, v) for u, v in nx.bridges(nxg))
             assert is_two_connected(g) == (g.n >= 3 and nx.is_biconnected(nxg))
+            # Moving every id so that the largest is -1 moves each answer alike.
+            h, d = shifted(g)
+            assert cut_vertices(h) == [v + d for v in cut_vertices(g)]
+            assert bridges(h) == [(u + d, v + d) for u, v in bridges(g)]
+            assert is_two_connected(h) == is_two_connected(g)
             disconnected += not nx.is_connected(nxg)
             isolated += any(g.degree(v) == 0 for v in g.vertices)
         assert disconnected >= 50 and isolated >= 50
@@ -309,6 +321,7 @@ class TestConnectivity:
             vc, ec = connectivity_le3(g)
             assert vc == vertex_connectivity_le3_bruteforce(g)
             assert ec == edge_connectivity_le3_bruteforce(g)
+            assert connectivity_le3(shifted(g)[0]) == (vc, ec)
 
     def test_equivalence_max_degree3(self):
         # vertex and edge connectivity coincide up to 3 at max degree 3
@@ -317,6 +330,16 @@ class TestConnectivity:
             g = random_max_deg3_graph(rng.randint(1, 10), rng)
             vc, ec = connectivity_le3(g)
             assert vc == ec
+
+
+def bridgeless_simple_graphs(rng, count):
+    """Connected bridgeless graphs with n <= 10 and no degree cap."""
+    graphs = []
+    while len(graphs) < count:
+        g = random_simple_graph(rng.randint(3, 10), rng, rng.choice((0.3, 0.45, 0.6)))
+        if is_connected(g) and not bridges(g):
+            graphs.append(g)
+    return graphs
 
 
 class TestTwoEdgeCuts:
@@ -354,26 +377,37 @@ class TestTwoEdgeCuts:
 
     def test_requires_two_edge_connected(self):
         # In the bridged graph a DFS from 0 meets tree edges covered by a
-        # single back edge before it reaches the bridge (2, 3).
+        # single back edge before it reaches the bridge (2, 3). Shifted, the
+        # pendant hangs off the root as vertex -1.
         bridged = Graph(range(6), [(0, 1), (1, 2), (2, 0), (2, 3),
                                    (3, 4), (4, 5), (5, 3)])
+        pendant = Graph(range(4), [(0, 1), (1, 2), (2, 0), (0, 3)])
         split = Graph(range(6), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        for g in (path_graph(4), bridged, split):
-            with pytest.raises(PreconditionViolated):
-                has_two_edge_cut(g)
-            with pytest.raises(PreconditionViolated):
-                min_side_two_edge_cut(g)
+        for g, message in ((path_graph(4), "bridge found"), (bridged, "bridge found"),
+                           (pendant, "bridge found"), (split, "must be connected")):
+            for h in (g, shifted(g)[0]):
+                with pytest.raises(PreconditionViolated, match=message):
+                    has_two_edge_cut(h)
+                with pytest.raises(PreconditionViolated, match=message):
+                    min_side_two_edge_cut(h)
 
     def test_existence_matches_bruteforce(self):
         rng = random.Random(17)
-        checked = 0
-        while checked < 150:
+        graphs = []
+        while len(graphs) < 150:
             g = random_max_deg3_graph(rng.randint(4, 10), rng)
             vc, ec = connectivity_le3(g)
-            if ec < 2:
-                continue
-            checked += 1
-            assert has_two_edge_cut(g) == bool(all_two_edge_cuts(g))
+            if ec >= 2:
+                graphs.append(g)
+        graphs += bridgeless_simple_graphs(random.Random(27), 100)
+        for g in graphs:
+            cuts = all_two_edge_cuts(g)
+            assert has_two_edge_cut(g) == bool(cuts)
+            assert has_two_edge_cut(shifted(g)[0]) == bool(cuts)
+            # Every cut the labelling yields, and no other, with its sides.
+            assert ({(frozenset(pair), tuple(map(frozenset, sides)))
+                     for pair, sides in _two_edge_cuts(g)}
+                    == {(pair, tuple(map(frozenset, sides))) for pair, sides in cuts})
 
     def test_min_side_matches_bruteforce(self):
         rng = random.Random(18)
@@ -382,9 +416,17 @@ class TestTwoEdgeCuts:
             g = random_max_deg3_graph(rng.randint(4, 12), rng)
             if is_connected(g) and not bridges(g):
                 graphs.append(g)
+        graphs += bridgeless_simple_graphs(random.Random(28), 100)
         with_cut = tied = 0
         for g in graphs:
             cut = min_side_two_edge_cut(g)
+            h, d = shifted(g)
+            moved = min_side_two_edge_cut(h)
+            if cut is None:
+                assert moved is None
+            else:
+                assert moved.members == frozenset((u + d, v + d) for u, v in cut.members)
+                assert moved.sides == tuple(frozenset(v + d for v in side) for side in cut.sides)
             keyed = []
             for pair, sides in all_two_edge_cuts(g):
                 small, big = sorted(sides, key=lambda c: (len(c), sorted(c)))
