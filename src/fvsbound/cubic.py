@@ -50,8 +50,12 @@ do the work of five.
 
 So a step pays for one flow test. With no degree-2 vertex and ∂ known, a
 pass of λ >= 3 across ∂ proves the graph 3-edge-connected, so 2-connected,
-and empties ∂; only a fail runs the λ >= 2 test. When the least degree-2
-vertex v has non-adjacent neighbors, R1 suppresses v next, and the graph is
+and empties ∂; only a fail runs the λ >= 2 test. A λ >= 3 test between
+non-adjacent vertices of degree 3 first runs one colored search: six
+disjoint trees grow from their neighbors at once, and three disjoint paths
+found through them pass the test. Only where it gives up do the three
+augmenting searches of Ford-Fulkerson run. When the least degree-2 vertex
+v has non-adjacent neighbors, R1 suppresses v next, and the graph is
 2-connected iff the suppressed one is. So the check waits for that step,
 whose boundary includes this one's; a failure names the deferred step.
 
@@ -66,7 +70,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .certificate import BoundKind, FvsCertificate, ReductionStep
 from .errors import InternalInvariantBroken, PreconditionViolated
@@ -310,15 +314,82 @@ def _joined(pred: dict[int, int], succ: dict[int, int], meet: int) -> list[int]:
     return path
 
 
+# The colored search's labels: 0-2 for the trees at s's neighbors, 3-5 for
+# those at t's, and 6 for s and t themselves. ``_PAIR[c][d]`` is the bit an
+# edge between colors c and d records, 1 << (3i + j) for s-color i and
+# t-color j, and 0 for any other pair. ``_PERFECT[mask]`` tells whether the
+# recorded pairs hold one of the six perfect matchings of s-colors to t-colors.
+_PAIR = tuple(tuple(1 << (3 * min(c, d) + max(c, d) - 3)
+                    if min(c, d) < 3 <= max(c, d) < 6 else 0 for d in range(7))
+              for c in range(7))
+_MATCHINGS = [sum(1 << (3 * i + j) for i, j in enumerate(p)) for p in permutations(range(3))]
+_PERFECT = tuple(any(mask & m == m for m in _MATCHINGS) for mask in range(512))
+
+
+def _three_disjoint_paths(adj: dict[int, tuple[int, ...]], s: int, t: int) -> bool:
+    """True if a colored search finds three internally vertex-disjoint s-t paths.
+
+    For s and t of degree 3, not adjacent. Each neighbor of s roots a tree of
+    its own color, and so does each neighbor of t; a bidirectional BFS grows
+    the six trees one level of the smaller side at a time, and every vertex
+    joins at most one tree. An edge from s-tree i to t-tree j gives the path
+    s, i's tree, j's tree, t, and paths of disjoint trees share no inner
+    vertex; a neighbor w of both s and t joins s-tree i alone and records
+    the pair (i, j) for the path s-w-t, so no other pair uses t-color j.
+    Three pairs forming a perfect matching are three such paths, so
+    λ(s, t) >= 3. False when a frontier empties first, which proves nothing.
+    """
+    color = {s: 6, t: 6}
+    front, back = list(adj[s]), []
+    for i, a in enumerate(front):
+        color[a] = i
+    mask = 0
+    for j, b in enumerate(adj[t]):
+        if b in color:
+            mask |= _PAIR[color[b]][3 + j]
+        else:
+            color[b] = 3 + j
+            back.append(b)
+    if _PERFECT[mask]:
+        return True
+    while front and back:
+        if len(front) > len(back):
+            front, back = back, front
+        nxt = []
+        for u in front:
+            cu = color[u]
+            pairs = _PAIR[cu]
+            for v in adj[u]:
+                c = color.get(v)
+                if c is None:
+                    color[v] = cu
+                    nxt.append(v)
+                elif pairs[c]:
+                    mask |= pairs[c]
+                    if _PERFECT[mask]:
+                        return True
+        front = nxt
+    return False
+
+
 def _edge_disjoint_paths(adj: dict[int, tuple[int, ...]], s: int, t: int,
                          k: int) -> bool:
     """True iff k edge-disjoint paths join s and t, i.e. λ(s, t) >= k.
 
     Ford-Fulkerson with unit capacities: k augmenting paths, each found by a
-    bidirectional BFS in the residual graph.
+    bidirectional BFS in the residual graph. For k = 3 between non-adjacent
+    vertices of degree 3, ``_three_disjoint_paths`` is asked first: its
+    paths are internally vertex-disjoint, so edge-disjoint too. At maximum
+    degree 3, edge-disjoint s-t paths are also internally vertex-disjoint,
+    since a vertex on two of them would need degree 4; so three such paths
+    exist whenever λ(s, t) >= 3, and the colored search misses them only by
+    growing its trees greedily. Then Ford-Fulkerson decides.
     """
     if len(adj[s]) < k or len(adj[t]) < k:
         return False
+    if (k == 3 and len(adj[s]) == len(adj[t]) == 3 and t not in adj[s]
+            and _three_disjoint_paths(adj, s, t)):
+        return True
     used: set[tuple[int, int]] = set()
     busy: set[int] = set()
     for _ in range(k - 1):

@@ -13,7 +13,8 @@ Round-trips are bit-exact: reading a canonically written file and writing it
 again reproduces the same bytes. The JSON mirror carries the same fields for
 tooling and is read as strictly: ids, endpoints, weights and rotation
 entries must be JSON integers (not ``true`` or ``1.5``), ids distinct and
-endpoints declared.
+endpoints declared, and the name and meta strings the text format carries
+unchanged, so every JSON file the reader accepts can be written as text.
 """
 
 from __future__ import annotations
@@ -223,11 +224,31 @@ def _read_json(path: str) -> GraphFile:
             if len(order) < len(rot_raw):
                 raise ParseError(1, "two rotation keys name the same vertex")
             rotation = _rotation_of(order, graph, 1, {})
-        return GraphFile(graph=graph, rotation=rotation,
-                         name=payload.get("name"),
-                         meta=dict(payload.get("meta") or {}))
+        name = payload.get("name")
+        if name is not None:
+            _check_text(name, "name", str.strip)
+        meta = payload.get("meta") or {}
+        if not isinstance(meta, dict):
+            raise TypeError("meta must be an object")
+        for key, value in meta.items():
+            _check_text(key, "meta key", lambda k: "".join(k.split()))
+            _check_text(value, "meta value", lambda v: " ".join(v.split()))
+        return GraphFile(graph=graph, rotation=rotation, name=name, meta=meta)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(1, f"malformed payload: {exc}")
+
+
+def _check_text(value, what: str, reread) -> None:
+    """Raise ParseError unless the text format carries ``value`` unchanged.
+
+    It must be a non-empty string of printable ASCII, so without a line
+    break, and equal to ``reread(value)``: the text reader strips a name,
+    reads a meta key up to the first space, and joins a meta value's words
+    by single spaces.
+    """
+    if not (isinstance(value, str) and value and value.isascii()
+            and value.isprintable() and reread(value) == value):
+        raise ParseError(1, f"{what} {json.dumps(value)} cannot be written as text")
 
 
 def _json_ints(values, what: str) -> list:

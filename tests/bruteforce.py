@@ -565,3 +565,19 @@ def _reference_subdivide_every_edge(pg: PlaneGraph, t: int) -> PlaneGraph:
         for prev_v, mid, nxt in zip(path, path[1:], path[2:]):
             order[mid] = (prev_v, nxt)
     return _plane_graph_of(order, weights)
+
+
+def local_edge_connectivity_le3(g: Graph) -> dict[tuple[int, int], int]:
+    """min(3, λ(s, t)) for every pair s < t of g's vertices.
+
+    λ(s, t) is the fewest edges whose removal separates s from t.
+    """
+    lam = dict.fromkeys(combinations(g.vertices, 2), 3)
+    for size in (2, 1, 0):
+        for cut in combinations(g.edges(), size):
+            comps = _components(without_edges(g, cut))
+            for a, b in combinations(comps, 2):
+                for s in a:
+                    for t in b:
+                        lam[min(s, t), max(s, t)] = size
+    return lam

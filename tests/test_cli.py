@@ -308,6 +308,16 @@ class TestSolve:
         assert code == 2
         assert one_error_line(capsys)
 
+    @pytest.mark.parametrize("command", ["stats", "solve"])
+    @pytest.mark.parametrize("extra", [{"name": "x\nv 9"}, {"meta": {"q r": "1"}}],
+                             ids=["name", "meta"])
+    def test_json_name_or_meta_that_text_cannot_carry_exits_2(self, tmp_path, capsys,
+                                                              command, extra):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(TRIANGLE_JSON | extra))
+        assert main([command, str(path)]) == 2
+        assert one_error_line(capsys)
+
     def test_json_rotation_key_in_non_ascii_digits_exits_2(self, tmp_path, capsys):
         path = tmp_path / "digits.json"
         path.write_text(NON_ASCII_KEY_JSON)

@@ -13,7 +13,9 @@ from fvsbound.cubic import (
     _SPLIT_PLAN_MAX,
     RuleId,
     _edge_connected_within,
+    _edge_disjoint_paths,
     _split_plan,
+    _three_disjoint_paths,
     _three_edge_connected,
     _Work,
     apply_rule,
@@ -37,6 +39,7 @@ from bruteforce import (
     cut_joined_pair,
     cycle_graph,
     edge_connectivity_le3_bruteforce,
+    local_edge_connectivity_le3,
     r4_all_distinct_instance,
     r4_two_equal_instance,
     r5_gadget_pair,
@@ -559,6 +562,69 @@ class TestLocalChecks:
                   + [(12 + i, 12 + (i + 1) % 5) for i in range(5)])
         with pytest.raises(InternalInvariantBroken, match="not 2-connected"):
             apply_rule(g, RuleId.R1_DEGREE2, (0, 1, 11))
+
+
+class TestColoredSearch:
+    """The colored search that certifies λ(s, t) >= 3 before Ford-Fulkerson runs."""
+
+    def test_certifies_only_pairs_joined_by_three_edge_disjoint_paths(self):
+        # Every pair of small random graphs of maximum degree 3, against
+        # λ(s, t) by brute force; the flow test stays exact for every k.
+        rng = random.Random(89)
+        answers = Counter()
+        for trial in range(150):
+            if trial % 3:
+                g = random_max_deg3_graph(rng.randint(4, 12), rng)
+            else:
+                g = random_cubic_2connected(2 * rng.randint(3, 6), trial)
+            adj = {v: g.neighbors(v) for v in g.vertices}
+            for (s, t), lam in local_edge_connectivity_le3(g).items():
+                for k in (1, 2, 3):
+                    assert _edge_disjoint_paths(adj, s, t, k) == (lam >= k)
+                if len(adj[s]) == len(adj[t]) == 3 and t not in adj[s]:
+                    found = _three_disjoint_paths(adj, s, t)
+                    assert lam == 3 or not found, (g.edges(), s, t)
+                    answers[found, lam] += 1
+        assert answers[True, 3] > answers[False, 3] > 0
+        assert answers[False, 2] > 0 and answers[False, 1] > 0
+
+    def test_certifies_most_passing_tests_of_a_random_cubic_solve(self, monkeypatch):
+        counts = Counter()
+        search, flow = _three_disjoint_paths, _edge_disjoint_paths
+
+        def counted_search(adj, s, t):
+            found = search(adj, s, t)
+            counts["certified"] += found
+            return found
+
+        def counted_flow(adj, s, t, k):
+            passed = flow(adj, s, t, k)
+            counts["passed"] += k == 3 and passed
+            return passed
+
+        monkeypatch.setattr(cubic_module, "_three_disjoint_paths", counted_search)
+        monkeypatch.setattr(cubic_module, "_edge_disjoint_paths", counted_flow)
+        solve_cubic(random_cubic_2connected(400, 1))
+        assert counts["passed"] > 100
+        assert counts["certified"] >= 0.9 * counts["passed"]
+
+    def test_a_greedy_miss_falls_back_to_ford_fulkerson(self, monkeypatch):
+        # s = 5 has neighbors 0, 2, 6 and t = 7 has 0, 1, 4; 5-0-7, 5-2-1-7
+        # and 5-6-3-4-7 are three disjoint paths. But t's side, the smaller,
+        # grows first, and its tree at 1 takes vertex 3 before its tree at 4
+        # can; the tree at 4 then meets no s-tree, t's side runs out, and
+        # Ford-Fulkerson decides.
+        g = Graph(range(8), [(0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 7), (2, 5),
+                             (3, 4), (3, 6), (4, 7), (5, 6)])
+        adj = {v: g.neighbors(v) for v in g.vertices}
+        assert local_edge_connectivity_le3(g)[5, 7] == 3
+        assert not _three_disjoint_paths(adj, 5, 7)
+        searches = []
+        residual = cubic_module._residual_path
+        monkeypatch.setattr(cubic_module, "_residual_path",
+                            lambda *args: searches.append(args[1:3]) or residual(*args))
+        assert _edge_disjoint_paths(adj, 5, 7, 3)
+        assert searches == [(5, 7)] * 3
 
 
 class TestWorkingGraph:

@@ -1,8 +1,12 @@
 """Graph file round-trips and strict parse errors."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvsbound.errors import ParseError
 from fvsbound.fileio import read_graph, write_graph
@@ -135,6 +139,55 @@ class TestJsonRoundTrip:
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError, match=fragment):
             read_graph(str(path))
+
+    @pytest.mark.parametrize("field, value, fragment", [
+        ("name", "x\nv 9", r'name "x\\nv 9"'),
+        ("name", 5, "name 5"),
+        ("name", "", 'name ""'),
+        ("name", " padded", 'name " padded"'),
+        ("name", "caf\u00e9", r'name "caf\\u00e9"'),
+        ("meta", {"q r": "1"}, 'meta key "q r"'),
+        ("meta", {"phi": "a\nb"}, r'meta value "a\\nb"'),
+        ("meta", {"phi": "a  b"}, 'meta value "a  b"'),
+        ("meta", {"phi": ""}, 'meta value ""'),
+        ("meta", {"phi": 3}, "meta value 3"),
+        ("meta", [["phi", "3"]], "meta must be an object"),
+    ], ids=["line-break-name", "int-name", "empty-name", "padded-name", "non-ascii-name",
+            "spaced-key", "line-break-value", "double-space-value", "empty-value",
+            "int-value", "pair-list-meta"])
+    def test_rejects_a_name_or_meta_the_text_format_cannot_carry(self, tmp_path, field,
+                                                                  value, fragment):
+        # Written as text, the first would add the record "v 9", and the
+        # others would read back changed or not at all.
+        path = tmp_path / "x.json"
+        write_graph(str(path), make_named("k4").graph, name="k4", meta={"phi": "2"})
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=fragment) as err:
+            read_graph(str(path))
+        assert "\n" not in str(err.value)
+
+    @given(name=st.none() | st.text(max_size=6),
+           meta=st.dictionaries(st.text(max_size=4), st.text(max_size=6) | st.integers(),
+                                max_size=3),
+           edges=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                                    st.integers(0, 2)), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_every_graph_file_read_from_json_reads_back_equal_as_text(self, name, meta, edges):
+        vertices = sorted({v for e in edges for v in e[:2]})
+        payload = {"format": "fvsbound-graph", "version": 1, "name": name, "meta": meta,
+                   "vertices": vertices, "edges": [list(e) for e in edges]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.json"
+            path.write_text(json.dumps(payload))
+            try:
+                gf = read_graph(str(path))
+            except ParseError:
+                return
+            text = Path(tmp) / "x.g"
+            write_graph(str(text), gf.graph, gf.rotation, gf.name, gf.meta)
+            assert read_graph(str(text)) == gf
 
     @pytest.mark.parametrize("key", ["01", "-0"])
     def test_rejects_two_rotation_keys_for_one_vertex(self, tmp_path, key):
