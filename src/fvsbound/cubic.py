@@ -34,19 +34,19 @@ current graph. At maximum degree 3 a cut vertex leaves a bridge, so
   since: with three such paths no 2-edge cut exists. Otherwise the global
   enumeration picks the cut, which R5's rewrite reuses.
 
-R5's test needs fewer pairs than all of ∂. Let att(u) count the G0 edges
-from a survivor u to the vertices dropped since G0, and x(σ) the surviving
-added edges that cross a split σ | ∂∖σ. Every G0 edge between survivors
-survives, and both ends of an added edge lie in ∂. So if a cut C of at most
-2 edges splits ∂ so, putting every dropped vertex on the side of ∂∖σ
-extends it to a cut of G0: C's G0 edges plus the att(σ) edges at σ. Where
-the dropped vertices really lay does not matter, since G0 has no cut of
-fewer than 3 edges at all: att(σ) >= 3 − |C ∩ G0| >= 1 + x(σ). The same
-holds for ∂∖σ, so a split is possible only if
-min(att(σ), att(∂∖σ)) > x(σ), and from s = min ∂ one t on the far side of
-each possible split suffices. After an R7 step and the R1 step that checks
-it, ∂ is six vertices of att 1 paired by three added edges, and two tests
-do the work of five.
+R5's test needs fewer pairs than all of ∂. Every G0 is cubic: R5 proves one
+only where R1 finds no degree-2 vertex, a step only where none is left and
+all of ∂ has degree 3, and a vertex outside ∂ keeps its G0 degree. So where
+all of ∂ has degree 3, each vertex of ∂ has as many G0 edges to the vertices
+dropped since G0 as surviving added edges, whose ends all lie in ∂. If a cut
+C of at most 2 edges splits ∂ into σ and ∂∖σ, with in(σ) added edges inside
+σ and x(σ) across, putting every dropped vertex with ∂∖σ extends C to a cut
+of G0: at most 2 − x(σ) G0 edges of C plus the 2·in(σ) + x(σ) at σ. G0 has
+no cut of fewer than 3 edges, so in(σ) >= 1, and likewise in(∂∖σ) >= 1. From
+s = min ∂, one end of each added edge away from s that another added edge
+misses is then a t on the far side of every possible split. After an R7 step
+and the R1 step that checks it, ∂ is six vertices paired by three added
+edges, and two tests do the work of five. Off degree 3, all pairs are tested.
 
 So a step pays for one flow test. With no degree-2 vertex and ∂ known, a
 pass of λ >= 3 across ∂ proves the graph 3-edge-connected, so 2-connected,
@@ -69,8 +69,8 @@ returned set is always global.
 from __future__ import annotations
 
 import enum
-import functools
-from itertools import combinations, permutations
+from collections import Counter
+from itertools import permutations
 
 from .certificate import BoundKind, FvsCertificate, ReductionStep
 from .errors import InternalInvariantBroken, PreconditionViolated
@@ -117,7 +117,7 @@ class _Work:
     """
 
     __slots__ = ("adj", "deg2", "tri", "groups", "twins", "_weights",
-                 "boundary", "att", "added", "pending", "cut")
+                 "boundary", "added", "pending", "cut")
 
     def __init__(self, g: Graph):
         self.adj = {v: g.neighbors(v) for v in g.vertices}
@@ -129,11 +129,9 @@ class _Work:
         self._index(self.adj)
         # The dirty sets accumulated since the graph was last proven
         # 3-edge-connected, less the vertices dropped since; None before that.
-        # While it is known, ``att`` counts at each survivor the edges of that
-        # graph G0 to the vertices dropped since, and ``added`` holds the
-        # added edges that survive.
+        # While it is known, ``added`` holds the edges added since that graph
+        # G0 that survive.
         self.boundary: set[int] | None = None
-        self.att: dict[int, int] = {}
         self.added: set[EdgeKey] = set()
         # A deferred check leaves the dirty sets since the last graph proven
         # 2-connected, and its error.
@@ -167,14 +165,13 @@ class _Work:
     def mark_three_edge_connected(self) -> None:
         """Make the current graph, proven 3-edge-connected, the new G0."""
         self.boundary = set()
-        self.att = {}
         self.added = set()
 
     def rewrite(self, drop: list[int], add: list[tuple[int, int]]) -> set[int]:
         """Remove vertices, then add edges among the survivors, in place.
 
         Returns the dirty set and adds it to ``boundary``; while G0 is known,
-        ``att`` and ``added`` follow, and the cut is forgotten. Raises
+        ``added`` follows, and the cut is forgotten. Raises
         ValueError, before changing anything, on a loop, a parallel edge, or
         an endpoint that is not in the reduced graph.
         """
@@ -199,18 +196,8 @@ class _Work:
             dirty[v].add(u)
         self._unindex(gone.union(dirty))
         if self.boundary is not None:
-            # An edge at a dropped vertex is a G0 edge unless it was added; a
-            # G0 edge between two dropped vertices joins no survivor.
-            att, added = self.att, self.added
-            for v in gone:
-                att.pop(v, None)
-                for u in adj[v]:
-                    key = edge_key(u, v)
-                    if key in added:
-                        added.remove(key)
-                    elif u not in gone:
-                        att[u] = att.get(u, 0) + 1
-            added.update(edge_key(u, v) for u, v in add)
+            self.added.difference_update(edge_key(u, v) for v in gone for u in adj[v])
+            self.added.update(edge_key(u, v) for u, v in add)
         for v in gone:
             del adj[v]
         for v, ns in dirty.items():
@@ -416,51 +403,34 @@ def _edge_connected_within(adj: dict[int, tuple[int, ...]], boundary, k: int) ->
     return all(_edge_disjoint_paths(adj, s, t, k) for t in rest)
 
 
-# Above this many boundary vertices the λ >= 3 test runs every star test.
-_SPLIT_PLAN_MAX = 8
-
-
 def _three_edge_connected(g: _Work) -> bool:
     """True iff no cut of fewer than 3 edges splits ``g.boundary``.
 
-    The answer of ``_edge_connected_within(g.adj, g.boundary, 3)``, from
-    s = min ∂ but only to the t that ``_split_plan`` names for the shape of
-    ∂: its ``att`` counts in ascending order and its added edges.
+    Tests every pair of ∂ if a vertex of ∂ does not have degree 3; else, by
+    the module docstring, only s = min ∂ to each t of ``_split_targets``.
     """
-    order = sorted(g.boundary)
-    if len(order) > _SPLIT_PLAN_MAX:
-        return _edge_connected_within(g.adj, order, 3)
-    index = {v: i for i, v in enumerate(order)}
-    plan = _split_plan(tuple(g.att.get(v, 0) for v in order),
-                       tuple((index[u], index[v]) for u, v in sorted(g.added)))
-    return all(_edge_disjoint_paths(g.adj, order[0], order[t], 3) for t in plan)
+    if any(g.degree(v) != 3 for v in g.boundary):
+        return _edge_connected_within(g.adj, sorted(g.boundary), 3)
+    s = min(g.boundary, default=None)
+    return all(_edge_disjoint_paths(g.adj, s, t, 3) for t in _split_targets(s, g.added))
 
 
-@functools.lru_cache(maxsize=4096)
-def _split_plan(att: tuple[int, ...], added: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """The fewest t such that λ(0, t) >= 3 for each rules out every possible split.
+def _split_targets(s: int | None, added: set[EdgeKey]) -> list[int]:
+    """Vertices t such that λ(s, t) >= 3 for each rules out every possible split.
 
-    Boundary vertex i has ``att[i]`` G0 edges to dropped vertices, and
-    ``added`` pairs the ends of each surviving added edge. A split of the
-    boundary is possible when min(att(σ), att(∂∖σ)) exceeds the number of
-    added edges crossing it (see the module docstring); a tested t must lie
-    on its far side, the one without vertex 0. Of the smallest such sets of
-    t, the first in lexicographic order.
+    Each side of a possible split holds a whole added edge, so its far side,
+    without s, holds an e = (u, v) away from s that another added edge
+    misses: ends[u] + ends[v] − 1 < |added|. In ascending order, each such e
+    not yet covered gives a t: its end on more added edges, the smaller on a tie.
     """
-    k = len(att)
-    total = sum(att)
-    far_sides = []
-    for far in range(2, 1 << k, 2):
-        weight = sum(a for i, a in enumerate(att) if far >> i & 1)
-        crossing = sum((far >> i ^ far >> j) & 1 for i, j in added)
-        if min(weight, total - weight) > crossing:
-            far_sides.append(far)
-    for size in range(k - 1):
-        for ts in combinations(range(1, k), size):
-            mask = sum(1 << t for t in ts)
-            if all(far & mask for far in far_sides):
-                return ts
-    return tuple(range(1, k))
+    ends = Counter(x for e in added for x in e)
+    targets: list[int] = []
+    for u, v in sorted(added):
+        if (s in (u, v) or u in targets or v in targets
+                or ends[u] + ends[v] > len(added)):
+            continue
+        targets.append(v if ends[v] > ends[u] else u)
+    return targets
 
 
 # -- matchers ------------------------------------------------------------------

@@ -41,7 +41,12 @@ def write_graph(path: str, graph: Graph,
                 rotation: RotationSystem | None = None,
                 name: str | None = None,
                 meta: dict[str, str] | None = None) -> None:
-    """Write a graph (text or, for .json paths, the JSON mirror)."""
+    """Write a graph (text or, for .json paths, the JSON mirror).
+
+    Raises the readers' ParseError, and creates no file, if they would reject
+    the name, meta or rotation or read them back changed.
+    """
+    _checked_fields(graph, None if rotation is None else rotation.order, name, meta or {})
     if str(path).endswith(".json"):
         _write_json(path, graph, rotation, name, meta)
         return
@@ -96,6 +101,8 @@ def read_graph(path: str) -> GraphFile:
                 bad(no, f"unsupported format version {parts[1]}")
             header_n = int(parts[2])
         elif tag == "name":
+            if len(parts) < 2:
+                bad(no, "name needs a value")
             name = stripped[len("name "):].strip()
         elif tag == "meta":
             if len(parts) < 3:
@@ -216,26 +223,31 @@ def _read_json(path: str) -> GraphFile:
                 raise ParseError(1, f"edge {e[:2]} uses an undeclared vertex")
         graph = Graph(vertices, edges)
         rot_raw = payload.get("rotation")
-        rotation = None
+        order = None
         if rot_raw is not None:
             if not all(map(_is_int, rot_raw)):
                 raise ParseError(1, "rotation keys must be integers")
             order = {int(v): tuple(_json_ints(ns, "rotation")) for v, ns in rot_raw.items()}
             if len(order) < len(rot_raw):
                 raise ParseError(1, "two rotation keys name the same vertex")
-            rotation = _rotation_of(order, graph, 1, {})
-        name = payload.get("name")
-        if name is not None:
-            _check_text(name, "name", str.strip)
-        meta = payload.get("meta") or {}
-        if not isinstance(meta, dict):
-            raise TypeError("meta must be an object")
-        for key, value in meta.items():
-            _check_text(key, "meta key", lambda k: "".join(k.split()))
-            _check_text(value, "meta value", lambda v: " ".join(v.split()))
+        name, meta = payload.get("name"), payload.get("meta") or {}
+        rotation = _checked_fields(graph, order, name, meta)
         return GraphFile(graph=graph, rotation=rotation, name=name, meta=meta)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(1, f"malformed payload: {exc}")
+
+
+def _checked_fields(graph: Graph, order, name, meta) -> RotationSystem | None:
+    """The rotation of ``order``, once it, ``name`` and ``meta`` pass the readers' checks."""
+    rotation = None if order is None else _rotation_of(order, graph, 1, {})
+    if name is not None:
+        _check_text(name, "name", str.strip)
+    if not isinstance(meta, dict):
+        raise TypeError("meta must be an object")
+    for key, value in meta.items():
+        _check_text(key, "meta key", lambda k: "".join(k.split()))
+        _check_text(value, "meta value", lambda v: " ".join(v.split()))
+    return rotation
 
 
 def _check_text(value, what: str, reread) -> None:

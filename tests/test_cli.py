@@ -18,7 +18,7 @@ from fvsbound.fileio import read_graph, write_graph
 from fvsbound.graph import Graph
 from fvsbound.instances import make_named, random_cubic_2connected, random_planar_girth
 from fvsbound.oracle import min_fvs_exact
-from fvsbound.planar import RotationSystem, embed
+from fvsbound.planar import embed
 
 from bruteforce import shallow_recursion_limit
 
@@ -253,8 +253,14 @@ class TestSolve:
                                          ["solve", "--alg", "auto"], ["stats"]],
                              ids=["planar", "trivial", "auto", "stats"])
     def test_bad_rotation_exits_2(self, tmp_path, capsys, command, rotation):
+        # Written as text by hand: the writer refuses a ring that is not a
+        # permutation of its neighbors.
         path = tmp_path / "k4-pendant.g"
-        write_graph(str(path), K4_PENDANT, rotation=RotationSystem(BAD_ROTATIONS[rotation]))
+        rings = BAD_ROTATIONS[rotation]
+        path.write_text("".join([f"graph 1 {K4_PENDANT.n}\n"]
+                                + [f"v {v}\n" for v in K4_PENDANT.vertices]
+                                + [f"e {u} {v}\n" for u, v in K4_PENDANT.edges()]
+                                + [f"r {v}: {' '.join(map(str, rings[v]))}\n" for v in rings]))
         code = main([command[0], str(path), *command[1:]])
         assert code == 2
         assert one_error_line(capsys)

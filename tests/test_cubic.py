@@ -10,11 +10,10 @@ import fvsbound.cubic as cubic_module
 from fvsbound.certificate import BoundKind
 from fvsbound.cubic import (
     BASE_CASE_MAX_N,
-    _SPLIT_PLAN_MAX,
     RuleId,
     _edge_connected_within,
     _edge_disjoint_paths,
-    _split_plan,
+    _split_targets,
     _three_disjoint_paths,
     _three_edge_connected,
     _Work,
@@ -422,12 +421,18 @@ def dirty_set(before, drop, add):
 
 
 def assert_records_current(work, g0):
-    """``att`` and ``added`` as recomputed from G0 and the current graph."""
+    """``added`` as recomputed from G0 and the current graph, on a cubic G0.
+
+    Also the identity the split targets rely on: a survivor u has
+    3 − deg(u) + added(u) G0 edges to the vertices dropped since G0.
+    """
     now = work.freeze()
-    att = Counter(u for d in g0.vertices if d not in now
-                  for u in g0.neighbors(d) if u in now)
-    assert work.att == dict(att)
+    assert {g0.degree(v) for v in g0.vertices} == {3}
     assert work.added == {e for e in now.edges() if not g0.has_edge(*e)}
+    added = Counter(x for e in work.added for x in e)
+    for u in now.vertices:
+        lost = sum(1 for d in g0.neighbors(u) if d not in now)
+        assert lost == 3 - now.degree(u) + added[u]
 
 
 class TestLocalChecks:
@@ -476,7 +481,7 @@ class TestLocalChecks:
                                 [(3, 9), (7, 8), (13, 19), (17, 18)],
                                 RuleId.R7_GENERIC, (4,), ())
 
-    def test_split_plan_after_an_r7_and_its_r1_step_has_two_tests(self):
+    def test_split_targets_after_an_r7_and_its_r1_step_are_two(self):
         # Six boundary vertices with one G0 edge each, paired by the three
         # added edges: a cut of at most 2 edges can only take one pair, or
         # one pair and one end of another, so one t in each of the two pairs
@@ -485,13 +490,43 @@ class TestLocalChecks:
         for a, b in combinations(six, 2):
             for c, d in combinations(sorted(set(six) - {a, b}), 2):
                 e, f = sorted(set(six) - {a, b, c, d})
-                added = tuple(sorted([(a, b), (c, d), (e, f)]))
-                assert len(_split_plan((1,) * 6, added)) == 2
+                added = {(a, b), (c, d), (e, f)}
+                assert len(_split_targets(0, added)) == 2
 
-    def test_split_plan_needs_no_test_without_dropped_vertices(self):
-        # Only added edges since G0: the graph holds G0, so it is 3-edge-connected.
-        assert _split_plan((0, 0, 0, 0), ((0, 1), (2, 3))) == ()
-        assert _split_plan((), ()) == ()
+    def test_split_targets_of_a_star_or_no_added_edge_are_none(self):
+        # R4 joins three outer neighbors to x = 5: every added edge meets
+        # every other, so no side of a split holds one that the other misses.
+        star = {(1, 5), (2, 5), (3, 5)}
+        assert _split_targets(0, star) == []
+        assert _split_targets(5, star) == []
+        assert _split_targets(0, set()) == []
+
+    def test_split_targets_meet_every_side_that_could_be_cut_off(self):
+        # By brute force over every far side F: if F and ∂∖F both hold a
+        # whole added edge and s is not in F, some target lies in F.
+        rng = random.Random(97)
+        shapes = []
+        for k in range(2, 11):
+            order = rng.sample(range(k), k)
+            shapes.append({tuple(sorted((order[0], v))) for v in order[1:]})
+            shapes.append({tuple(sorted(p)) for p in zip(order, order[1:])})
+            if k % 2 == 0:
+                shapes.append({tuple(sorted(order[i:i + 2])) for i in range(0, k, 2)})
+            for _ in range(8):
+                pairs = list(combinations(range(k), 2))
+                shapes.append(set(rng.sample(pairs, rng.randint(1, min(len(pairs), 12)))))
+        for added in shapes:
+            k = 1 + max(x for e in added for x in e)
+            masks = [1 << u | 1 << v for u, v in added]
+            full = (1 << k) - 1
+            splits = [f for f in range(1, full)
+                      if any(f & m == m for m in masks)
+                      and any(~f & m == m for m in masks)]
+            for s in range(k):
+                targets = _split_targets(s, added)
+                assert s not in targets
+                hit = sum(1 << t for t in targets)
+                assert all(f & hit for f in splits if not f >> s & 1), (added, s)
 
     def test_two_edge_cut_around_two_whole_added_pairs_fails_the_test(self, monkeypatch):
         # Two copies of the Petersen graph less vertex 0 joined port to port
@@ -512,7 +547,6 @@ class TestLocalChecks:
         monkeypatch.setattr(cubic_module, "_edge_disjoint_paths",
                             lambda adj, s, t, k: tests.append((s, t)) or paths(adj, s, t, k))
         apply_rule(work, RuleId.R1_DEGREE2, (11, 12, 16))
-        assert work.att == dict.fromkeys((3, 7, 8, 9, 12, 16), 1)
         assert work.added == {(3, 7), (8, 9), (12, 16)}
         # The λ >= 3 test fails at its second t, across the cut, and ∂ stays.
         assert tests[:2] == [(3, 8), (3, 12)]
@@ -520,9 +554,9 @@ class TestLocalChecks:
         assert not _three_edge_connected(work)
         assert min_side_two_edge_cut(work.freeze()) is not None
 
-    def test_boundary_past_the_plan_limit_runs_every_star_test(self):
-        # Rewrites since a 3-edge-connected G0 grow ∂ past _SPLIT_PLAN_MAX,
-        # where the test falls back to every boundary pair. Cuts of fewer
+    def test_growing_boundary_matches_every_star_test(self):
+        # Rewrites since a 3-edge-connected G0 grow ∂, and at every step the
+        # test agrees with the one over every boundary pair. Cuts of fewer
         # than 3 edges split ∂ exactly when the graph has one. Half the runs
         # replace a vertex by a triangle on its neighbors, which keeps
         # λ >= 3 as a rule; the others drop and add at random.
@@ -545,8 +579,6 @@ class TestLocalChecks:
                     add = [e for e in combinations(work.neighbors(drop[0]), 2)
                            if not work.has_edge(*e)]
                 work.rewrite(drop, add)
-                if len(work.boundary) <= _SPLIT_PLAN_MAX:
-                    continue
                 local = _three_edge_connected(work)
                 assert local == _edge_connected_within(work.adj, work.boundary, 3)
                 assert local == (connectivity_le3(work.freeze())[1] == 3)

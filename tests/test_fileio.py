@@ -12,7 +12,7 @@ from fvsbound.errors import ParseError
 from fvsbound.fileio import read_graph, write_graph
 from fvsbound.graph import Graph
 from fvsbound.instances import make_named
-from fvsbound.planar import faces_of
+from fvsbound.planar import RotationSystem, faces_of
 
 
 def weighted_sample():
@@ -203,6 +203,32 @@ class TestJsonRoundTrip:
             read_graph(str(path))
 
 
+class TestWriteChecks:
+    TRIANGLE = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
+
+    @pytest.mark.parametrize("suffix, fields, fragment", [
+        (".g", {"name": "x\nv 9"}, r'name "x\\nv 9"'),
+        (".g", {"meta": {"q r": "s"}}, 'meta key "q r"'),
+        (".g", {"meta": {"k": "a\nb"}}, r'meta value "a\\nb"'),
+        (".g", {"meta": {"k": 3}}, "meta value 3"),
+        (".json", {"name": ""}, 'name ""'),
+        (".g", {"rotation": {0: (1, 2), 1: (2, 0)}}, r"rotation missing vertices \[2\]"),
+        (".json", {"rotation": {0: (1, 2), 1: (2, 0)}}, r"rotation missing vertices \[2\]"),
+        (".g", {"rotation": {0: (1, 1), 1: (2, 0), 2: (0, 1)}},
+         "rotation at 0 is not a permutation"),
+    ], ids=["line-break-name", "spaced-key", "line-break-value", "int-value",
+            "empty-json-name", "partial-rotation", "partial-json-rotation", "repeated-ring"])
+    def test_refuses_what_the_readers_reject(self, tmp_path, suffix, fields, fragment):
+        # Each would be written to a file that reads back changed or not at
+        # all, or would crash the writer; no file may be left behind.
+        path = tmp_path / f"x{suffix}"
+        if "rotation" in fields:
+            fields = {"rotation": RotationSystem(fields["rotation"])}
+        with pytest.raises(ParseError, match=fragment):
+            write_graph(str(path), self.TRIANGLE, **fields)
+        assert not path.exists()
+
+
 class TestParseErrors:
     def _expect(self, tmp_path, text, fragment, line_no=None):
         path = tmp_path / "bad.g"
@@ -294,6 +320,9 @@ class TestParseErrors:
                                     "edges": [[0, 1], [1, 2], [0, 2]], "rotation": rings}))
         with pytest.raises(ParseError, match=fragment):
             read_graph(str(path))
+
+    def test_name_without_a_value(self, tmp_path):
+        self._expect(tmp_path, "graph 1 1\nname\nv 0\n", "name needs a value", line_no=2)
 
     def test_unknown_record(self, tmp_path):
         self._expect(tmp_path, "graph 1 1\nv 0\nq zzz\n", "unknown record",
