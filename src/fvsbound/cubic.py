@@ -34,19 +34,20 @@ current graph. At maximum degree 3 a cut vertex leaves a bridge, so
   since: with three such paths no 2-edge cut exists. Otherwise the global
   enumeration picks the cut, which R5's rewrite reuses.
 
-R5's test needs fewer pairs than all of ∂. Every G0 is cubic: R5 proves one
-only where R1 finds no degree-2 vertex, a step only where none is left and
-all of ∂ has degree 3, and a vertex outside ∂ keeps its G0 degree. So where
-all of ∂ has degree 3, each vertex of ∂ has as many G0 edges to the vertices
-dropped since G0 as surviving added edges, whose ends all lie in ∂. If a cut
-C of at most 2 edges splits ∂ into σ and ∂∖σ, with in(σ) added edges inside
-σ and x(σ) across, putting every dropped vertex with ∂∖σ extends C to a cut
-of G0: at most 2 − x(σ) G0 edges of C plus the 2·in(σ) + x(σ) at σ. G0 has
-no cut of fewer than 3 edges, so in(σ) >= 1, and likewise in(∂∖σ) >= 1. From
-s = min ∂, one end of each added edge away from s that another added edge
-misses is then a t on the far side of every possible split. After an R7 step
-and the R1 step that checks it, ∂ is six vertices paired by three added
-edges, and two tests do the work of five. Off degree 3, all pairs are tested.
+R5's test needs fewer pairs than all of ∂. Every G0 is cubic: a cut search
+finding no 2-edge cut leaves no degree-2 vertex, whose edges would be one, a
+step proves one only where none is left and all of ∂ has degree 3, and a
+vertex outside ∂ keeps its G0 degree. So where all of ∂ has degree 3, each
+vertex of ∂ has as many G0 edges to the vertices dropped since G0 as
+surviving added edges, whose ends all lie in ∂. If a cut C of at most 2 edges
+splits ∂ into σ and ∂∖σ, with in(σ) added edges inside σ and x(σ) across,
+putting every dropped vertex with ∂∖σ extends C to a cut of G0: at most
+2 − x(σ) G0 edges of C plus the 2·in(σ) + x(σ) at σ. G0 has no cut of fewer
+than 3 edges, so in(σ) >= 1, and likewise in(∂∖σ) >= 1. From s = min ∂, one
+end of each added edge away from s that another added edge misses is then a t
+on the far side of every possible split. After an R7 step and the R1 step
+that checks it, ∂ is six vertices paired by three added edges, and two tests
+do the work of five. Off degree 3, all pairs are tested.
 
 So a step pays for one flow test. With no degree-2 vertex and ∂ known, a
 pass of λ >= 3 across ∂ proves the graph 3-edge-connected, so 2-connected,
@@ -59,17 +60,19 @@ v has non-adjacent neighbors, R1 suppresses v next, and the graph is
 2-connected iff the suppressed one is. So the check waits for that step,
 whose boundary includes this one's; a failure names the deferred step.
 
-R5 is global until one of its queries finds no cut, because only then is a
-G0 known. The graph the rewrites leave is checked whole once, which covers
-a check still deferred; ``apply_rule`` runs that exit check on a caller's
-``Graph`` too, which is not known to be in class. The final check of the
-returned set is always global.
+The entry check is a cut enumeration: for n >= 3 at maximum degree 3, "one
+component, no bridge" means 2-connected. Where R5 is the first rule asked,
+it is R5's first query; elsewhere a rewrite would leave its cut stale, and
+listing every cut can take a search per pair, so it stops at the first cut.
+With none, the input is G0 from step 0. The graph the rewrites leave is
+checked whole once, covering a check still deferred, as is ``apply_rule``'s
+result on a caller's ``Graph``, which is not known to be in class. The final
+check of the set is always global.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from itertools import permutations
 
 from .certificate import BoundKind, FvsCertificate, ReductionStep
@@ -79,6 +82,7 @@ from .graph import (
     EdgeKey,
     Graph,
     edge_key,
+    has_two_edge_cut,
     is_two_connected,
     min_side_two_edge_cut,
     validate_fvs,
@@ -134,9 +138,9 @@ class _Work:
         self.boundary: set[int] | None = None
         self.added: set[EdgeKey] = set()
         # A deferred check leaves the dirty sets since the last graph proven
-        # 2-connected, and its error.
-        self.pending: tuple[set[int], str] | None = None
-        # The match R5 found on the current graph, with its cut.
+        # 2-connected, and the rule and match of the step they start at.
+        self.pending: tuple[set[int], tuple[str, tuple[int, ...]]] | None = None
+        # R5's match on the current graph, with its cut.
         self.cut: tuple[tuple[int, ...], CutStructure] | None = None
 
     @property
@@ -198,49 +202,54 @@ class _Work:
         if self.boundary is not None:
             self.added.difference_update(edge_key(u, v) for v in gone for u in adj[v])
             self.added.update(edge_key(u, v) for u, v in add)
+            self.boundary -= gone
+            self.boundary.update(dirty)
         for v in gone:
             del adj[v]
         for v, ns in dirty.items():
             adj[v] = tuple(sorted(ns))
         self._index(dirty)
         self.cut = None
-        touched = set(dirty)
-        if self.boundary is not None:
-            self.boundary -= gone
-            self.boundary |= touched
-        return touched
+        return set(dirty)
 
     def _unindex(self, vertices) -> None:
+        adj, tri, groups = self.adj, self.tri, self.groups
         for v in vertices:
-            ns = self.adj[v]
+            ns = adj[v]
             if len(ns) == 2:
                 self.deg2.discard(v)
             elif len(ns) == 3:
-                group = self.groups[ns]
+                group = groups[ns]
                 group.discard(v)
                 if len(group) < 2:
                     self.twins.discard(ns)
-                if not group:
-                    del self.groups[ns]
-            for u in ns:
-                self.tri.pop(edge_key(u, v), None)
+                    if not group:
+                        del groups[ns]
+            if tri:
+                for u in ns:
+                    tri.pop((u, v) if u < v else (v, u), None)
 
     def _index(self, vertices) -> None:
-        adj = self.adj
+        adj, tri, groups = self.adj, self.tri, self.groups
         for v in vertices:
             ns = adj[v]
             if len(ns) == 2:
                 self.deg2.add(v)
             elif len(ns) == 3:
-                group = self.groups.setdefault(ns, set())
-                group.add(v)
-                if len(group) >= 2:
+                group = groups.get(ns)
+                if group is None:
+                    groups[ns] = {v}
+                else:
+                    group.add(v)
                     self.twins.add(ns)
             for u in ns:
                 nu = adj[u]
-                common = [w for w in ns if w in nu]
+                common = []
+                for w in ns:
+                    if w in nu:
+                        common.append(w)
                 if common:
-                    self.tri[edge_key(u, v)] = common
+                    tri[(u, v) if u < v else (v, u)] = common
 
 
 def _third(g: _Work, v: int, excluded: tuple[int, ...]) -> int:
@@ -327,6 +336,7 @@ def _three_disjoint_paths(adj: dict[int, tuple[int, ...]], s: int, t: int) -> bo
     λ(s, t) >= 3. False when a frontier empties first, which proves nothing.
     """
     color = {s: 6, t: 6}
+    get = color.get
     front, back = list(adj[s]), []
     for i, a in enumerate(front):
         color[a] = i
@@ -347,7 +357,7 @@ def _three_disjoint_paths(adj: dict[int, tuple[int, ...]], s: int, t: int) -> bo
             cu = color[u]
             pairs = _PAIR[cu]
             for v in adj[u]:
-                c = color.get(v)
+                c = get(v)
                 if c is None:
                     color[v] = cu
                     nxt.append(v)
@@ -409,10 +419,14 @@ def _three_edge_connected(g: _Work) -> bool:
     Tests every pair of ∂ if a vertex of ∂ does not have degree 3; else, by
     the module docstring, only s = min ∂ to each t of ``_split_targets``.
     """
-    if any(g.degree(v) != 3 for v in g.boundary):
-        return _edge_connected_within(g.adj, sorted(g.boundary), 3)
+    for v in g.boundary:
+        if len(g.adj[v]) != 3:
+            return _edge_connected_within(g.adj, sorted(g.boundary), 3)
     s = min(g.boundary, default=None)
-    return all(_edge_disjoint_paths(g.adj, s, t, 3) for t in _split_targets(s, g.added))
+    for t in _split_targets(s, g.added):
+        if not _edge_disjoint_paths(g.adj, s, t, 3):
+            return False
+    return True
 
 
 def _split_targets(s: int | None, added: set[EdgeKey]) -> list[int]:
@@ -423,7 +437,10 @@ def _split_targets(s: int | None, added: set[EdgeKey]) -> list[int]:
     misses: ends[u] + ends[v] − 1 < |added|. In ascending order, each such e
     not yet covered gives a t: its end on more added edges, the smaller on a tie.
     """
-    ends = Counter(x for e in added for x in e)
+    ends: dict[int, int] = {}
+    for u, v in added:
+        ends[u] = ends.get(u, 0) + 1
+        ends[v] = ends.get(v, 0) + 1
     targets: list[int] = []
     for u, v in sorted(added):
         if (s in (u, v) or u in targets or v in targets
@@ -474,18 +491,15 @@ def _match_r4(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
 
 
 def _match_r5(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
-    # ``_build`` empties the boundary when its flow test proves the graph
-    # 3-edge-connected; otherwise the global search finds the cut, if any.
-    cut = None if g.boundary == set() else min_side_two_edge_cut(g)
-    if cut is None:
-        g.mark_three_edge_connected()
-        return None
-    e = min(sorted(cut.members))
-    small_side = cut.sides[0]
-    v = e[0] if e[0] in small_side else e[1]
-    u = e[1] if v == e[0] else e[0]
-    g.cut = ((v, u), cut)
-    return (v, u)
+    # A cut is held until a rewrite; ``_build`` empties ∂ once λ >= 3 holds across it.
+    if g.cut is None and (g.boundary is None or g.boundary):
+        cut = min_side_two_edge_cut(g)
+        if cut is None:
+            g.mark_three_edge_connected()
+            return None
+        x, y = min(cut.members)
+        g.cut = ((x, y) if x in cut.sides[0] else (y, x), cut)
+    return None if g.cut is None else g.cut[0]
 
 
 def _match_r6(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
@@ -534,12 +548,10 @@ def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
            rule: RuleId, match: tuple[int, ...],
            designated: tuple[int, ...]) -> ReductionStep:
     drop_set = set(drop)
-    removed_edges = frozenset(
-        edge_key(v, u) for v in drop_set for u in g.neighbors(v))
+    removed_edges = frozenset((v, u) if v < u else (u, v) for v in drop_set for u in g.adj[v])
     n_before = g.n
     # ``cover`` gathers the dirty sets since the last graph proven 2-connected.
-    cover, error = g.pending or (
-        set(), f"{rule.value} on {match}: reduced graph is not 2-connected")
+    cover, (name, matched) = g.pending or (set(), (rule.value, match))
     g.pending = None
     try:
         dirty = g.rewrite(drop, add)
@@ -556,19 +568,19 @@ def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
         rule=rule.value, matched=match,
         removed_vertices=frozenset(drop_set),
         removed_edges=removed_edges,
-        added_edges=frozenset(edge_key(u, v) for u, v in add),
+        added_edges=frozenset((u, v) if u < v else (v, u) for u, v in add),
         designated=designated)
     cover = (cover - drop_set) | dirty
     if g.deg2 and not g.has_edge(*g.adj[min(g.deg2)]):
         # R1 suppresses that vertex next, whose check then covers this one.
-        g.pending = (cover, error)
+        g.pending = (cover, (name, matched))
         return step
     # λ >= 3 across ∂ answers R5 too and, at maximum degree 3, means 2-connected.
     if (g.boundary is not None and not g.deg2 and g.n >= 3
             and _three_edge_connected(g)):
         g.mark_three_edge_connected()
     elif not (g.n >= 3 and _edge_connected_within(g.adj, cover, 2)):
-        raise InternalInvariantBroken(error)
+        raise InternalInvariantBroken(f"{name} on {matched}: reduced graph is not 2-connected")
     return step
 
 
@@ -730,12 +742,12 @@ def _checked_freeze(work: _Work, step: ReductionStep) -> Graph:
     A graph that is not 2-connected names the deferred step, if one is pending.
     """
     out = work.freeze()
-    name = f"{step.rule} on {step.matched}"
     if out.max_degree() > 3:
-        raise InternalInvariantBroken(f"{name}: reduced graph exceeds degree 3")
-    if not is_two_connected(out):
         raise InternalInvariantBroken(
-            work.pending[1] if work.pending else f"{name}: reduced graph is not 2-connected")
+            f"{step.rule} on {step.matched}: reduced graph exceeds degree 3")
+    if not is_two_connected(out):
+        rule, match = work.pending[1] if work.pending else (step.rule, step.matched)
+        raise InternalInvariantBroken(f"{rule} on {match}: reduced graph is not 2-connected")
     return out
 
 
@@ -747,6 +759,20 @@ def _require_in_class(g: Graph) -> None:
         raise PreconditionViolated("maximum degree exceeds 3")
     if not is_two_connected(g):
         raise PreconditionViolated("graph is not 2-connected")
+
+
+def _checked_work(g: Graph) -> _Work:
+    """g's working graph, once one cut enumeration checks g (see the module docstring)."""
+    if g.max_degree() > 3 or g.n < 3:
+        _require_in_class(g)  # raises: too small, or a degree above 3
+    work = _Work(g)
+    try:
+        find_rule(work)
+        if work.boundary is None and work.cut is None and not has_two_edge_cut(g):
+            work.mark_three_edge_connected()
+    except PreconditionViolated:  # a second component or a bridge
+        raise PreconditionViolated("graph is not 2-connected") from None
+    return work
 
 
 def base_case(g: Graph) -> FvsCertificate:
@@ -785,26 +811,28 @@ def solve_cubic(g: Graph) -> FvsCertificate:
     endpoints of the added edges) is re-indexed for the matchers. Each step
     checks that the reduced graph is simple and smaller, and, by one flow
     test near the dirty sets (see the module docstring), that it has maximum
-    degree 3 and is 2-connected. R5 enumerates the cuts of the whole graph
-    only when that test finds one, or while no graph has been proven
-    3-edge-connected yet. The exit check, the base case and the final check,
-    which validates the set against ``g`` and the bound, run on Graphs.
+    degree 3 and is 2-connected. Above the base-case size the entry check is
+    a cut enumeration; R5 enumerates again only when that test finds a cut,
+    or while no graph has been proven 3-edge-connected. The exit check, the
+    base case and the final check, which validates the set against ``g``
+    and the bound, run on Graphs.
 
     Deterministic: same input graph (same ids), same trace. A reduction that
     leaves the class raises InternalInvariantBroken: the rewrite proofs rule
     that out on valid input, so it signals a bug, never a property of the
     input.
     """
-    _require_in_class(g)
     chosen: set[int] = set()
     trace: list[ReductionStep] = []
     last = g  # checked on entry
-    if g.n > BASE_CASE_MAX_N:  # else no rewrite can run, and no working graph is built
-        cur = _Work(g)
+    if g.n <= BASE_CASE_MAX_N:  # no rewrite can run, and no working graph is built
+        _require_in_class(g)
+    else:
+        cur = _checked_work(g)
         while cur.n > BASE_CASE_MAX_N:
             rule, match = find_rule(cur)
             cur, step = apply_rule(cur, rule, match)
-            chosen |= set(step.designated)
+            chosen.update(step.designated)
             trace.append(step)
         last = _checked_freeze(cur, trace[-1])
     base = _exact_base(last)

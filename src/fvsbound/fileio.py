@@ -15,6 +15,8 @@ tooling and is read as strictly: ids, endpoints, weights and rotation
 entries must be JSON integers (not ``true`` or ``1.5``), ids distinct and
 endpoints declared, and the name and meta strings the text format carries
 unchanged, so every JSON file the reader accepts can be written as text.
+The empty graph has no rings, so neither format gives it a rotation: an
+empty one is written and read back as none.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ def write_graph(path: str, graph: Graph,
     Raises the readers' ParseError, and creates no file, if they would reject
     the name, meta or rotation or read them back changed.
     """
-    _checked_fields(graph, None if rotation is None else rotation.order, name, meta or {})
+    rotation = _checked_fields(graph, None if rotation is None else rotation.order,
+                               name, meta or {})
     if str(path).endswith(".json"):
         _write_json(path, graph, rotation, name, meta)
         return
@@ -238,7 +241,10 @@ def _read_json(path: str) -> GraphFile:
 
 
 def _checked_fields(graph: Graph, order, name, meta) -> RotationSystem | None:
-    """The rotation of ``order``, once it, ``name`` and ``meta`` pass the readers' checks."""
+    """The rotation of ``order``, once it, ``name`` and ``meta`` pass the readers' checks.
+
+    None for no rings, as the text reader gives when it finds no ``r`` record.
+    """
     rotation = None if order is None else _rotation_of(order, graph, 1, {})
     if name is not None:
         _check_text(name, "name", str.strip)
@@ -247,7 +253,7 @@ def _checked_fields(graph: Graph, order, name, meta) -> RotationSystem | None:
     for key, value in meta.items():
         _check_text(key, "meta key", lambda k: "".join(k.split()))
         _check_text(value, "meta value", lambda v: " ".join(v.split()))
-    return rotation
+    return rotation if order else None
 
 
 def _check_text(value, what: str, reread) -> None:

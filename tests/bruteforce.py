@@ -236,6 +236,18 @@ def r4_all_distinct_instance():
     return Graph(range(16), block_a + block_b + joins)
 
 
+def blob_ring(k: int) -> Graph:
+    """k copies of K4 less an edge, each joined to the next by an edge at its two ends.
+
+    Cubic and 2-connected; every two of the k ring edges form a 2-edge cut.
+    """
+    edges = []
+    for i in range(k):
+        a, b, c, d = range(4 * i, 4 * i + 4)
+        edges += [(a, c), (a, d), (b, c), (b, d), (c, d), (b, (4 * i + 4) % (4 * k))]
+    return Graph(range(4 * k), edges)
+
+
 def cut_joined_pair(rng: random.Random, trial: int, half: tuple[int, int] = (6, 10)) -> Graph:
     """Two random cubic graphs, one edge cut from each, rejoined crosswise.
 

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 import fvsbound.cubic as cubic_module
+import fvsbound.graph as graph_module
 from fvsbound.certificate import BoundKind
 from fvsbound.cubic import (
     BASE_CASE_MAX_N,
@@ -34,6 +35,7 @@ from fvsbound.instances import make_named, random_cubic_2connected, triangle_rep
 from fvsbound.oracle import min_fvs_exact, min_fvs_naive
 
 from bruteforce import (
+    blob_ring,
     chorded_c6,
     cut_joined_pair,
     cycle_graph,
@@ -329,6 +331,125 @@ class TestSolveCubic:
         fired = sum(s.rule == RuleId.R5_TWO_EDGE_CUT.value for s in cert.trace)
         assert fired >= 50
         assert len(calls) <= fired + 1
+
+    def test_entry_rejects_exactly_the_inputs_out_of_class(self):
+        # Above the base-case size, the cut enumeration's own check (one
+        # component, no bridge) stands in for the lowpoint DFS: it must turn
+        # away the same inputs with the same messages. By hand, each with
+        # n > 10: an isolated vertex, a pendant vertex, a bridge between two
+        # cubic pieces (prisms with one edge subdivided), and a vertex of
+        # degree 4, alone and beside a second component.
+        cubic = random_cubic_2connected(12, 1)
+        prism = [e for e in make_named("prism").graph.edges() if e != (0, 1)]
+        prism += [(0, 6), (1, 6)]
+        bridged = Graph(range(14), prism + [(u + 7, v + 7) for u, v in prism] + [(6, 13)])
+        spoked = [(i, (i + 1) % 10) for i in range(10)] + [(10, i) for i in range(0, 10, 3)]
+        graphs = [Graph(range(13), cubic.edges()),
+                  Graph(range(13), [(i, (i + 1) % 12) for i in range(12)] + [(0, 12)]),
+                  bridged, Graph(range(11), spoked), Graph(range(14), spoked)]
+        rng = random.Random(101)
+        graphs += [random_max_deg3_graph(rng.randint(11, 16), rng) for _ in range(400)]
+        outcomes = Counter()
+        for g in graphs:
+            if g.max_degree() > 3:
+                expected = "maximum degree exceeds 3"
+            elif not is_two_connected(g):
+                expected = "graph is not 2-connected"
+            else:
+                assert solve_cubic(g).validate(g)
+                outcomes["solved"] += 1
+                continue
+            with pytest.raises(PreconditionViolated) as caught:
+                solve_cubic(g)
+            assert str(caught.value) == expected
+            outcomes[expected] += 1
+        assert outcomes["solved"] >= 20 and outcomes["graph is not 2-connected"] >= 300
+        assert outcomes["maximum degree exceeds 3"] == 2
+
+    def test_entry_needs_three_vertices_whatever_the_base_case_size(self, monkeypatch):
+        # One component and no bridge mean 2-connected only from three
+        # vertices on: the empty graph and a lone vertex pass the cut
+        # enumeration's own check, so the entry must refuse them itself.
+        monkeypatch.setattr(cubic_module, "BASE_CASE_MAX_N", 0)
+        for g in (Graph([], []), Graph([0], []), Graph(range(2), [(0, 1)])):
+            with pytest.raises(PreconditionViolated) as caught:
+                solve_cubic(g)
+            assert str(caught.value) == "graph is not 2-connected"
+
+    def test_an_input_without_a_cut_is_read_in_one_pass(self, monkeypatch):
+        # The entry's cut enumeration also decides 2-connectivity, and its
+        # empty answer makes the input G0 from step 0: the only other
+        # whole-graph pass is the exit check of the 9 vertices left.
+        g = random_cubic_2connected(200, 1)
+        sizes = []
+        dfs = graph_module._lowpoint_dfs
+        monkeypatch.setattr(graph_module, "_lowpoint_dfs", lambda h: sizes.append(h.n) or dfs(h))
+        solve_cubic(g)
+        assert sizes == [200, 9]
+
+    def test_r5_first_takes_its_match_from_the_entry(self, monkeypatch):
+        # Where R5 is the first rule, the entry's own call of find_rule runs
+        # R5's enumeration; the first step takes its match and runs no other.
+        g = r5_gadget_pair()
+        calls, before_each_step = [], []
+        enumerate_cuts = cubic_module.min_side_two_edge_cut
+        monkeypatch.setattr(cubic_module, "min_side_two_edge_cut",
+                            lambda h: calls.append(h.n) or enumerate_cuts(h))
+        find = cubic_module.find_rule
+        monkeypatch.setattr(cubic_module, "find_rule",
+                            lambda h: before_each_step.append(len(calls)) or find(h))
+        first = solve_cubic(g).trace[0]
+        assert (RuleId(first.rule), first.matched) == reference_find_rule(g)
+        assert first.rule == RuleId.R5_TWO_EDGE_CUT.value
+        assert calls[0] == g.n
+        assert before_each_step[:3] == [0, 1, 1]
+
+    def test_entry_lists_every_cut_only_where_r5_is_asked_first(self, monkeypatch):
+        # Every two edges of a cycle form a 2-edge cut, and so do every two
+        # ring edges of a ring of K4s less an edge; R1 and R2 fire first on
+        # them. Listing every cut confirms each pair by a whole-graph search,
+        # so the entry must stop at the first one.
+        searches, enumerated = [], []
+        components = graph_module._components
+        monkeypatch.setattr(graph_module, "_components",
+                            lambda h, skip: searches.append(h.n) or components(h, skip))
+        enumerate_cuts = cubic_module.min_side_two_edge_cut
+        monkeypatch.setattr(cubic_module, "min_side_two_edge_cut",
+                            lambda h: enumerated.append(h.n) or enumerate_cuts(h))
+        for g, first in ((cycle_graph(60), RuleId.R1_DEGREE2),
+                         (blob_ring(30), RuleId.R2_ADJACENT_TRIANGLES)):
+            searches.clear()
+            enumerated.clear()
+            cert = solve_cubic(g)
+            assert cert.validate(g) and cert.trace[0].rule == first.value
+            assert g.n not in enumerated
+            assert searches.count(g.n) == 1
+
+    def test_every_step_from_the_entry_matches_the_reference_rescan(self):
+        # The entry's answer stands in for R5's first query. With no cut the
+        # input is G0 from step 0; with one, R5 either fires on it first or
+        # an earlier rule fires and the cut goes stale. Each step of the
+        # solve must match a rescan of the graph it ran on.
+        rng = random.Random(103)
+        graphs = [r5_gadget_pair()]
+        for trial in range(10):
+            graphs.append(cut_joined_pair(rng, trial, (6, 20)))
+            g = random_cubic_2connected(2 * rng.randint(6, 25), trial)
+            graphs += [g, subdivided(g, rng, rng.randint(1, 4))]
+        starts = Counter()
+        for g in graphs:
+            if not is_two_connected(g):
+                continue
+            cert = solve_cubic(g)
+            if min_side_two_edge_cut(g) is None:
+                starts["G0"] += 1
+            else:
+                starts[cert.trace[0].rule == RuleId.R5_TWO_EDGE_CUT.value] += 1
+            cur = g
+            for step in cert.trace[:-1]:
+                assert (RuleId(step.rule), step.matched) == reference_find_rule(cur)
+                cur = rewired(cur, step.removed_vertices, step.added_edges)
+        assert starts["G0"] > 0 and starts[True] > 0 and starts[False] > 0
 
     def test_r4_instances_solve_within_bound(self):
         for g in (r4_two_equal_instance(), r4_all_distinct_instance()):

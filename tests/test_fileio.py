@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvsbound.errors import ParseError
-from fvsbound.fileio import read_graph, write_graph
+from fvsbound.fileio import GraphFile, read_graph, write_graph
 from fvsbound.graph import Graph
 from fvsbound.instances import make_named
 from fvsbound.planar import RotationSystem, faces_of
@@ -201,6 +201,27 @@ class TestJsonRoundTrip:
                                     "edges": [[0, 1], [1, 2], [0, 2]], "rotation": rings}))
         with pytest.raises(ParseError, match="two rotation keys name the same vertex"):
             read_graph(str(path))
+
+
+class TestEmptyGraphRotation:
+    @pytest.mark.parametrize("rotation", [None, RotationSystem({})], ids=["none", "empty"])
+    def test_both_formats_read_it_back_alike(self, tmp_path, rotation):
+        # The empty graph has no ring to write, so the text format cannot
+        # tell an empty rotation from none; the JSON mirror must not either.
+        read = {}
+        for suffix in (".g", ".json"):
+            p1, p2 = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
+            write_graph(str(p1), Graph([], []), rotation)
+            read[suffix] = gf = read_graph(str(p1))
+            write_graph(str(p2), gf.graph, gf.rotation, gf.name, gf.meta)
+            assert p1.read_bytes() == p2.read_bytes()
+        assert read[".g"] == read[".json"] == GraphFile(Graph([], []))
+
+    def test_an_empty_json_rotation_reads_as_none(self, tmp_path):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps({"format": "fvsbound-graph", "version": 1, "name": None,
+                                    "meta": {}, "vertices": [], "edges": [], "rotation": {}}))
+        assert read_graph(str(path)).rotation is None
 
 
 class TestWriteChecks:
