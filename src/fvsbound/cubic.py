@@ -60,14 +60,13 @@ v has non-adjacent neighbors, R1 suppresses v next, and the graph is
 2-connected iff the suppressed one is. So the check waits for that step,
 whose boundary includes this one's; a failure names the deferred step.
 
-The entry check is a cut enumeration: for n >= 3 at maximum degree 3, "one
-component, no bridge" means 2-connected. Where R5 is the first rule asked,
-it is R5's first query; elsewhere a rewrite would leave its cut stale, and
-listing every cut can take a search per pair, so it stops at the first cut.
-With none, the input is G0 from step 0. The graph the rewrites leave is
-checked whole once, covering a check still deferred, as is ``apply_rule``'s
-result on a caller's ``Graph``, which is not known to be in class. The final
-check of the set is always global.
+The entry check is one cut search that stops at the first 2-edge cut: for
+n >= 3 at maximum degree 3, "one component, no bridge" means 2-connected.
+Finding no cut makes the input G0 from step 0; otherwise R5 is global until
+one of its queries finds no cut. The graph the rewrites leave is checked
+whole once, covering a check still deferred, as is ``apply_rule``'s result
+on a caller's ``Graph``, which is not known to be in class. The final check
+of the set is always global.
 """
 
 from __future__ import annotations
@@ -140,7 +139,7 @@ class _Work:
         # A deferred check leaves the dirty sets since the last graph proven
         # 2-connected, and the rule and match of the step they start at.
         self.pending: tuple[set[int], tuple[str, tuple[int, ...]]] | None = None
-        # R5's match on the current graph, with its cut.
+        # The match R5 found on the current graph, with its cut.
         self.cut: tuple[tuple[int, ...], CutStructure] | None = None
 
     @property
@@ -227,7 +226,7 @@ class _Work:
                         del groups[ns]
             if tri:
                 for u in ns:
-                    tri.pop((u, v) if u < v else (v, u), None)
+                    tri.pop(edge_key(u, v), None)
 
     def _index(self, vertices) -> None:
         adj, tri, groups = self.adj, self.tri, self.groups
@@ -249,7 +248,7 @@ class _Work:
                     if w in nu:
                         common.append(w)
                 if common:
-                    tri[(u, v) if u < v else (v, u)] = common
+                    tri[edge_key(u, v)] = common
 
 
 def _third(g: _Work, v: int, excluded: tuple[int, ...]) -> int:
@@ -336,7 +335,6 @@ def _three_disjoint_paths(adj: dict[int, tuple[int, ...]], s: int, t: int) -> bo
     λ(s, t) >= 3. False when a frontier empties first, which proves nothing.
     """
     color = {s: 6, t: 6}
-    get = color.get
     front, back = list(adj[s]), []
     for i, a in enumerate(front):
         color[a] = i
@@ -357,7 +355,7 @@ def _three_disjoint_paths(adj: dict[int, tuple[int, ...]], s: int, t: int) -> bo
             cu = color[u]
             pairs = _PAIR[cu]
             for v in adj[u]:
-                c = get(v)
+                c = color.get(v)
                 if c is None:
                     color[v] = cu
                     nxt.append(v)
@@ -491,15 +489,15 @@ def _match_r4(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
 
 
 def _match_r5(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
-    # A cut is held until a rewrite; ``_build`` empties ∂ once λ >= 3 holds across it.
-    if g.cut is None and (g.boundary is None or g.boundary):
-        cut = min_side_two_edge_cut(g)
-        if cut is None:
-            g.mark_three_edge_connected()
-            return None
-        x, y = min(cut.members)
-        g.cut = ((x, y) if x in cut.sides[0] else (y, x), cut)
-    return None if g.cut is None else g.cut[0]
+    # ``_build`` empties the boundary when its flow test proves the graph
+    # 3-edge-connected; otherwise the global search finds the cut, if any.
+    cut = None if g.boundary is not None and not g.boundary else min_side_two_edge_cut(g)
+    if cut is None:
+        g.mark_three_edge_connected()
+        return None
+    x, y = min(cut.members)
+    g.cut = ((x, y) if x in cut.sides[0] else (y, x), cut)
+    return g.cut[0]
 
 
 def _match_r6(g: _Work, triangles: _Triangles) -> tuple[int, ...] | None:
@@ -548,7 +546,8 @@ def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
            rule: RuleId, match: tuple[int, ...],
            designated: tuple[int, ...]) -> ReductionStep:
     drop_set = set(drop)
-    removed_edges = frozenset((v, u) if v < u else (u, v) for v in drop_set for u in g.adj[v])
+    removed_edges = frozenset(
+        edge_key(v, u) for v in drop_set for u in g.neighbors(v))
     n_before = g.n
     # ``cover`` gathers the dirty sets since the last graph proven 2-connected.
     cover, (name, matched) = g.pending or (set(), (rule.value, match))
@@ -568,7 +567,7 @@ def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
         rule=rule.value, matched=match,
         removed_vertices=frozenset(drop_set),
         removed_edges=removed_edges,
-        added_edges=frozenset((u, v) if u < v else (v, u) for u, v in add),
+        added_edges=frozenset(edge_key(u, v) for u, v in add),
         designated=designated)
     cover = (cover - drop_set) | dirty
     if g.deg2 and not g.has_edge(*g.adj[min(g.deg2)]):
@@ -762,16 +761,16 @@ def _require_in_class(g: Graph) -> None:
 
 
 def _checked_work(g: Graph) -> _Work:
-    """g's working graph, once one cut enumeration checks g (see the module docstring)."""
+    """g's working graph, once one cut search checks g (see the module docstring)."""
     if g.max_degree() > 3 or g.n < 3:
         _require_in_class(g)  # raises: too small, or a degree above 3
-    work = _Work(g)
     try:
-        find_rule(work)
-        if work.boundary is None and work.cut is None and not has_two_edge_cut(g):
-            work.mark_three_edge_connected()
+        has_cut = has_two_edge_cut(g)
     except PreconditionViolated:  # a second component or a bridge
         raise PreconditionViolated("graph is not 2-connected") from None
+    work = _Work(g)
+    if not has_cut:
+        work.mark_three_edge_connected()
     return work
 
 
@@ -812,10 +811,11 @@ def solve_cubic(g: Graph) -> FvsCertificate:
     checks that the reduced graph is simple and smaller, and, by one flow
     test near the dirty sets (see the module docstring), that it has maximum
     degree 3 and is 2-connected. Above the base-case size the entry check is
-    a cut enumeration; R5 enumerates again only when that test finds a cut,
-    or while no graph has been proven 3-edge-connected. The exit check, the
-    base case and the final check, which validates the set against ``g``
-    and the bound, run on Graphs.
+    a cut search, and an input without a 2-edge cut is 3-edge-connected from
+    step 0; R5 enumerates the cuts only when that test finds one, or while
+    no graph has been proven 3-edge-connected. The exit check, the base case
+    and the final check, which validates the set against ``g`` and the
+    bound, run on Graphs.
 
     Deterministic: same input graph (same ids), same trace. A reduction that
     leaves the class raises InternalInvariantBroken: the rewrite proofs rule

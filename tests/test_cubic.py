@@ -333,7 +333,7 @@ class TestSolveCubic:
         assert len(calls) <= fired + 1
 
     def test_entry_rejects_exactly_the_inputs_out_of_class(self):
-        # Above the base-case size, the cut enumeration's own check (one
+        # Above the base-case size, the cut search's own check (one
         # component, no bridge) stands in for the lowpoint DFS: it must turn
         # away the same inputs with the same messages. By hand, each with
         # n > 10: an isolated vertex, a pendant vertex, a bridge between two
@@ -369,7 +369,7 @@ class TestSolveCubic:
     def test_entry_needs_three_vertices_whatever_the_base_case_size(self, monkeypatch):
         # One component and no bridge mean 2-connected only from three
         # vertices on: the empty graph and a lone vertex pass the cut
-        # enumeration's own check, so the entry must refuse them itself.
+        # search's own check, so the entry must refuse them itself.
         monkeypatch.setattr(cubic_module, "BASE_CASE_MAX_N", 0)
         for g in (Graph([], []), Graph([0], []), Graph(range(2), [(0, 1)])):
             with pytest.raises(PreconditionViolated) as caught:
@@ -377,7 +377,7 @@ class TestSolveCubic:
             assert str(caught.value) == "graph is not 2-connected"
 
     def test_an_input_without_a_cut_is_read_in_one_pass(self, monkeypatch):
-        # The entry's cut enumeration also decides 2-connectivity, and its
+        # The entry's cut search also decides 2-connectivity, and its
         # empty answer makes the input G0 from step 0: the only other
         # whole-graph pass is the exit check of the 9 vertices left.
         g = random_cubic_2connected(200, 1)
@@ -387,49 +387,37 @@ class TestSolveCubic:
         solve_cubic(g)
         assert sizes == [200, 9]
 
-    def test_r5_first_takes_its_match_from_the_entry(self, monkeypatch):
-        # Where R5 is the first rule, the entry's own call of find_rule runs
-        # R5's enumeration; the first step takes its match and runs no other.
-        g = r5_gadget_pair()
-        calls, before_each_step = [], []
-        enumerate_cuts = cubic_module.min_side_two_edge_cut
-        monkeypatch.setattr(cubic_module, "min_side_two_edge_cut",
-                            lambda h: calls.append(h.n) or enumerate_cuts(h))
-        find = cubic_module.find_rule
-        monkeypatch.setattr(cubic_module, "find_rule",
-                            lambda h: before_each_step.append(len(calls)) or find(h))
-        first = solve_cubic(g).trace[0]
-        assert (RuleId(first.rule), first.matched) == reference_find_rule(g)
-        assert first.rule == RuleId.R5_TWO_EDGE_CUT.value
-        assert calls[0] == g.n
-        assert before_each_step[:3] == [0, 1, 1]
-
-    def test_entry_lists_every_cut_only_where_r5_is_asked_first(self, monkeypatch):
+    def test_entry_stops_at_the_first_cut(self, monkeypatch):
         # Every two edges of a cycle form a 2-edge cut, and so do every two
-        # ring edges of a ring of K4s less an edge; R1 and R2 fire first on
-        # them. Listing every cut confirms each pair by a whole-graph search,
-        # so the entry must stop at the first one.
-        searches, enumerated = [], []
+        # ring edges of a ring of K4s less an edge. Listing every cut confirms
+        # each pair by a whole-graph search, so the entry confirms one pair and
+        # lists none; where R5 is the first rule, its own query lists them,
+        # and its match is the reference rescan's.
+        searches, enumerated, before_each_step = [], [], []
         components = graph_module._components
         monkeypatch.setattr(graph_module, "_components",
                             lambda h, skip: searches.append(h.n) or components(h, skip))
         enumerate_cuts = cubic_module.min_side_two_edge_cut
         monkeypatch.setattr(cubic_module, "min_side_two_edge_cut",
                             lambda h: enumerated.append(h.n) or enumerate_cuts(h))
+        find = cubic_module.find_rule
+        monkeypatch.setattr(cubic_module, "find_rule", lambda h: before_each_step.append(
+            (list(searches), list(enumerated))) or find(h))
         for g, first in ((cycle_graph(60), RuleId.R1_DEGREE2),
-                         (blob_ring(30), RuleId.R2_ADJACENT_TRIANGLES)):
-            searches.clear()
-            enumerated.clear()
+                         (blob_ring(30), RuleId.R2_ADJACENT_TRIANGLES),
+                         (r5_gadget_pair(), RuleId.R5_TWO_EDGE_CUT)):
+            for seen in (searches, enumerated, before_each_step):
+                seen.clear()
             cert = solve_cubic(g)
-            assert cert.validate(g) and cert.trace[0].rule == first.value
-            assert g.n not in enumerated
-            assert searches.count(g.n) == 1
+            step = cert.trace[0]
+            assert cert.validate(g) and step.rule == first.value
+            assert (RuleId(step.rule), step.matched) == reference_find_rule(g)
+            assert before_each_step[0] == ([g.n], [])
 
     def test_every_step_from_the_entry_matches_the_reference_rescan(self):
-        # The entry's answer stands in for R5's first query. With no cut the
-        # input is G0 from step 0; with one, R5 either fires on it first or
-        # an earlier rule fires and the cut goes stale. Each step of the
-        # solve must match a rescan of the graph it ran on.
+        # An input without a cut is G0 from step 0; one with a cut is left to
+        # R5's own queries, whether R5 fires first or an earlier rule does.
+        # Each step of the solve must match a rescan of the graph it ran on.
         rng = random.Random(103)
         graphs = [r5_gadget_pair()]
         for trial in range(10):
