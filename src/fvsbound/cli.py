@@ -2,12 +2,16 @@
 
 Exit codes are part of the contract so CI can assert on them:
   0  success (and, for solve/verify, the set validates and meets its bound)
-  1  verify: the set is not a feedback vertex set
-  2  bad arguments, parse failure, an output file that cannot be written, or
-     input outside the algorithm's domain
-  3  a produced certificate failed validation or an internal invariant broke
-     (must never happen)
+  1  verify: the set is not a feedback vertex set; batch: some row failed
+  2  bad arguments, and any other FvsError or OSError: a parse failure, an
+     output file that cannot be written, input outside the algorithm's domain
+  3  a produced certificate failed validation, or InternalInvariantBroken or
+     RecursionError was raised (must never happen)
   4  verify: valid set, requested bound violated
+
+The commands return only the codes of their results (0, 1, 3 and 4) and
+raise every failure; ``main`` alone maps each failure to its code by kind and
+prints it as one ``error:`` line, with no traceback.
 
 Primary stdout output is byte-identical across identical invocations; wall
 times only appear in CSV files.
@@ -24,9 +28,8 @@ from pathlib import Path
 
 from .certificate import BoundKind, FvsCertificate
 from .cubic import solve_cubic
-from .errors import (FvsError, InternalInvariantBroken, InvalidRotation, NonPlanarRotation,
-                     ParseError, PreconditionViolated)
-from .fileio import GraphFile, _is_int, read_graph, write_graph
+from .errors import FvsError, InternalInvariantBroken, ParseError, PreconditionViolated
+from .fileio import GraphFile, _is_int, _read_ascii, read_graph, write_graph
 from .girth import SolverConfig, solve_planar_unweighted, solve_planar_weighted, trivial_baseline
 from .graph import (
     Graph,
@@ -58,7 +61,9 @@ def _fmt_fraction(num: int, den: int) -> str:
 
 
 def _print(msg: str = "") -> None:
-    sys.stdout.write(msg + "\n")
+    # A file name that is not UTF-8 shows its bytes as escapes, as on stderr.
+    sys.stdout.write(msg.encode(errors="surrogateescape").decode(errors="backslashreplace")
+                     + "\n")
 
 
 def _fail(msg: str, code: int) -> int:
@@ -76,35 +81,32 @@ def _is_weighted(g: Graph) -> bool:
 
 def cmd_gen(args) -> int:
     spec = args.spec
-    try:
-        if spec == "random-cubic":
-            if args.n is None:
-                return _fail("random-cubic needs --n", 2)
-            graph = random_cubic_2connected(args.n, args.seed)
-            rotation, name = embed(graph), f"random-cubic-n{args.n}-s{args.seed}"
-        elif spec == "random-planar":
-            if args.n is None:
-                return _fail("random-planar needs --n", 2)
-            g = 3 if args.g is None else args.g
-            graph, rotation = random_planar_girth(args.n, g, args.seed)
-            name = f"random-planar-n{args.n}-g{g}-s{args.seed}"
-        elif spec == "triangle-replace":
-            if not args.of:
-                return _fail("triangle-replace needs --of <name>", 2)
-            base = make_named(args.of)
-            graph = triangle_replace(base.graph)
-            rotation, name = embed(graph), f"triangle-replace-{base.name}"
-        elif spec == "cycles":
-            if args.k is None or args.g is None:
-                return _fail("cycles needs --k and --g", 2)
-            graph = disjoint_cycles(args.k, args.g)
-            rotation, name = embed(graph), f"cycles-k{args.k}-g{args.g}"
-        else:
-            inst = make_named(spec)
-            graph, rotation, name = inst.graph, inst.rotation, inst.name
-        write_graph(args.out, graph, rotation=rotation, name=name)
-    except (FvsError, OSError) as exc:
-        return _fail(str(exc), 2)
+    if spec == "random-cubic":
+        if args.n is None:
+            raise PreconditionViolated("random-cubic needs --n")
+        graph = random_cubic_2connected(args.n, args.seed)
+        rotation, name = embed(graph), f"random-cubic-n{args.n}-s{args.seed}"
+    elif spec == "random-planar":
+        if args.n is None:
+            raise PreconditionViolated("random-planar needs --n")
+        g = 3 if args.g is None else args.g
+        graph, rotation = random_planar_girth(args.n, g, args.seed)
+        name = f"random-planar-n{args.n}-g{g}-s{args.seed}"
+    elif spec == "triangle-replace":
+        if not args.of:
+            raise PreconditionViolated("triangle-replace needs --of <name>")
+        base = make_named(args.of)
+        graph = triangle_replace(base.graph)
+        rotation, name = embed(graph), f"triangle-replace-{base.name}"
+    elif spec == "cycles":
+        if args.k is None or args.g is None:
+            raise PreconditionViolated("cycles needs --k and --g")
+        graph = disjoint_cycles(args.k, args.g)
+        rotation, name = embed(graph), f"cycles-k{args.k}-g{args.g}"
+    else:
+        inst = make_named(spec)
+        graph, rotation, name = inst.graph, inst.rotation, inst.name
+    write_graph(args.out, graph, rotation=rotation, name=name)
     _print(f"wrote {name}: n={graph.n} m={graph.m} -> {args.out}")
     return 0
 
@@ -113,11 +115,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    try:
-        gf = read_graph(args.path)
-        pg = _plane_graph_or_none(gf)
-    except (FvsError, OSError) as exc:
-        return _fail(str(exc), 2)
+    gf = read_graph(args.path)
+    pg = _plane_graph_or_none(gf)
     g = gf.graph
     gr = girth(g)
     vc, ec = connectivity_le3(g)
@@ -150,12 +149,7 @@ def cmd_stats(args) -> int:
 def _plane_graph_or_none(gf: GraphFile) -> PlaneGraph | None:
     """The file's embedding, else one found for the graph; None if non-planar."""
     rotation = gf.rotation if gf.rotation is not None else embed(gf.graph)
-    if rotation is None:
-        return None
-    try:
-        return faces_of(gf.graph, rotation)
-    except (InvalidRotation, NonPlanarRotation) as exc:
-        raise PreconditionViolated(f"input rotation: {exc}") from None
+    return None if rotation is None else faces_of(gf.graph, rotation)
 
 
 def _solve_with(alg: str, gf: GraphFile, g_override: int | None,
@@ -202,23 +196,12 @@ def _solve_with(alg: str, gf: GraphFile, g_override: int | None,
 
 
 def cmd_solve(args) -> int:
-    try:
-        gf = read_graph(args.path)
-    except (FvsError, OSError) as exc:
-        return _fail(str(exc), 2)
-    try:
-        cert, alg = _solve_with(args.alg, gf, args.g)
-    except (PreconditionViolated, ParseError) as exc:
-        return _fail(str(exc), 2)
-    except (InternalInvariantBroken, RecursionError) as exc:
-        return _fail(str(exc), 3)
+    gf = read_graph(args.path)
+    cert, alg = _solve_with(args.alg, gf, args.g)
     if args.trace:
-        try:
-            with open(args.trace, "w", encoding="ascii") as fh:
-                for step in cert.trace:
-                    fh.write(_format_step(step) + "\n")
-        except OSError as exc:
-            return _fail(str(exc), 2)
+        with open(args.trace, "w", encoding="ascii") as fh:
+            for step in cert.trace:
+                fh.write(_format_step(step) + "\n")
     valid = cert.validate(gf.graph)
     _print(f"algorithm = {alg}")
     _print(f"S = {' '.join(str(v) for v in sorted(cert.fvs))}")
@@ -252,28 +235,19 @@ def _format_step(step) -> str:
 
 def _read_fvs_file(path: str) -> set[int]:
     out: set[int] = set()
-    with open(path, encoding="ascii") as fh:
-        for no, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0]
-            for token in body.split():
-                if not _is_int(token):
-                    raise ParseError(no, f"not a vertex id: {token!r}")
-                out.add(int(token))
+    for no, line in enumerate(_read_ascii(path).splitlines(), start=1):
+        for token in line.split("#", 1)[0].split():
+            if not _is_int(token):
+                raise ParseError(no, f"not a vertex id: {token!r}")
+            out.add(int(token))
     return out
 
 
 def cmd_verify(args) -> int:
-    try:
-        gf = read_graph(args.graph)
-        fvs = _read_fvs_file(args.fvs)
-    except (FvsError, OSError, UnicodeDecodeError) as exc:
-        return _fail(str(exc), 2)
+    gf = read_graph(args.graph)
+    fvs = _read_fvs_file(args.fvs)
     g = gf.graph
-    try:
-        ok = validate_fvs(g, fvs)
-    except FvsError as exc:
-        return _fail(str(exc), 2)
-    if not ok:
+    if not validate_fvs(g, fvs):
         _print("invalid: removing the set leaves a cycle")
         return 1
     _print(f"valid feedback vertex set, |S| = {len(fvs)}")
@@ -291,7 +265,7 @@ def cmd_verify(args) -> int:
             _print(f"bound {label} holds trivially: forest")
             return 0
         if gr < 3:
-            return _fail(f"minimum cycle weight {int(gr)} is below 3", 2)
+            raise PreconditionViolated(f"minimum cycle weight {int(gr)} is below 3")
         num, den = 4 * g.total_weight(), 3 * int(gr)
     if len(fvs) * den <= num:
         _print(f"bound {label} = {_fmt_fraction(num, den)} satisfied")
@@ -306,7 +280,7 @@ def cmd_verify(args) -> int:
 def cmd_batch(args) -> int:
     directory = Path(args.dir)
     if not directory.is_dir():
-        return _fail(f"not a directory: {directory}", 2)
+        raise PreconditionViolated(f"not a directory: {directory}")
     files = sorted(p for p in directory.iterdir() if p.is_file())
     rows = []
     any_failed = False
@@ -339,13 +313,11 @@ def cmd_batch(args) -> int:
             _print(f"{path.name}: error {exc}")
         row["ms"] = round(1000 * (time.perf_counter() - start), 3)
         rows.append(row)
-    try:
-        with open(args.csv, "w", newline="", encoding="ascii") as fh:
-            writer = csv.DictWriter(fh, fieldnames=BATCH_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
-    except OSError as exc:
-        return _fail(str(exc), 2)
+    # A name that is not UTF-8 is written as its own bytes.
+    with open(args.csv, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        writer = csv.DictWriter(fh, fieldnames=BATCH_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
     return 1 if any_failed else 0
 
 
@@ -402,7 +374,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InternalInvariantBroken, RecursionError) as exc:
+        return _fail(str(exc), 3)
+    except (FvsError, OSError) as exc:
+        return _fail(str(exc), 2)
 
 
 if __name__ == "__main__":

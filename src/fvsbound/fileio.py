@@ -11,10 +11,12 @@ Text format (one record per line, canonical order on write):
 
 Round-trips are bit-exact: reading a canonically written file and writing it
 again reproduces the same bytes. The JSON mirror carries the same fields for
-tooling and is read as strictly: ids, endpoints, weights and rotation
-entries must be JSON integers (not ``true`` or ``1.5``), ids distinct and
-endpoints declared, and the name and meta strings the text format carries
-unchanged, so every JSON file the reader accepts can be written as text.
+tooling and is read as strictly: the version, ids, endpoints, weights and
+rotation entries must be JSON integers (not ``true`` or ``1.5``), ids
+distinct and endpoints declared, meta an object (or null for none), and the
+name and meta strings the text format carries unchanged, so every JSON file
+the reader accepts can be written as text. The text reader holds its name
+and meta records to that same rule, so the writer takes every file it reads.
 The empty graph has no rings, so neither format gives it a rotation: an
 empty one is written and read back as none.
 """
@@ -107,10 +109,12 @@ def read_graph(path: str) -> GraphFile:
             if len(parts) < 2:
                 bad(no, "name needs a value")
             name = stripped[len("name "):].strip()
+            _check_text(name, "name", str.strip, no)
         elif tag == "meta":
             if len(parts) < 3:
                 bad(no, "meta needs a key and a value")
             meta[parts[1]] = " ".join(parts[2:])
+            _check_meta(parts[1], meta[parts[1]], no)
         elif tag == "v":
             if len(parts) != 2 or not _is_int(parts[1]):
                 bad(no, "vertex line must be 'v <id>'")
@@ -213,8 +217,9 @@ def _read_json(path: str) -> GraphFile:
         raise ParseError(1, "invalid JSON: nested too deeply") from None
     if not isinstance(payload, dict) or payload.get("format") != "fvsbound-graph":
         raise ParseError(1, "not an fvsbound-graph JSON file")
-    if payload.get("version") != FORMAT_VERSION:
-        raise ParseError(1, f"unsupported version {payload.get('version')}")
+    version = payload.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ParseError(1, f"unsupported version {json.dumps(version)}")
     try:
         vertices = _json_ints(payload["vertices"], "vertices")
         declared = set(vertices)
@@ -233,7 +238,8 @@ def _read_json(path: str) -> GraphFile:
             order = {int(v): tuple(_json_ints(ns, "rotation")) for v, ns in rot_raw.items()}
             if len(order) < len(rot_raw):
                 raise ParseError(1, "two rotation keys name the same vertex")
-        name, meta = payload.get("name"), payload.get("meta") or {}
+        name, meta = payload.get("name"), payload.get("meta")
+        meta = {} if meta is None else meta
         rotation = _checked_fields(graph, order, name, meta)
         return GraphFile(graph=graph, rotation=rotation, name=name, meta=meta)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -247,26 +253,31 @@ def _checked_fields(graph: Graph, order, name, meta) -> RotationSystem | None:
     """
     rotation = None if order is None else _rotation_of(order, graph, 1, {})
     if name is not None:
-        _check_text(name, "name", str.strip)
+        _check_text(name, "name", str.strip, 1)
     if not isinstance(meta, dict):
         raise TypeError("meta must be an object")
     for key, value in meta.items():
-        _check_text(key, "meta key", lambda k: "".join(k.split()))
-        _check_text(value, "meta value", lambda v: " ".join(v.split()))
+        _check_meta(key, value, 1)
     return rotation if order else None
 
 
-def _check_text(value, what: str, reread) -> None:
-    """Raise ParseError unless the text format carries ``value`` unchanged.
+def _check_meta(key, value, line_no: int) -> None:
+    """``_check_text`` for a meta key and its value."""
+    _check_text(key, "meta key", lambda k: "".join(k.split()), line_no)
+    _check_text(value, "meta value", lambda v: " ".join(v.split()), line_no)
+
+
+def _check_text(value, what: str, reread, line_no: int) -> None:
+    """Raise ParseError at ``line_no`` unless the text format carries ``value`` unchanged.
 
     It must be a non-empty string of printable ASCII, so without a line
-    break, and equal to ``reread(value)``: the text reader strips a name,
-    reads a meta key up to the first space, and joins a meta value's words
-    by single spaces.
+    break, a tab or DEL, and equal to ``reread(value)``: the text reader
+    strips a name, reads a meta key up to the first space, and joins a meta
+    value's words by single spaces.
     """
     if not (isinstance(value, str) and value and value.isascii()
             and value.isprintable() and reread(value) == value):
-        raise ParseError(1, f"{what} {json.dumps(value)} cannot be written as text")
+        raise ParseError(line_no, f"{what} {json.dumps(value)} cannot be written as text")
 
 
 def _json_ints(values, what: str) -> list:

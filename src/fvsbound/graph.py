@@ -274,18 +274,16 @@ def shortest_cycle_in(adj: dict[int, Sequence[int]]) -> list[int] | None:
                         parent[u] = v
                         nxt.append(u)
                     elif parent[v] != u and parent[u] != v:
-                        cand = dv + dist[u] + 1
-                        if cand < best_len:
-                            cycle = _walk_cycle(parent, v, u)
-                            if cycle is not None and len(cycle) < best_len:
-                                best_len = len(cycle)
-                                best = cycle
+                        if dv + dist[u] + 1 < best_len:
+                            # The cycle is no longer than dv + dist[u] + 1.
+                            best = _walk_cycle(parent, v, u)
+                            best_len = len(best)
             frontier = nxt
     return best
 
 
-def _walk_cycle(parent: dict[int, int], v: int, u: int) -> list[int] | None:
-    """Close the BFS-tree paths of v and u into a simple cycle, if they form one."""
+def _walk_cycle(parent: dict[int, int], v: int, u: int) -> list[int]:
+    """Close the BFS-tree paths of v and u, neither the other's parent, into a simple cycle."""
     path_v, path_u = [v], [u]
     for path in (path_v, path_u):
         x = path[0]
@@ -296,10 +294,7 @@ def _walk_cycle(parent: dict[int, int], v: int, u: int) -> list[int] | None:
     # Lowest common ancestor: first vertex of u's path already on v's path.
     lca_idx = next(i for i, x in enumerate(path_u) if x in set_v)
     lca = path_u[lca_idx]
-    cycle = path_v[:path_v.index(lca) + 1] + path_u[:lca_idx][::-1]
-    if len(cycle) != len(set(cycle)):
-        return None
-    return cycle
+    return path_v[:path_v.index(lca) + 1] + path_u[:lca_idx][::-1]
 
 
 # -- connectivity ------------------------------------------------------------

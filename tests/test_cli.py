@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from fvsbound.cli import main
-from fvsbound.errors import InternalInvariantBroken
+from fvsbound.errors import InternalInvariantBroken, InvalidMerger
 from fvsbound.fileio import read_graph, write_graph
 from fvsbound.graph import Graph
 from fvsbound.instances import make_named, random_cubic_2connected, random_planar_girth
@@ -131,6 +131,20 @@ class TestGen:
         assert code == 2
         assert one_error_line(capsys)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["random-cubic"], "random-cubic needs --n"),
+        (["random-planar", "--g", "5"], "random-planar needs --n"),
+        (["triangle-replace"], "triangle-replace needs --of <name>"),
+        (["cycles", "--k", "2"], "cycles needs --k and --g"),
+        (["chain0"], "chain needs at least one block"),
+    ], ids=["random-cubic", "random-planar", "triangle-replace", "cycles", "chain0"])
+    def test_spec_without_what_it_needs_exits_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.g"
+        code = main(["gen", *argv, str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
 
 class TestStats:
     def test_dodecahedron(self, tmp_path, capsys):
@@ -176,6 +190,27 @@ class TestStats:
         code, out = run(capsys, "solve", str(path), "--alg", "planar")
         assert code == 0
         assert "bound satisfied = yes" in out
+
+    def test_forest_suppresses_bounds(self, tmp_path, capsys):
+        path = tmp_path / "p3.g"
+        write_graph(str(path), Graph(range(3), [(0, 1), (1, 2)]))
+        code, out = run(capsys, "stats", str(path))
+        assert code == 0
+        assert out.endswith("planar = yes\nfaces = 1\nbounds suppressed: forest\n")
+
+    @pytest.mark.parametrize("command", [["stats"], ["solve", "--alg", "planar"]],
+                             ids=["stats", "solve"])
+    def test_rotation_that_is_not_plane_reported_unwrapped(self, tmp_path, capsys, command):
+        path = tmp_path / "k4-pendant.g"
+        rings = BAD_ROTATIONS["not-plane"]
+        path.write_text("".join([f"graph 1 {K4_PENDANT.n}\n"]
+                                + [f"v {v}\n" for v in K4_PENDANT.vertices]
+                                + [f"e {u} {v}\n" for u, v in K4_PENDANT.edges()]
+                                + [f"r {v}: {' '.join(map(str, rings[v]))}\n" for v in rings]))
+        code = main([command[0], str(path), *command[1:]])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: face count 2 != m - n + 2c = 4; rotation is not a plane embedding\n")
 
     def test_connectivity_of_a_400_vertex_cubic_graph_is_quick(self, tmp_path, capsys):
         path = tmp_path / "c400.g"
@@ -247,6 +282,19 @@ class TestSolve:
         assert code == 3
         assert "error: injected for testing" in err
         assert "Traceback" not in err
+
+    def test_stray_fvs_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        import fvsbound.cubic as cubic_module
+
+        def stray(graph, rule, match):
+            raise InvalidMerger("injected for testing")
+
+        monkeypatch.setattr(cubic_module, "apply_rule", stray)
+        path = tmp_path / "d.g"
+        run(capsys, "gen", "dodecahedron", str(path))
+        code = main(["solve", str(path), "--alg", "cubic"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: injected for testing\n")
 
     @pytest.mark.parametrize("rotation", sorted(BAD_ROTATIONS))
     @pytest.mark.parametrize("command", [["solve", "--alg", "planar"], ["solve", "--alg", "trivial"],
@@ -485,7 +533,65 @@ class TestVerify:
         assert one_error_line(capsys)
 
 
+    def test_non_ascii_set_file_named_at_its_line(self, tmp_path, capsys):
+        path = tmp_path / "k4.g"
+        run(capsys, "gen", "k4", str(path))
+        fvs = tmp_path / "s.txt"
+        fvs.write_bytes("0 1\n\u00e9\n".encode())
+        code = main(["verify", str(path), str(fvs)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 2: non-ASCII byte 0xc3\n"
+
+    def test_planar_bound_of_a_forest(self, tmp_path, capsys):
+        path = tmp_path / "p3.g"
+        write_graph(str(path), Graph(range(3), [(0, 1), (1, 2)]))
+        fvs = tmp_path / "s.txt"
+        fvs.write_text("\n")
+        code, out = run(capsys, "verify", str(path), str(fvs), "--bound", "planar")
+        assert code == 0
+        assert out == "valid feedback vertex set, |S| = 0\nbound 4m/3g holds trivially: forest\n"
+
+
 class TestBatch:
+    def test_not_a_directory_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "k4.g"
+        run(capsys, "gen", "k4", str(path))
+        code = main(["batch", str(path), "--csv", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: not a directory: {path}\n")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_argparse_error_exits_2_and_help_exits_0(self, tmp_path, capsys):
+        assert main(["batch", str(tmp_path)]) == 2
+        assert "--csv" in capsys.readouterr().err
+        assert main(["batch", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: fvsbound batch")
+
+    def test_non_ascii_name(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        run(capsys, "gen", "k4", str(corpus / "caf\u00e9.g"))
+        out_csv = tmp_path / "report.csv"
+        code, out = run(capsys, "batch", str(corpus), "--csv", str(out_csv))
+        assert code == 0
+        assert out == "caf\u00e9.g: ok |S|=2 bound=2\n"
+        rows = list(csv.DictReader(out_csv.open(encoding="utf-8")))
+        assert [(r["instance"], r["valid"]) for r in rows] == [("caf\u00e9.g", "yes")]
+
+    def test_name_that_is_not_utf8_written_as_its_bytes(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        try:
+            path = corpus / os.fsdecode(b"\xff.g")
+            write_graph(str(path), make_named("k4").graph)
+        except (OSError, UnicodeError):
+            pytest.skip("the filesystem takes no such name")
+        out_csv = tmp_path / "report.csv"
+        code, out = run(capsys, "batch", str(corpus), "--csv", str(out_csv))
+        assert code == 0
+        assert out == "\\xff.g: ok |S|=2 bound=2\n"
+        assert out_csv.read_bytes().split(b"\r\n")[1].startswith(b"\xff.g,4,6,3,")
+
     def test_unwritable_report_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -672,6 +778,32 @@ class TestBatch:
         code, _ = run(capsys, "batch", str(corpus), "--csv", str(out_csv))
         assert code == 0
         assert out_csv.read_text().startswith("instance,")
+
+
+# For each command, a function of `cli` it calls before printing anything.
+FAULT_SITES = {"gen": "make_named", "stats": "faces_of", "solve": "solve_cubic",
+               "verify": "validate_fvs"}
+
+
+class TestExitCodeTable:
+    @pytest.mark.parametrize("fault", [InternalInvariantBroken, RecursionError])
+    @pytest.mark.parametrize("command", sorted(FAULT_SITES))
+    def test_internal_fault_exits_3(self, tmp_path, capsys, monkeypatch, command, fault):
+        import fvsbound.cli as cli_module
+
+        k4, fvs = tmp_path / "k4.g", tmp_path / "s.txt"
+        run(capsys, "gen", "k4", str(k4))
+        fvs.write_text("0 1\n")
+
+        def broken(*args):
+            raise fault("injected for testing")
+
+        monkeypatch.setattr(cli_module, FAULT_SITES[command], broken)
+        argv = {"gen": ["gen", "k4", str(tmp_path / "x.g")], "stats": ["stats", str(k4)],
+                "solve": ["solve", str(k4), "--alg", "cubic"],
+                "verify": ["verify", str(k4), str(fvs)]}[command]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "error: injected for testing\n")
 
 
 # Characters a mutation may put in: digits, separators and record letters.

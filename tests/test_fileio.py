@@ -123,9 +123,12 @@ class TestJsonRoundTrip:
         # Arabic-Indic two: str.isdigit and int() both take it for 2.
         ("rotation", {"0": [1, 2], "1": [2, 0], "\u0662": [0, 1]},
          "rotation keys must be integers"),
+        ("version", True, "unsupported version true"),
+        ("version", 1.0, "unsupported version 1.0"),
     ], ids=["float-id", "bool-id", "repeated-id", "ids-not-a-list", "float-weight",
             "float-endpoint", "bool-weight", "undeclared-endpoint", "float-rotation-entry",
-            "float-rotation-key", "non-ascii-digit-rotation-key"])
+            "float-rotation-key", "non-ascii-digit-rotation-key", "bool-version",
+            "float-version"])
     def test_rejects_non_integer_numbers(self, tmp_path, field, value, fragment):
         # Graph() would truncate these with int(), or add the undeclared
         # vertex, so a different graph than the file's would be certified.
@@ -152,9 +155,15 @@ class TestJsonRoundTrip:
         ("meta", {"phi": ""}, 'meta value ""'),
         ("meta", {"phi": 3}, "meta value 3"),
         ("meta", [["phi", "3"]], "meta must be an object"),
+        # Falsy, but no more an object than [1]; only null means no meta.
+        ("meta", [], "meta must be an object"),
+        ("meta", 0, "meta must be an object"),
+        ("meta", False, "meta must be an object"),
+        ("meta", "", "meta must be an object"),
     ], ids=["line-break-name", "int-name", "empty-name", "padded-name", "non-ascii-name",
             "spaced-key", "line-break-value", "double-space-value", "empty-value",
-            "int-value", "pair-list-meta"])
+            "int-value", "pair-list-meta", "empty-list-meta", "zero-meta", "false-meta",
+            "empty-string-meta"])
     def test_rejects_a_name_or_meta_the_text_format_cannot_carry(self, tmp_path, field,
                                                                   value, fragment):
         # Written as text, the first would add the record "v 9", and the
@@ -341,6 +350,17 @@ class TestParseErrors:
                                     "edges": [[0, 1], [1, 2], [0, 2]], "rotation": rings}))
         with pytest.raises(ParseError, match=fragment):
             read_graph(str(path))
+
+    @pytest.mark.parametrize("record, fragment", [
+        ("name a\tb", r'name "a\tb"'),
+        ("name a\x7fb", r'name "a\u007fb"'),
+        ("meta k\x7f v", r'meta key "k\u007f"'),
+        ("meta k a\x7fb", r'meta value "a\u007fb"'),
+    ], ids=["tab-name", "del-name", "del-meta-key", "del-meta-value"])
+    def test_name_or_meta_the_writer_refuses(self, tmp_path, record, fragment):
+        # The JSON reader's and the writer's rule, so each file read writes back.
+        self._expect(tmp_path, f"graph 1 1\nv 0\n{record}\n# end\n",
+                     f"line 3: {fragment} cannot be written as text", line_no=3)
 
     def test_name_without_a_value(self, tmp_path):
         self._expect(tmp_path, "graph 1 1\nname\nv 0\n", "name needs a value", line_no=2)
