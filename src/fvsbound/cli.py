@@ -10,8 +10,9 @@ Exit codes are part of the contract so CI can assert on them:
   4  verify: valid set, requested bound violated
 
 The commands return only the codes of their results (0, 1, 3 and 4) and
-raise every failure; ``main`` alone maps each failure to its code by kind and
-prints it as one ``error:`` line, with no traceback.
+raise every failure, as the parser does for a bad argument; ``main`` alone
+maps each failure to its code by kind and prints it as one ``error:`` line,
+with no usage text and no traceback.
 
 Primary stdout output is byte-identical across identical invocations; wall
 times only appear in CSV files.
@@ -324,8 +325,15 @@ def cmd_batch(args) -> int:
 # -- entry -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argument errors for ``main``'s table; subparsers share the class."""
+
+    def error(self, message: str):
+        raise PreconditionViolated(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fvsbound",
         description="Feedback vertex sets with certified size bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -369,13 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help printed its usage and exits 0
+        return exc.code
     except (InternalInvariantBroken, RecursionError) as exc:
         return _fail(str(exc), 3)
     except (FvsError, OSError) as exc:

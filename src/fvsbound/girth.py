@@ -21,8 +21,9 @@ the graph 2-connected with three branch vertices (degree >= 3) on every face.
 So P3 and P4 edit one rotation dict and one weight map in place, and only
 the cubic graph at the end is built and its faces walked, once: that walk
 re-checks Euler's relation, and the face count must not have changed.
-``validate_every_step`` also builds the graph after every split and
-suppression and re-checks it.
+``validate_every_step`` instead builds and re-checks the graph once per split
+and suppression and returns the last one; each checked graph is measured once,
+its measure carried on the work stack and from one tail check to the next.
 
 Every step strictly shrinks (total weight, doubled degree potential)
 lexicographically, which guarantees termination: mergers remove weight,
@@ -65,23 +66,29 @@ class SolverConfig:
 
 def doubled_potential(g: Graph) -> int:
     """Twice the degree potential, kept integral: sum of max(1, 2d(v) - 5)."""
-    return sum(max(1, 2 * g.degree(v) - 5) for v in g.vertices)
+    return sum(max(1, 2 * len(ring) - 5) for ring in g._adj.values())
 
 
-def _measure(g: Graph) -> tuple[int, int]:
+Measure = tuple[int, int]
+
+
+def _measure(g: Graph) -> Measure:
     return (g.total_weight(), doubled_potential(g))
 
 
-def _check_child(cfg: SolverConfig, parent: Graph, child: PlaneGraph) -> PlaneGraph:
-    """Under ``validate_every_step``, re-check the girth and the measure drop."""
-    if cfg.validate_every_step:
-        if child.graph.m and weighted_girth(child.graph, below=cfg.g) < cfg.g:
-            raise InternalInvariantBroken(
-                "a rule produced a cycle lighter than g")
-        if _measure(child.graph) >= _measure(parent):
-            raise InternalInvariantBroken(
-                "termination measure failed to decrease")
-    return child
+def _check_child(cfg: SolverConfig, parent: Measure | None,
+                 child: PlaneGraph) -> tuple[PlaneGraph, Measure | None]:
+    """Under ``validate_every_step``, check the girth and the drop from ``parent``."""
+    if not cfg.validate_every_step:
+        return child, None
+    if child.graph.m and weighted_girth(child.graph, below=cfg.g) < cfg.g:
+        raise InternalInvariantBroken(
+            "a rule produced a cycle lighter than g")
+    measure = _measure(child.graph)
+    if measure >= parent:
+        raise InternalInvariantBroken(
+            "termination measure failed to decrease")
+    return child, measure
 
 
 def solve_planar_weighted(pg: PlaneGraph, cfg: SolverConfig) -> FvsCertificate:
@@ -107,12 +114,13 @@ def solve_planar_weighted(pg: PlaneGraph, cfg: SolverConfig) -> FvsCertificate:
 
 
 def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionStep]]:
-    # A LIFO stack of (P1 step to log on pop, plane graph); a rule pops one, pushes the rest.
-    todo: list[tuple[ReductionStep | None, PlaneGraph]] = [(None, pg)]
+    # A LIFO stack of (P1 step to log on pop, plane graph, its measure if checked).
+    root = _measure(pg.graph) if cfg.validate_every_step else None
+    todo: list[tuple[ReductionStep | None, PlaneGraph, Measure | None]] = [(None, pg, root)]
     chosen: set[int] = set()
     trace: list[ReductionStep] = []
     while todo:
-        step, pg = todo.pop()
+        step, pg, measure = todo.pop()
         if step is not None:
             trace.append(step)
         graph = pg.graph
@@ -126,7 +134,7 @@ def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionS
                 rule="P0_prune", matched=tuple(sorted(dropped)),
                 removed_vertices=frozenset(dropped)))
             rest = plane_subgraph(pg, set(graph.vertices) - dropped)
-            todo.append((None, _check_child(cfg, graph, rest)))
+            todo.append((None, *_check_child(cfg, measure, rest)))
             continue
 
         # P1: decompose across components or at a cut vertex; the sides share
@@ -146,7 +154,7 @@ def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionS
                      (None, set(graph.vertices) - first)]
         if sides:
             todo.extend(reversed([
-                (side_step, _check_child(cfg, graph, plane_subgraph(pg, side)))
+                (side_step, *_check_child(cfg, measure, plane_subgraph(pg, side)))
                 for side_step, side in sides]))
             continue
 
@@ -166,11 +174,11 @@ def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionS
                 rule="P2_merge", matched=(spec.f0, spec.f1, spec.f2),
                 removed_edges=spec.removed_edges, designated=(spec.crucial,)))
             chosen.add(spec.crucial)
-            todo.append((None, _check_child(cfg, graph, apply_merger(pg, spec))))
+            todo.append((None, *_check_child(cfg, measure, apply_merger(pg, spec))))
             continue
 
         # P3 and P4 run straight through (module docstring), then P5.
-        pg, lift, steps = _split_and_suppress(pg, cfg)
+        pg, lift, steps = _split_and_suppress(pg, cfg, measure)
         trace.extend(steps)
         graph = pg.graph
 
@@ -194,19 +202,21 @@ def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionS
     return chosen, trace
 
 
-def _split_and_suppress(pg: PlaneGraph, cfg: SolverConfig
+def _split_and_suppress(pg: PlaneGraph, cfg: SolverConfig, measure: Measure | None
                         ) -> tuple[PlaneGraph, dict[int, int], list[ReductionStep]]:
     """P3 then P4 on a 2-connected plane graph with no guaranteed merger.
 
     Runs on one rotation dict and one weight map and builds the cubic result
-    once; ``cfg.validate_every_step`` also builds and re-checks the graph
-    after every split and suppression. Returns the result, the map from split
-    ids to the input vertices they replace, and the steps.
+    once. Under ``cfg.validate_every_step`` (``measure`` is pg's) it builds,
+    checks and measures the graph once per split and suppression instead, and
+    returns the last one; ``_plane_graph_of`` copies both maps, so later edits
+    leave it alone. Returns the result, the map from split ids to the input
+    vertices they replace, and the steps.
     """
-    graph = pg.graph
-    order, weights = dict(pg.rotation.order), graph.edge_weights()
+    order, weights = dict(pg.rotation.order), pg.graph.edge_weights()
     lift: dict[int, int] = {}
     steps: list[ReductionStep] = []
+    out = pg
 
     # P3 splits the smallest vertex of maximum degree >= 4; a set taking w or
     # w' takes v before it. Only w' (degree d - 1) joins the heap, since a
@@ -225,7 +235,7 @@ def _split_and_suppress(pg: PlaneGraph, cfg: SolverConfig
             removed_vertices=frozenset([v])))
         lift[w] = lift[w_prime] = lift.get(v, v)
         if cfg.validate_every_step:
-            graph = _check_tail_edit(cfg, graph, order, weights, "split")
+            out, measure = _check_tail_edit(cfg, measure, order, weights, "split")
 
     # P4: suppress every degree-2 vertex, smallest first; a triangle through
     # one would bound a face that P2 merges. A suppression keeps the maximum
@@ -241,25 +251,24 @@ def _split_and_suppress(pg: PlaneGraph, cfg: SolverConfig
             removed_vertices=frozenset([v]),
             added_edges=frozenset([(u, w)])))
         if cfg.validate_every_step:
-            graph = _check_tail_edit(cfg, graph, order, weights, "suppression")
+            out, measure = _check_tail_edit(cfg, measure, order, weights, "suppression")
 
-    if not steps:
-        return pg, lift, steps
-    out = _plane_graph_of(order, weights)
+    if steps and not cfg.validate_every_step:
+        out = _plane_graph_of(order, weights)
     if out.face_count() != pg.face_count():
         raise InternalInvariantBroken("splits and suppressions must keep the face count")
     return out, lift, steps
 
 
-def _check_tail_edit(cfg: SolverConfig, parent: Graph, order: dict[int, tuple[int, ...]],
-                     weights: dict[EdgeKey, int], surgery: str) -> Graph:
+def _check_tail_edit(cfg: SolverConfig, parent: Measure, order: dict[int, tuple[int, ...]],
+                     weights: dict[EdgeKey, int], surgery: str) -> tuple[PlaneGraph, Measure]:
     """Build the graph after one split or suppression and check P0-P2 stay silent."""
-    child = _check_child(cfg, parent, _plane_graph_of(order, weights))
+    child, measure = _check_child(cfg, parent, _plane_graph_of(order, weights))
     graph = child.graph
     if not is_two_connected(graph) or _guaranteed_merger(child, cfg.g) is not None \
             or (surgery == "suppression" and graph.max_degree() > 3):
         raise InternalInvariantBroken(f"a {surgery} let an earlier rule match")
-    return graph
+    return child, measure
 
 
 def solve_planar_unweighted(pg: PlaneGraph) -> FvsCertificate:

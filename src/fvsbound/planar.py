@@ -50,10 +50,10 @@ class RotationSystem:
     order: dict[int, tuple[int, ...]]
 
     def validate_for(self, g: Graph) -> None:
-        if set(self.order) != set(g.vertices):
+        if self.order.keys() != g._adj.keys():
             raise InvalidRotation("rotation vertices differ from graph vertices")
         for v, ring in self.order.items():
-            if sorted(ring) != sorted(g.neighbors(v)):
+            if tuple(sorted(ring)) != g.neighbors(v):  # Graph keeps neighbors sorted
                 raise InvalidRotation(
                     f"rotation at {v} is not a permutation of its neighbors")
 
@@ -227,8 +227,7 @@ def _guaranteed_merger(pg: PlaneGraph, g_min: int) -> MergerSpec | None:
     """``find_guaranteed_merger`` on a graph known to be 2-connected and not a cycle."""
     graph, face_of = pg.graph, pg.dart_face
     for face in pg.faces:
-        branch = sum(1 for v in face.boundary_vertices if graph.degree(v) >= 3)
-        if branch > 2:
+        if len({u for u, _ in face.boundary if graph.degree(u) >= 3}) > 2:
             continue
         # The faces across the boundary edges at each boundary vertex.
         across: dict[int, set[int]] = {}

@@ -562,8 +562,12 @@ class TestBatch:
         assert not (tmp_path / "r.csv").exists()
 
     def test_argparse_error_exits_2_and_help_exits_0(self, tmp_path, capsys):
-        assert main(["batch", str(tmp_path)]) == 2
-        assert "--csv" in capsys.readouterr().err
+        for argv, named in ((["batch", str(tmp_path)], "--csv"),
+                            (["solve", str(tmp_path / "x.g"), "--alg", "bogus"], "'bogus'")):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert named in err and "usage:" not in err
         assert main(["batch", "--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: fvsbound batch")
 

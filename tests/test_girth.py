@@ -46,6 +46,10 @@ class TestConfig:
 
     def test_doubled_potential(self):
         assert doubled_potential(wheel(5)) == 10  # hub 2*5-5, rim 5 * 1
+        # Degrees 0, 1, 2, 3, 4 and 2 count 1, 1, 1, 1, 3 and 1.
+        degrees = Graph(range(6), [(1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
+        assert [degrees.degree(v) for v in range(6)] == [0, 1, 2, 3, 4, 2]
+        assert doubled_potential(degrees) == 8
 
 
 class TestSolveWeighted:
@@ -240,6 +244,45 @@ class TestLoop:
         assert searched[-1].n == 8
 
 
+    def test_tail_compares_each_measure_with_the_previous_graphs(self, monkeypatch):
+        # w6's tail is three splits. The third graph is given the second's
+        # measure, which is still below the root's: only a comparison with the
+        # graph just before it catches the lack of a drop.
+        measures = []
+        measure = girth_module._measure
+
+        def repeating(g):
+            measures.append(measures[-1] if len(measures) == 3 else measure(g))
+            return measures[-1]
+
+        monkeypatch.setattr(girth_module, "_measure", repeating)
+        with pytest.raises(InternalInvariantBroken, match="termination measure failed"):
+            solve_planar_weighted(plane(wheel(6)), SolverConfig(g=3, validate_every_step=True))
+        assert len(measures) == 4
+
+    @pytest.mark.parametrize("build, rule", [
+        (lambda: plane(disjoint_cycles(2, 3)), "P1_decompose"),
+        (lambda: plane(chain(6)), "P2_merge"),
+        (lambda: plane(wheel(8)), "P3_split"),
+        (lambda: plane(subdivided_rim_wheel(6)), "P4_suppress"),
+    ], ids=["P1", "P2", "P3", "P4"])
+    def test_each_checked_graph_is_measured_once(self, monkeypatch, build, rule):
+        # The root is measured on entry; every other graph is measured by the
+        # check that admits it, and its measure travels with it.
+        calls = Counter()
+        for name in ("_measure", "_check_child"):
+            def counted(*args, _fn=getattr(girth_module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(girth_module, name, counted)
+        pg = build()
+        cert = solve_planar_weighted(
+            pg, SolverConfig(g=int(weighted_girth(pg.graph)), validate_every_step=True))
+        assert rule in {step.rule for step in cert.trace}
+        assert calls["_check_child"] >= 2
+        assert calls["_measure"] <= calls["_check_child"] + 1
+
+
 def reference_tail(pg):
     """P3 then P4 as a chain of the public surgeries, each building its plane graph."""
     graph = pg.graph
@@ -287,8 +330,8 @@ class TestSplitAndSuppress:
         tails = []
         tail = girth_module._split_and_suppress
 
-        def recording_tail(pg, cfg):
-            out = tail(pg, cfg)
+        def recording_tail(pg, *args):
+            out = tail(pg, *args)
             tails.append((pg, out))
             return out
 
@@ -302,7 +345,34 @@ class TestSplitAndSuppress:
             assert out.graph == ref.graph
             assert out.rotation.order == ref.rotation.order
             assert out.faces == ref.faces
+            assert out.dart_face == ref.dart_face
             assert (lift, steps) == (ref_lift, ref_steps)
+
+    @pytest.mark.parametrize("graph, g, k", [
+        (wheel(6), 3, 3),
+        (subdivided_rim_wheel(6), 4, 9),
+    ], ids=["w6", "subdivided-w6"])
+    def test_a_checked_tail_builds_one_graph_per_step(self, monkeypatch, graph, g, k):
+        # The checked tail of k splits and suppressions builds one plane
+        # graph per step and returns the last one it checked.
+        built, tails = [], []
+        build, tail = girth_module._plane_graph_of, girth_module._split_and_suppress
+
+        def counted_build(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def recording_tail(*args):
+            tails.append(tail(*args))
+            return tails[-1]
+
+        monkeypatch.setattr(girth_module, "_plane_graph_of", counted_build)
+        monkeypatch.setattr(girth_module, "_split_and_suppress", recording_tail)
+        solve_planar_weighted(plane(graph), SolverConfig(g=g, validate_every_step=True))
+        [(out, _, steps)] = tails
+        assert len(steps) == k
+        assert len(built) == k
+        assert out is built[-1]
 
     def test_corpus_fires_p2_p3_and_p4(self):
         rules = set()

@@ -84,15 +84,19 @@ class TestFacesOf:
 
     def test_rejects_foreign_rotation(self):
         g = cycle_graph(4)
-        rot = RotationSystem({0: (1, 3), 1: (0, 2), 2: (1, 3), 3: (2, 0), 9: ()})
-        with pytest.raises(InvalidRotation):
-            faces_of(g, rot)
+        for order in ({0: (1, 3), 1: (0, 2), 2: (1, 3), 3: (2, 0), 9: ()},  # extra vertex
+                      {0: (1, 3), 1: (0, 2), 2: (1, 3)}):  # vertex 3 missing
+            with pytest.raises(InvalidRotation,
+                               match="^rotation vertices differ from graph vertices$"):
+                faces_of(g, RotationSystem(order))
 
     def test_rejects_non_permutation(self):
         g = cycle_graph(3)
-        rot = RotationSystem({0: (1, 1), 1: (0, 2), 2: (1, 0)})
-        with pytest.raises(InvalidRotation):
-            faces_of(g, rot)
+        for ring in ((1, 1), (1,), (2, 1, 2)):  # a repeat, a lack, both
+            rot = RotationSystem({0: ring, 1: (0, 2), 2: (1, 0)})
+            with pytest.raises(InvalidRotation,
+                               match="^rotation at 0 is not a permutation of its neighbors$"):
+                faces_of(g, rot)
 
     def test_rejects_nonplanar_rotation(self):
         k4 = make_named("k4").graph
