@@ -339,10 +339,8 @@ def trivial_baseline(pg: PlaneGraph) -> FvsCertificate:
                                    designated=(v,)))
         for a, b in sides:
             parent[find(a)] = find(b)
-    if wg == float("inf"):
-        num, den = 2 * total, 1
-    else:
-        num, den = 2 * total, int(wg)
+    # A forest has g infinite, so 2*weight/g is 0.
+    num, den = (0, 1) if wg == float("inf") else (2 * total, int(wg))
     cert = FvsCertificate(fvs=frozenset(chosen),
                           bound_kind=BoundKind.TRIVIAL_2M_OVER_G,
                           bound_num=num, bound_den=den, trace=tuple(steps))

@@ -16,10 +16,10 @@ forest feeds the cycle-space labelling of the 2-edge-cut queries.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -201,27 +201,32 @@ def weighted_girth(g: Graph, below: int | float = INFINITE) -> int | float:
     """Minimum total edge weight over all cycles; ``INFINITE`` for forests.
 
     Exact even with zero-weight edges: one Dijkstra per root x over the
-    vertices >= x (Itai & Rodeh, SIAM J. Comput. 1978). A non-tree edge
-    (p, q) closes a tree walk x..p, q..x of weight d(p) + w(p, q) + d(q),
-    which contains a cycle, so no value is below the girth. The lightest
-    cycle C has a non-tree edge (p, q), and from C's least vertex x, d(p)
-    and d(q) are at most their distances to x along C away from that edge:
-    the value is at most w(C). As every vertex of C has d <= w(C) / 2, a
-    search stops once 2 * d reaches the best weight so far. With ``below``,
-    the best weight starts there and the result is min(minimum, below): a
-    cheaper answer to "is some cycle lighter than g?".
+    vertices >= x (Itai & Rodeh, SIAM J. Comput. 1978), from each root with
+    two larger neighbors, as only such a root can be a cycle's least vertex.
+    A non-tree edge (p, q) closes a tree walk x..p, q..x of weight d(p) +
+    w(p, q) + d(q), which contains a cycle, so no value is below the girth.
+    The lightest cycle C has a non-tree edge (p, q), and from C's least
+    vertex x, d(p) and d(q) are at most their distances to x along C away
+    from that edge: the value is at most w(C). As every vertex of C has
+    d <= w(C) / 2, a search pushes an entry only while 2 * d is below the
+    best weight so far. With ``below``, the best weight starts there and the
+    result is min(minimum, below): a cheaper answer to "is some cycle
+    lighter than g?". Neighbor lists run in descending id order, so a scan
+    stops at the first id below the root.
     """
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g._adj}
-    for (v, u), w in g._weights.items():
+    for (v, u), w in sorted(g._weights.items(), reverse=True):  # so each list descends
         adj[v].append((u, w))
         adj[u].append((v, w))
     best = below
-    for x in adj:
-        dist: dict[int, int] = {}
-        tentative = {x: 0}
-        heap = [(0, x, x)]
+    for x, out in adj.items():
+        if len(out) < 2 or out[1][0] < x:
+            continue
+        dist = {x: 0}
+        heap = [(w, u, x) for u, w in out if u > x and 2 * w < best]
+        heapify(heap)
         while heap:
-            d, v, p = heapq.heappop(heap)
+            d, v, p = heappop(heap)
             if v in dist:
                 continue
             if 2 * d >= best:
@@ -229,13 +234,12 @@ def weighted_girth(g: Graph, below: int | float = INFINITE) -> int | float:
             dist[v] = d
             for u, w in adj[v]:
                 if u < x:
-                    continue
+                    break
                 if u in dist:
                     if u != p and d + w + dist[u] < best:
                         best = d + w + dist[u]
-                elif d + w < tentative.get(u, INFINITE):
-                    tentative[u] = d + w
-                    heapq.heappush(heap, (d + w, u, v))
+                elif 2 * (d + w) < best:
+                    heappush(heap, (d + w, u, v))
     return best
 
 
@@ -251,8 +255,8 @@ def shortest_cycle(g: Graph) -> list[int] | None:
 def shortest_cycle_in(adj: dict[int, Sequence[int]]) -> list[int] | None:
     """``shortest_cycle`` of the graph with this adjacency, keys and lists ascending.
 
-    The one BFS behind ``shortest_cycle``, ``girth`` and the exact oracle's
-    search nodes, which pass one adjacency per node.
+    The one BFS behind ``shortest_cycle`` and ``girth``. The exact oracle runs
+    the same BFS on its bitmasks (``oracle._shortest_cycle``).
     """
     best_len = INFINITE
     best: list[int] | None = None

@@ -4,7 +4,8 @@ Ground truth for tests and tightness measurements: a branch-and-bound that
 branches on the vertices of a shortest cycle (complete, since every feedback
 vertex set hits every cycle) with two admissible lower bounds, the
 cyclomatic bound and a greedy vertex-disjoint cycle packing, and a
-brute-force subset enumeration used to cross-check it.
+brute-force subset enumeration used to cross-check it. The cycle search
+runs on the nodes' bitmasks and stops at a girth floor read off them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import InternalInvariantBroken, TooLarge
-from .graph import Graph, is_forest, shortest_cycle_in, validate_fvs
+from .graph import INFINITE, Graph, is_forest, validate_fvs
 
 DEFAULT_NODE_BUDGET = 2_000_000
 NAIVE_MAX_N = 12
@@ -59,6 +60,69 @@ def cyclomatic_lower_bound(degrees: list[int]) -> int:
     return k
 
 
+def _girth_floor(nbr_masks: list[int], alive: int) -> int:
+    """3 if the induced graph has a triangle, else 4 if it has a 4-cycle, else 5."""
+    floor, rest = 5, alive
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        around = nbr_masks[bit.bit_length() - 1] & alive
+        reach = bit  # every neighbor's neighborhood holds the vertex itself
+        while around:
+            low = around & -around
+            around ^= low
+            step = nbr_masks[low.bit_length() - 1] & alive
+            if step & around:
+                return 3
+            if step & reach != bit:
+                floor = 4
+            reach |= step
+    return floor
+
+
+def _shortest_cycle(nbrs: list[list[int]], nbr_masks: list[int], alive: int) -> int:
+    """``graph.shortest_cycle`` of the graph induced by ``alive`` as a mask; 0 for a forest.
+
+    The same BFS on the masks (same roots, frontiers, neighbor order and
+    parents), so the same first shortest cycle. Only a shorter cycle replaces
+    the best, and none is shorter than ``_girth_floor``: the search ends there.
+    """
+    floor = best = 0
+    best_len = INFINITE
+    for root in _bits(alive):
+        dist = {root: 0}
+        parent = {root: root}
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                dv = dist[v]
+                if 2 * dv >= best_len - 1:
+                    continue
+                for u in nbrs[v]:
+                    if not alive >> u & 1:
+                        continue
+                    if u not in dist:
+                        dist[u] = dv + 1
+                        parent[u] = v
+                        nxt.append(u)
+                    elif parent[v] != u and parent[u] != v and dv + dist[u] + 1 < best_len:
+                        best, x, y = 1 << u | 1 << v, v, u
+                        while x != y:  # climb the deeper path to the common ancestor
+                            if dist[x] >= dist[y]:
+                                x = parent[x]
+                            else:
+                                y = parent[y]
+                            best |= 1 << x | 1 << y
+                        best_len = best.bit_count()
+                        if best_len <= 5:  # read the floor once, when it can end the search
+                            floor = floor or _girth_floor(nbr_masks, alive)
+                            if best_len <= floor:
+                                return best
+            frontier = nxt
+    return best
+
+
 def min_fvs_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Exact decycling number with a witness, by branch and bound.
 
@@ -91,25 +155,19 @@ def min_fvs_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleRes
                     stack.append(u)
         return alive
 
-    def cycle_of(alive: int) -> int:
-        """The vertices of a shortest cycle as a mask; 0 for a forest."""
-        cycle = shortest_cycle_in({v: [u for u in nbrs[v] if alive >> u & 1]
-                                   for v in _bits(alive)})
-        return 0 if cycle is None else sum(1 << v for v in cycle)
-
     def packing_lower_bound(alive: int, cycle: int) -> int:
         """Number of vertex-disjoint cycles found greedily, shortest first."""
         count = 0
         while cycle:
             count += 1
             alive = core(alive & ~cycle)
-            cycle = cycle_of(alive)
+            cycle = _shortest_cycle(nbrs, nbr_masks, alive)
         return count
 
     # A valid (not necessarily optimal) set, deterministically.
     best = 0
     alive = core((1 << len(vs)) - 1)
-    while cycle := cycle_of(alive):
+    while cycle := _shortest_cycle(nbrs, nbr_masks, alive):
         v = max(_bits(cycle), key=lambda x: ((nbr_masks[x] & alive).bit_count(), -x))
         best |= 1 << v
         alive = core(alive ^ 1 << v)
@@ -130,7 +188,7 @@ def min_fvs_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleRes
         degrees = [(nbr_masks[v] & alive).bit_count() for v in _bits(alive)]
         if chosen.bit_count() + cyclomatic_lower_bound(degrees) >= best.bit_count():
             return
-        cycle = cycle_of(alive)
+        cycle = _shortest_cycle(nbrs, nbr_masks, alive)
         if chosen.bit_count() + packing_lower_bound(alive, cycle) >= best.bit_count():
             return
         for v in _bits(cycle):

@@ -422,6 +422,18 @@ class TestBaseline:
             assert solver.bound <= baseline.bound
             assert solver.validate(g) and baseline.validate(g)
 
+    @pytest.mark.parametrize("g", [
+        Graph([0, 1], [(0, 1)]),
+        Graph(range(5), [(i, i + 1, 3) for i in range(4)]),
+        Graph([0]),
+    ], ids=["k2", "path", "isolated-vertex"])
+    def test_a_forest_is_certified_against_zero(self, g):
+        # With no cycle g is infinite and 2*weight/g is 0, as the planar
+        # solver's forest certificate and `verify` say.
+        cert = trivial_baseline(plane(g))
+        assert cert.validate(g)
+        assert (cert.size, cert.bound_num, cert.bound_den) == (0, 0, 1)
+
     def test_handles_forest_components(self):
         g = Graph(range(8), [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7)])
         cert = trivial_baseline(plane(g))

@@ -217,19 +217,64 @@ class TestWeightedGirth:
             g = Graph(base.vertices,
                       [(u, v, rng.randint(0, 5)) for u, v in base.edges()])
             exact = weighted_girth_by_enumeration(g)
+            h, _ = shifted(g)  # the root rule and the scan's stop compare ids
             for below in (0, 1, 3, 6, 10, INFINITE):
                 assert weighted_girth(g, below=below) == min(exact, below)
+                assert weighted_girth(h, below=below) == min(exact, below)
 
     def test_matches_the_per_edge_search(self):
-        # One Dijkstra per root agrees with one per edge, zero weights and
-        # every bound included.
+        # One Dijkstra per root agrees with one per edge, zero weights,
+        # every bound and ids up to -1 included. Half the graphs are cycles
+        # with paths and stars hung on them, where only some roots have the
+        # two larger neighbors that a cycle's least vertex needs.
         rng = random.Random(19)
-        for _ in range(300):
-            base = random_simple_graph(rng.randint(1, 14), rng, rng.choice((0.12, 0.2, 0.3, 0.5)))
+        skipping = 0
+        for trial in range(400):
+            if trial % 2:
+                base = cycle_with_hangers(rng)
+            else:
+                base = random_simple_graph(rng.randint(1, 14), rng,
+                                           rng.choice((0.12, 0.2, 0.3, 0.5)))
             g = Graph(base.vertices,
                       [(u, v, rng.choice((0, 1, 2, 5))) for u, v in base.edges()])
+            h, _ = shifted(g)
             for below in (0, 1, 3, 7, INFINITE):
-                assert weighted_girth(g, below=below) == reference_weighted_girth(g, below)
+                expected = reference_weighted_girth(g, below)
+                assert weighted_girth(g, below=below) == expected
+                assert weighted_girth(h, below=below) == expected
+            roots = sum(sum(u > v for u in g.neighbors(v)) >= 2 for v in g.vertices)
+            if trial % 2 and 0 < roots < g.n - 2:
+                skipping += 1
+        assert skipping >= 150
+
+
+def cycle_with_hangers(rng: random.Random) -> Graph:
+    """A cycle of 3 to 6 vertices, with paths, stars and maybe a chord hung on it.
+
+    At most 14 vertices, ids shuffled. The hung vertices lie on no cycle, so
+    many roots cannot start one, whichever of their neighbors are larger.
+    """
+    k = rng.randint(3, 6)
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    n = k
+    while n < 14 and rng.random() < 0.85:
+        at = rng.randrange(n)
+        if rng.random() < 0.5:  # a path
+            for _ in range(rng.randint(1, min(3, 14 - n))):
+                edges.append((at, n))
+                at, n = n, n + 1
+        else:  # a star: a centre and up to three leaves
+            edges.append((at, n))
+            centre, n = n, n + 1
+            for _ in range(min(rng.randint(1, 3), 14 - n)):
+                edges.append((centre, n))
+                n += 1
+    if rng.random() < 0.3:
+        u, v = rng.sample(range(n), 2)
+        if (u, v) not in edges and (v, u) not in edges:
+            edges.append((u, v))
+    ids = rng.sample(range(n), n)
+    return Graph(range(n), [(ids[u], ids[v]) for u, v in edges])
 
 
 @st.composite

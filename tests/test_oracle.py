@@ -6,7 +6,7 @@ import pytest
 
 import fvsbound.oracle as oracle_module
 from fvsbound.errors import InternalInvariantBroken, TooLarge
-from fvsbound.graph import Graph, validate_fvs
+from fvsbound.graph import Graph, shortest_cycle, validate_fvs
 from fvsbound.instances import disjoint_cycles, make_named, random_cubic_2connected
 from fvsbound.oracle import (
     DEFAULT_NODE_BUDGET,
@@ -25,6 +25,50 @@ def search_corpus():
     graphs = [random_simple_graph(rng.randint(1, 13), rng, rng.choice((0.2, 0.35, 0.5)))
               for _ in range(400)]
     return graphs + [random_cubic_2connected(10, seed) for seed in range(20)]
+
+
+def heawood() -> Graph:
+    """The Heawood graph: 14 vertices, cubic, girth 6 (LCF notation [5, -5]^7)."""
+    return Graph(range(14), [(i, (i + 1) % 14) for i in range(14)]
+                 + [(i, (i + 5) % 14) for i in range(0, 14, 2)])
+
+
+def mask_search_corpus():
+    """Small graphs of girth 3 to 6 for an exhaustive check of the mask search."""
+    named = [make_named(name).graph for name in ("cube", "k4", "k33", "prism", "petersen")]
+    cubic = [random_cubic_2connected(n, seed) for n in (4, 6, 8, 10, 12) for seed in range(3)]
+    rng = random.Random(21)
+    sparse = [random_simple_graph(rng.randint(4, 10), rng, rng.choice((0.2, 0.3, 0.4)))
+              for _ in range(30)]
+    return named + [heawood()] + cubic + sparse
+
+
+def check_mask_search(g: Graph, masks) -> None:
+    """The oracle's cycle search on each mask against ``shortest_cycle`` of the induced graph."""
+    vs = g.vertices
+    index = {v: i for i, v in enumerate(vs)}
+    nbrs = [[index[u] for u in g.neighbors(v)] for v in vs]
+    nbr_masks = [sum(1 << u for u in ns) for ns in nbrs]
+    for alive in masks:
+        cycle = shortest_cycle(g.subgraph(v for i, v in enumerate(vs) if alive >> i & 1))
+        expected = 0 if cycle is None else sum(1 << index[v] for v in cycle)
+        assert oracle_module._shortest_cycle(nbrs, nbr_masks, alive) == expected
+
+
+class TestMaskSearch:
+    def test_every_mask_matches_the_graph_search(self):
+        # The same first shortest cycle on every induced subgraph: forests,
+        # triangles found after a 4-cycle, 4-cycles found after a 5-cycle,
+        # and girth 6, where the floor never ends the search.
+        for g in mask_search_corpus():
+            check_mask_search(g, range(1 << g.n))
+
+    def test_sampled_dodecahedron_masks_match_the_graph_search(self):
+        # 3000 of the 2^20 masks, each with 0 to 8 of the 20 vertices gone.
+        g = make_named("dodecahedron").graph
+        rng = random.Random(22)
+        gone = [rng.sample(range(g.n), rng.randint(0, 8)) for _ in range(3000)]
+        check_mask_search(g, [(1 << g.n) - 1 - sum(1 << v for v in vs) for vs in gone])
 
 
 class TestKnownValues:
@@ -75,7 +119,8 @@ class TestInvariants:
         # rebuilt Graphs in the same order: same optimum, witness and budget
         # outcome, also when a budget of 7 or 3 nodes cuts it short.
         hits = set()
-        for g in search_corpus():
+        named = [make_named(name).graph for name in ("petersen", "dodecahedron")]
+        for g in search_corpus() + named + [heawood()]:
             for budget in (DEFAULT_NODE_BUDGET, 7, 3):
                 result = min_fvs_exact(g, node_budget=budget)
                 got = (result.phi, result.witness, result.node_budget_hit)
