@@ -18,8 +18,8 @@ from .planar import RotationSystem, _plane_graph_of, embed
 
 GENERATOR_RETRY_CAP = 2000
 
-# The plane K4 that ``random_planar_girth`` grows from: ``embed`` of K4 under
-# networkx 3.6.1, written out so the generator never loads networkx.
+# The plane K4 that ``random_planar_girth`` grows from: ``embed`` of K4 (the
+# left-right planarity test), written out so the generator never embeds.
 _K4_ROTATION = {0: (1, 3, 2), 1: (0, 2, 3), 2: (1, 0, 3), 3: (2, 0, 1)}
 # Its four faces, as ``faces_of`` walks and numbers them.
 _K4_FACES = (((0, 1), (1, 2), (2, 0)), ((0, 3), (3, 1), (1, 0)),
@@ -180,8 +180,7 @@ def random_planar_girth(n_target: int, g: int, seed: int) -> tuple[Graph, Rotati
     Grows a 2-connected cubic planar base from a fixed plane K4 by repeatedly
     subdividing two edges of one face and joining the new vertices inside it,
     then subdivides every edge ceil(g/3) - 1 times so all cycle lengths scale
-    past g. Deterministic in the seed, and independent of the installed
-    networkx, which it never loads.
+    past g. Deterministic in the seed; it grows from ``_K4_ROTATION``.
 
     The base grows in place on one rotation dict and one weight map, and keeps
     its faces as lists of darts. Each starts at its least dart under the scan

@@ -4,7 +4,9 @@ A rotation system stores, for every vertex, its incident neighbors in
 clockwise order. Faces are recovered by the usual traversal rule (after
 arriving at ``v`` from ``u``, leave along the successor of ``u`` in ``v``'s
 rotation); the rotation encodes a plane embedding exactly when the number of
-face walks matches Euler's formula, which ``faces_of`` enforces.
+face walks matches Euler's formula, which ``faces_of`` enforces. A graph
+without a rotation gets one from ``embed``: Brandes' left-right planarity
+test, iterative, with no networkx.
 
 Every derived plane graph (an induced subgraph, a merger's result, the end
 of a run of surgeries, a generated graph) is built by ``_plane_graph_of``
@@ -135,27 +137,14 @@ def faces_of(g: Graph, rotation: RotationSystem) -> PlaneGraph:
 def embed(g: Graph) -> RotationSystem | None:
     """A rotation system embedding g in the plane, or None if g is non-planar.
 
-    Deterministic for a given graph: the underlying left-right planarity test
-    is fed vertices and edges in sorted order. This is the one function that
-    uses networkx, and it imports it on its first call, so a process that
-    never embeds never loads it. The rings follow networkx's embedding order,
-    so a rotation found here depends on the installed networkx version.
+    Brandes' left-right planarity test, iterative and with no networkx:
+    ``_lr_planarity`` ports networkx 3.6.1's code and gives its rings, scanning
+    vertices and neighbors in ascending order. It is imported on first call.
     """
-    import networkx as nx
+    from ._lr_planarity import lr_rotation
 
-    nxg = nx.Graph()
-    nxg.add_nodes_from(g.vertices)
-    nxg.add_edges_from(g.edges())
-    ok, embedding = nx.check_planarity(nxg)
-    if not ok:
-        return None
-    order = {}
-    for v in g.vertices:
-        if g.degree(v) == 0:
-            order[v] = ()
-        else:
-            order[v] = tuple(embedding.neighbors_cw_order(v))
-    return RotationSystem(order)
+    rings = lr_rotation(g._adj)
+    return None if rings is None else RotationSystem(rings)
 
 
 def _plane_graph_of(order: dict[int, tuple[int, ...]],

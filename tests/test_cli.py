@@ -887,14 +887,28 @@ report("solves")
 sys.exit(max(codes))
 """
 
-EMBED_K4 = """
+# Every import of networkx raises, and each command that embeds must still
+# succeed: `embed` itself, `gen` of every spec that embeds, and `stats` and the
+# solvers on a wheel file without a rotation.
+NO_NETWORKX = """
 import sys
+sys.modules["networkx"] = None
+from fvsbound.cli import main
+from fvsbound.fileio import write_graph
 from fvsbound.graph import Graph
 from fvsbound.instances import _K4_ROTATION
 from fvsbound.planar import embed
-before = "networkx" in sys.modules
-k4 = Graph(range(4), [(a, b) for a in range(4) for b in range(a + 1, 4)])
-print(before, embed(k4).order == _K4_ROTATION, "networkx" in sys.modules)
+def complete(n):
+    return Graph(range(n), [(a, b) for a in range(n) for b in range(a + 1, n)])
+print(embed(complete(4)).order == _K4_ROTATION, embed(complete(5)) is None)
+wheel, out = sys.argv[1:]
+write_graph(wheel, Graph(range(13), [(12, i) for i in range(12)] + [(i, (i + 1) % 12) for i in range(12)]))
+for command in (["gen", "chain12", out], ["gen", "cycles", "--k", "2", "--g", "5", out],
+                ["gen", "triangle-replace", "--of", "cube", out],
+                ["gen", "random-cubic", "--n", "20", out],
+                ["stats", wheel], ["solve", wheel, "--alg", "planar"],
+                ["solve", wheel, "--alg", "trivial"]):
+    print("exit", main(command))
 """
 
 
@@ -918,7 +932,11 @@ class TestColdStart:
         assert lines.count("bound satisfied = yes") == 2
         assert "algorithm = cubic" in lines and "algorithm = planar" in lines
 
-    def test_first_embed_loads_networkx(self):
-        proc = fresh_python(EMBED_K4)
+    def test_no_command_loads_networkx(self, tmp_path):
+        proc = fresh_python(NO_NETWORKX, tmp_path / "w12.g", tmp_path / "out.g")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True", "True"]
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "True True"
+        assert [line for line in lines if line.startswith("exit")] == ["exit 0"] * 7
+        assert lines.count("bound satisfied = yes") == 2
+        assert "algorithm = planar" in lines and "algorithm = trivial" in lines

@@ -186,9 +186,8 @@ class TestRandomPlanarGirth:
             assert target - 2 <= graph.n <= target + 2
 
     def test_grows_from_the_embedding_of_k4(self):
-        # The rotation literal is embed's rotation of K4 under networkx 3.6.1,
-        # the version CI pins; it walks into the four triangles of the face
-        # literal, in that order.
+        # The rotation literal is embed's rotation of K4; it walks into the
+        # four triangles of the face literal, in that order.
         k4 = make_named("k4").graph
         assert embed(k4).order == _K4_ROTATION
         pg = faces_of(k4, RotationSystem(_K4_ROTATION))

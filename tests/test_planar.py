@@ -16,7 +16,8 @@ from fvsbound.errors import (
 from fvsbound.girth import doubled_potential
 from fvsbound.graph import (Graph, bridges, connected_components, is_forest, is_two_connected,
                             weighted_girth)
-from fvsbound.instances import make_named, random_planar_girth
+from fvsbound.instances import (chain, disjoint_cycles, make_named, named_instance_names,
+                                 random_cubic_2connected, random_planar_girth)
 from fvsbound.planar import (
     RotationSystem,
     apply_merger,
@@ -28,7 +29,8 @@ from fvsbound.planar import (
     suppress_degree2_vertex,
 )
 
-from bruteforce import chorded_c6, cycle_graph, enumerate_simple_cycles, plane, wheel, without_edges
+from bruteforce import (chorded_c6, cycle_graph, enumerate_simple_cycles, plane,
+                        random_simple_graph, shallow_recursion_limit, wheel, without_edges)
 
 
 def random_plane_with_bridges(rng):
@@ -150,6 +152,77 @@ class TestEmbed:
         g = Graph(range(6), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
         pg = plane(g)
         assert pg.face_count() == g.m - g.n + 2 * 2
+
+
+def networkx_embed(g):
+    """``embed`` as it was before the port: networkx's left-right planarity
+    test, fed sorted vertices and edges, rings read with ``neighbors_cw_order``."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(g.vertices)
+    nxg.add_edges_from(g.edges())
+    ok, embedding = nx.check_planarity(nxg)
+    if not ok:
+        return None
+    return RotationSystem({v: tuple(embedding.neighbors_cw_order(v)) if g.degree(v) else ()
+                           for v in g.vertices})
+
+
+def embedding_corpus():
+    """Planar and non-planar graphs of every family the package embeds, and
+    random ones: named instances, wheels, chains, disjoint cycles, random
+    plane graphs (also thinned, with shuffled ids that include negatives),
+    G(n, p), K5, K3,3, the Petersen graph and random cubic graphs."""
+    rng = random.Random(30)
+    yield from (make_named(name).graph for name in named_instance_names() if "<" not in name)
+    yield from (wheel(k) for k in range(4, 41))
+    yield from (chain(k) for k in range(1, 31))
+    yield from (disjoint_cycles(k, g) for k in range(1, 7) for g in range(3, 8))
+    for n in (8, 10, 12, 20, 40, 80, 200):
+        for girth in (3, 4, 5, 7):
+            for seed in range(6):
+                g, _ = random_planar_girth(n, girth, seed)
+                yield g
+                kept = [e for e in g.edges() if rng.random() >= 0.2]
+                ids = rng.sample(range(-2 * g.n, 2 * g.n), g.n)
+                label = dict(zip(g.vertices, ids))
+                yield Graph(ids, [(label[u], label[v]) for u, v in kept])
+    for _ in range(300):
+        yield random_simple_graph(rng.randint(1, 12), rng, rng.uniform(0.1, 0.6))
+    yield Graph(range(5), [(a, b) for a in range(5) for b in range(a + 1, 5)])
+    yield make_named("k33").graph
+    yield make_named("petersen").graph
+    for n in range(4, 61, 2):
+        for seed in range(5):
+            yield random_cubic_2connected(n, seed)
+
+
+class TestEmbedIsNetworkxEmbedding:
+    def test_same_rings_and_same_non_planar_graphs(self):
+        planar = non_planar = 0
+        for g in embedding_corpus():
+            rotation, reference = embed(g), networkx_embed(g)
+            if reference is None:
+                assert rotation is None, g.edges()
+                non_planar += 1
+            else:
+                assert rotation is not None and list(rotation.order.items()) == \
+                    list(reference.order.items()), g.edges()
+                faces_of(g, rotation)
+                planar += 1
+        assert planar >= 700 and non_planar >= 150
+        # networkx's ConflictPair() shares its default intervals across calls;
+        # the port gives each pair its own. The two agree only while networkx
+        # never writes to the shared ones, which would make its rings depend
+        # on the graphs it saw before.
+        defaults = nx.algorithms.planarity.ConflictPair.__init__.__defaults__
+        assert all(interval.empty() for interval in defaults)
+
+    @pytest.mark.parametrize("g", [Graph(range(20000), [(i, i + 1) for i in range(19999)]),
+                                   wheel(5000)], ids=["path20000", "w5000"])
+    def test_deep_graphs_embed_without_recursion(self, g):
+        with shallow_recursion_limit(100):
+            rotation = embed(g)
+            assert faces_of(g, rotation).face_count() == g.m - g.n + 2
 
 
 class TestGuaranteedMerger:
