@@ -13,8 +13,14 @@ in place. A rewrite touches at most about ten vertices, so the indices the
 matchers read (degree-2 vertices, triangle edges, degree-3 vertices grouped
 by neighborhood) are recomputed only on the dirty set: the surviving
 neighbors of the dropped vertices plus the endpoints of the added edges.
-Every match is the lexicographically first one in ascending vertex/edge
-order, so identical inputs produce identical traces.
+A rewrite walks the rings of the dropped vertices once. That walk gives
+each dirty vertex its new neighbor list and the keys of the removed edges;
+with the keys of the added edges, they are all the rest of the step reads:
+its ``ReductionStep``, the boundary records and the checks. R1 reads the
+least degree-2 vertex from a min-heap with lazy deletion, in O(log n)
+amortized time rather than by a scan of every degree-2 vertex, so a long
+cycle solves in near-linear time. Every match is the lexicographically first one in ascending
+vertex/edge order, so identical inputs produce identical traces.
 
 The two connectivity questions each step raises are answered locally, by
 unit-capacity flow tests on the boundary, and exactly. The lemma: rewrites
@@ -72,6 +78,7 @@ of the set is always global.
 from __future__ import annotations
 
 import enum
+from heapq import heappop, heappush
 from itertools import permutations
 
 from .certificate import BoundKind, FvsCertificate, ReductionStep
@@ -112,20 +119,23 @@ class _Work:
     then re-indexes only the dirty set D, the surviving neighbors of the
     dropped vertices plus the endpoints of the added edges:
 
-    - ``deg2``: the degree-2 vertices (R1);
+    - ``deg2``: the degree-2 vertices (R1), and ``deg2_heap``, a min-heap
+      that holds each of them and maybe stale entries, which are dropped
+      when they reach the top;
     - ``tri``: each edge on a triangle with its sorted common neighbors (R2,
       R3, R6); only edges at D can change;
     - ``groups``: degree-3 vertices keyed by their neighbor tuple, and
       ``twins``, the keys held by two or more of them (R4).
     """
 
-    __slots__ = ("adj", "deg2", "tri", "groups", "twins", "_weights",
+    __slots__ = ("adj", "deg2", "deg2_heap", "tri", "groups", "twins", "_weights",
                  "boundary", "added", "pending", "cut")
 
     def __init__(self, g: Graph):
         self.adj = {v: g.neighbors(v) for v in g.vertices}
         self._weights = g.edge_weights()
         self.deg2: set[int] = set()
+        self.deg2_heap: list[int] = []
         self.tri: dict[EdgeKey, list[int]] = {}
         self.groups: dict[tuple[int, ...], set[int]] = {}
         self.twins: set[tuple[int, ...]] = set()
@@ -170,11 +180,15 @@ class _Work:
         self.boundary = set()
         self.added = set()
 
-    def rewrite(self, drop: list[int], add: list[tuple[int, int]]) -> set[int]:
+    def rewrite(self, drop: list[int], add: list[tuple[int, int]]
+                ) -> tuple[dict[int, list[int]], list[EdgeKey], list[EdgeKey]]:
         """Remove vertices, then add edges among the survivors, in place.
 
-        Returns the dirty set and adds it to ``boundary``; while G0 is known,
-        ``added`` follows, and the cut is forgotten. Raises
+        One walk of the dropped vertices' rings finds the dirty vertices with
+        their surviving neighbors and the removed edge keys. Returns the dirty
+        vertices, each with its new neighbors in ascending order, and the
+        removed and added edge keys. Adds the dirty set to ``boundary``; while
+        G0 is known, ``added`` follows, and the cut is forgotten. Raises
         ValueError, before changing anything, on a loop, a parallel edge, or
         an endpoint that is not in the reduced graph.
         """
@@ -183,8 +197,19 @@ class _Work:
         missing = gone.difference(adj)
         if missing:
             raise ValueError(f"vertices {sorted(missing)} not in graph")
-        dirty = {u: {x for x in adj[u] if x not in gone}
-                 for v in gone for u in adj[v] if u not in gone}
+        dirty: dict[int, list[int]] = {}
+        removed: list[EdgeKey] = []
+        for v in gone:
+            for u in adj[v]:
+                if u not in gone:
+                    removed.append((u, v) if u < v else (v, u))
+                    ns = dirty.get(u)
+                    if ns is None:
+                        dirty[u] = ns = list(adj[u])
+                    ns.remove(v)
+                elif v < u:
+                    removed.append((v, u))
+        added: list[EdgeKey] = []
         for u, v in add:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
@@ -192,24 +217,33 @@ class _Work:
                 if x not in dirty:
                     if x in gone or x not in adj:
                         raise ValueError(f"vertex {x} not in the reduced graph")
-                    dirty[x] = set(adj[x])
+                    dirty[x] = list(adj[x])
             if v in dirty[u]:
                 raise ValueError(f"parallel edge ({u}, {v})")
-            dirty[u].add(v)
-            dirty[v].add(u)
-        self._unindex(gone.union(dirty))
+            dirty[u].append(v)
+            dirty[v].append(u)
+            added.append((u, v) if u < v else (v, u))
+        self._unindex([*gone, *dirty])
         if self.boundary is not None:
-            self.added.difference_update(edge_key(u, v) for v in gone for u in adj[v])
-            self.added.update(edge_key(u, v) for u, v in add)
+            self.added.difference_update(removed)
+            self.added.update(added)
             self.boundary -= gone
             self.boundary.update(dirty)
         for v in gone:
             del adj[v]
         for v, ns in dirty.items():
-            adj[v] = tuple(sorted(ns))
+            ns.sort()
+            adj[v] = tuple(ns)
         self._index(dirty)
         self.cut = None
-        return set(dirty)
+        return dirty, removed, added
+
+    def least_deg2(self) -> int | None:
+        """The least degree-2 vertex, or None; drops the stale tops of the heap."""
+        heap, deg2 = self.deg2_heap, self.deg2
+        while heap and heap[0] not in deg2:
+            heappop(heap)
+        return heap[0] if heap else None
 
     def _unindex(self, vertices) -> None:
         adj, tri, groups = self.adj, self.tri, self.groups
@@ -226,7 +260,7 @@ class _Work:
                         del groups[ns]
             if tri:
                 for u in ns:
-                    tri.pop(edge_key(u, v), None)
+                    tri.pop((u, v) if u < v else (v, u), None)
 
     def _index(self, vertices) -> None:
         adj, tri, groups = self.adj, self.tri, self.groups
@@ -234,6 +268,7 @@ class _Work:
             ns = adj[v]
             if len(ns) == 2:
                 self.deg2.add(v)
+                heappush(self.deg2_heap, v)
             elif len(ns) == 3:
                 group = groups.get(ns)
                 if group is None:
@@ -243,12 +278,10 @@ class _Work:
                     self.twins.add(ns)
             for u in ns:
                 nu = adj[u]
-                common = []
                 for w in ns:
-                    if w in nu:
-                        common.append(w)
-                if common:
-                    tri[edge_key(u, v)] = common
+                    if w in nu:  # (u, v) is on a triangle
+                        tri[(u, v) if u < v else (v, u)] = [w for w in ns if w in nu]
+                        break
 
 
 def _third(g: _Work, v: int, excluded: tuple[int, ...]) -> int:
@@ -355,12 +388,11 @@ def _three_disjoint_paths(adj: dict[int, tuple[int, ...]], s: int, t: int) -> bo
             cu = color[u]
             pairs = _PAIR[cu]
             for v in adj[u]:
-                c = color.get(v)
-                if c is None:
+                if v not in color:
                     color[v] = cu
                     nxt.append(v)
-                elif pairs[c]:
-                    mask |= pairs[c]
+                elif pairs[color[v]]:
+                    mask |= pairs[color[v]]
                     if _PERFECT[mask]:
                         return True
         front = nxt
@@ -525,8 +557,8 @@ def find_rule(g: Graph | _Work) -> tuple[RuleId, tuple[int, ...]]:
     graph; the solver passes its own, whose indices are already current.
     """
     work = g if isinstance(g, _Work) else _Work(g)
-    if work.deg2:
-        v = min(work.deg2)
+    v = work.least_deg2()
+    if v is not None:
         u, w = work.adj[v]
         return RuleId.R1_DEGREE2, (v, u, w)
     triangles = sorted(work.tri.items())
@@ -545,37 +577,37 @@ def find_rule(g: Graph | _Work) -> tuple[RuleId, tuple[int, ...]]:
 def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
            rule: RuleId, match: tuple[int, ...],
            designated: tuple[int, ...]) -> ReductionStep:
-    drop_set = set(drop)
-    removed_edges = frozenset(
-        edge_key(v, u) for v in drop_set for u in g.neighbors(v))
     n_before = g.n
     # ``cover`` gathers the dirty sets since the last graph proven 2-connected.
     cover, (name, matched) = g.pending or (set(), (rule.value, match))
     g.pending = None
     try:
-        dirty = g.rewrite(drop, add)
+        dirty, removed, added = g.rewrite(drop, add)
     except ValueError as exc:
         raise InternalInvariantBroken(
             f"{rule.value} on {match}: reduced graph is not simple ({exc})")
     if g.n >= n_before:
         raise InternalInvariantBroken(f"{rule.value} did not shrink the graph")
     # Only the dirty vertices changed degree.
-    if max(map(g.degree, dirty), default=0) > 3:
-        raise InternalInvariantBroken(
-            f"{rule.value} on {match}: reduced graph exceeds degree 3")
+    for ns in dirty.values():
+        if len(ns) > 3:
+            raise InternalInvariantBroken(
+                f"{rule.value} on {match}: reduced graph exceeds degree 3")
     step = ReductionStep(
         rule=rule.value, matched=match,
-        removed_vertices=frozenset(drop_set),
-        removed_edges=removed_edges,
-        added_edges=frozenset(edge_key(u, v) for u, v in add),
+        removed_vertices=frozenset(drop),
+        removed_edges=frozenset(removed),
+        added_edges=frozenset(added),
         designated=designated)
-    cover = (cover - drop_set) | dirty
-    if g.deg2 and not g.has_edge(*g.adj[min(g.deg2)]):
+    cover.difference_update(drop)
+    cover.update(dirty)
+    least = g.least_deg2()
+    if least is not None and not g.has_edge(*g.adj[least]):
         # R1 suppresses that vertex next, whose check then covers this one.
         g.pending = (cover, (name, matched))
         return step
     # λ >= 3 across ∂ answers R5 too and, at maximum degree 3, means 2-connected.
-    if (g.boundary is not None and not g.deg2 and g.n >= 3
+    if (g.boundary is not None and least is None and g.n >= 3
             and _three_edge_connected(g)):
         g.mark_three_edge_connected()
     elif not (g.n >= 3 and _edge_connected_within(g.adj, cover, 2)):

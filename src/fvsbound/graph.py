@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MemberNotInGraph, PreconditionViolated
@@ -425,17 +425,22 @@ def _two_edge_cuts(g: Graph) -> Iterator[tuple[tuple[EdgeKey, EdgeKey], list[set
         raise PreconditionViolated("graph must be 2-edge-connected (bridge found)")
     rng = random.Random(0x5EED)
     label = dict.fromkeys(g.vertices, 0)
-    groups: dict[int, list[EdgeKey]] = {}
+    tags = []
     for v, u in back:
         tag = rng.getrandbits(64)
         label[v] ^= tag
         label[u] ^= tag
-        groups.setdefault(tag, []).append(edge_key(u, v))
+        tags.append(tag)
     # Children precede parents in postorder, so label[v] is final when
     # (p, v) is reached: the label of that tree edge.
     for p, v in tree:
         label[p] ^= label[v]
-        groups.setdefault(label[v], []).append(edge_key(p, v))
+        tags.append(label[v])
+    if len(set(tags)) == len(tags):
+        return  # no two edges share a label, so none form a cut
+    groups: dict[int, list[EdgeKey]] = {}
+    for tag, (u, v) in zip(tags, chain(back, tree)):
+        groups.setdefault(tag, []).append(edge_key(u, v))
     for members in groups.values():
         for pair in combinations(members, 2):
             sides = _components(g, pair)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
 
 from .errors import InternalInvariantBroken, TooLarge
 from .graph import INFINITE, Graph, is_forest, validate_fvs
@@ -33,14 +32,6 @@ class OracleResult:
     forest_order: int
     witness: frozenset[int]
     node_budget_hit: bool
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def cyclomatic_lower_bound(degrees: list[int]) -> int:
@@ -89,7 +80,11 @@ def _shortest_cycle(nbrs: list[list[int]], nbr_masks: list[int], alive: int) -> 
     """
     floor = best = 0
     best_len = INFINITE
-    for root in _bits(alive):
+    roots = alive
+    while roots:
+        low = roots & -roots
+        roots ^= low
+        root = low.bit_length() - 1
         dist = {root: 0}
         parent = {root: root}
         frontier = [root]
@@ -137,6 +132,8 @@ def min_fvs_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleRes
     before any cycle search, then by the packing bound. No admissible bound
     changes the witness: it is the greedy set when that is optimal, else the
     first optimal leaf in branch order, which no admissible bound prunes.
+    Every loop over a mask takes its lowest set bit (``m & -m``) at a time,
+    so the vertices come in ascending index order.
     """
     vs = g.vertices
     index = {v: i for i, v in enumerate(vs)}
@@ -145,13 +142,24 @@ def min_fvs_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleRes
 
     def core(alive: int) -> int:
         """``alive`` less what peeling degree <= 1 vertices removes; that lies on no cycle."""
-        stack = [v for v in _bits(alive) if (nbr_masks[v] & alive).bit_count() <= 1]
+        stack = []
+        rest = alive
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if (nbr_masks[v] & alive).bit_count() <= 1:
+                stack.append(v)
         for v in stack:
             alive ^= 1 << v
         while stack:
-            for u in _bits(nbr_masks[stack.pop()] & alive):
+            around = nbr_masks[stack.pop()] & alive
+            while around:
+                low = around & -around
+                around ^= low
+                u = low.bit_length() - 1
                 if (nbr_masks[u] & alive).bit_count() <= 1:
-                    alive ^= 1 << u
+                    alive ^= low
                     stack.append(u)
         return alive
 
@@ -168,9 +176,16 @@ def min_fvs_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleRes
     best = 0
     alive = core((1 << len(vs)) - 1)
     while cycle := _shortest_cycle(nbrs, nbr_masks, alive):
-        v = max(_bits(cycle), key=lambda x: ((nbr_masks[x] & alive).bit_count(), -x))
-        best |= 1 << v
-        alive = core(alive ^ 1 << v)
+        # The cycle vertex of highest degree, the least one on a tie.
+        pick, top = 0, -1
+        while cycle:
+            low = cycle & -cycle
+            cycle ^= low
+            degree = (nbr_masks[low.bit_length() - 1] & alive).bit_count()
+            if degree > top:
+                pick, top = low, degree
+        best |= pick
+        alive = core(alive ^ pick)
     nodes = 0
     budget_hit = False
 
@@ -185,19 +200,26 @@ def min_fvs_exact(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleRes
             if chosen.bit_count() < best.bit_count():
                 best = chosen
             return
-        degrees = [(nbr_masks[v] & alive).bit_count() for v in _bits(alive)]
+        degrees = []
+        rest = alive
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            degrees.append((nbr_masks[low.bit_length() - 1] & alive).bit_count())
         if chosen.bit_count() + cyclomatic_lower_bound(degrees) >= best.bit_count():
             return
         cycle = _shortest_cycle(nbrs, nbr_masks, alive)
         if chosen.bit_count() + packing_lower_bound(alive, cycle) >= best.bit_count():
             return
-        for v in _bits(cycle):
-            search(alive ^ 1 << v, chosen | 1 << v)
+        while cycle:
+            low = cycle & -cycle
+            cycle ^= low
+            search(alive ^ low, chosen | low)
             if budget_hit:
                 return
 
     search((1 << len(vs)) - 1, 0)
-    witness = frozenset(vs[v] for v in _bits(best))
+    witness = frozenset(v for i, v in enumerate(vs) if best >> i & 1)
     if not validate_fvs(g, witness):
         raise InternalInvariantBroken("exact search returned a set that leaves a cycle")
     return OracleResult(phi=len(witness), forest_order=len(vs) - len(witness),

@@ -518,6 +518,11 @@ class TestSolveCubic:
 def assert_indices_current(work):
     fresh = _Work(work.freeze())
     assert work.deg2 == fresh.deg2
+    # R1 reads the heap: it holds every degree-2 vertex, and its least live
+    # entry is the least of them.
+    assert work.deg2 <= set(work.deg2_heap)
+    live = [v for v in work.deg2_heap if v in work.deg2]
+    assert min(live, default=None) == min(work.deg2, default=None)
     assert work.tri == fresh.tri
     assert work.groups == fresh.groups
     assert work.twins == fresh.twins
@@ -527,6 +532,11 @@ def dirty_set(before, drop, add):
     """Survivors next to a dropped vertex plus the endpoints of added edges."""
     return ({u for v in drop for u in before.neighbors(v) if u not in drop}
             | {x for e in add for x in e})
+
+
+def edges_at(g, vertices):
+    """The edge keys of g with an end in ``vertices``."""
+    return {e for e in g.edges() if e[0] in vertices or e[1] in vertices}
 
 
 def assert_records_current(work, g0):
@@ -705,6 +715,47 @@ class TestLocalChecks:
             apply_rule(g, RuleId.R1_DEGREE2, (0, 1, 11))
 
 
+class TestDegree2Heap:
+    """R1 reads the least degree-2 vertex from a heap with lazy deletion."""
+
+    @staticmethod
+    def assert_steps_match_reference(work):
+        while work.n > BASE_CASE_MAX_N:
+            rule, match = find_rule(work)
+            assert (rule, match) == reference_find_rule(work.freeze())
+            apply_rule(work, rule, match)
+            assert_indices_current(work)
+
+    def test_cycles_with_shuffled_and_negative_ids(self):
+        rng = random.Random(71)
+        for n in (11, 12, 40, 97):
+            ids = rng.sample(range(-3 * n, 3 * n), n)
+            g = Graph(ids, [(ids[i], ids[(i + 1) % n]) for i in range(n)])
+            self.assert_steps_match_reference(_Work(g))
+
+    def test_subdivided_cubic_graphs(self):
+        rng = random.Random(73)
+        for trial in range(12):
+            g = random_cubic_2connected(2 * rng.randint(3, 20), trial + 400)
+            self.assert_steps_match_reference(_Work(subdivided(g, rng, rng.randint(1, g.m))))
+
+    def test_a_vertex_that_leaves_degree_2_and_comes_back(self):
+        work = _Work(cycle_graph(16))
+        assert find_rule(work) == (RuleId.R1_DEGREE2, (0, 1, 15))
+        # A chord lifts 0 to degree 3; its heap entry goes stale.
+        work.rewrite([], [(0, 8)])
+        assert_indices_current(work)
+        assert 0 not in work.deg2
+        assert find_rule(work) == reference_find_rule(work.freeze()) == (
+            RuleId.R1_DEGREE2, (1, 0, 2))
+        # Dropping the chord's other end brings 0 back to degree 2.
+        work.rewrite([8], [(7, 9)])
+        assert_indices_current(work)
+        assert find_rule(work) == reference_find_rule(work.freeze()) == (
+            RuleId.R1_DEGREE2, (0, 1, 15))
+        self.assert_steps_match_reference(work)
+
+
 class TestColoredSearch:
     """The colored search that certifies λ(s, t) >= 3 before Ford-Fulkerson runs."""
 
@@ -788,6 +839,8 @@ class TestWorkingGraph:
             _, step = apply_rule(work, rule, match)
             frozen = work.freeze()
             assert frozen == rewired(before, step.removed_vertices, step.added_edges)
+            assert step.removed_edges == edges_at(before, step.removed_vertices)
+            assert step.added_edges == {e for e in frozen.edges() if not before.has_edge(*e)}
             # The public path on a caller's Graph gives the same result and step.
             assert apply_rule(before, rule, match) == (frozen, step)
             assert_indices_current(work)
@@ -853,11 +906,14 @@ class TestWorkingGraph:
                 add = rng.sample(absent, min(len(absent), rng.randint(0, 3)))
                 before = work.freeze()
                 expected = rewired(before, drop, add)
-                dirty = work.rewrite(drop, add)
+                dirty, removed, added = work.rewrite(drop, add)
                 after = work.freeze()
                 assert after == expected
                 assert_indices_current(work)
-                assert dirty == dirty_set(before, drop, add)
+                assert set(dirty) == dirty_set(before, drop, add)
+                assert all(tuple(ns) == after.neighbors(v) for v, ns in dirty.items())
+                assert sorted(removed) == sorted(edges_at(before, drop))
+                assert sorted(added) == sorted((min(e), max(e)) for e in add)
                 if is_two_connected(before) and after.max_degree() <= 3:
                     local = after.n >= 3 and _edge_connected_within(work.adj, dirty, 2)
                     assert local == is_two_connected(after)

@@ -180,6 +180,39 @@ class TestInvariants:
         assert min_fvs_exact(g) == min_fvs_exact(g)
 
 
+class TestNodeCounts:
+    """The search visits the same nodes and runs the same cycle searches at any budget."""
+
+    # name: (nodes at the default budget, then at budgets 3, 7 and the
+    # default: phi, whether the budget ran out, and the cycle searches run)
+    PINNED = {
+        "k4": (1, [(2, False, 3), (2, False, 3), (2, False, 3)]),
+        "k33": (1, [(2, False, 3), (2, False, 3), (2, False, 3)]),
+        "prism": (1, [(2, False, 3), (2, False, 3), (2, False, 3)]),
+        "cube": (1, [(3, False, 4), (3, False, 4), (3, False, 4)]),
+        "petersen": (1, [(3, False, 4), (3, False, 4), (3, False, 4)]),
+        "dodecahedron": (31, [(7, True, 19), (7, True, 25), (6, False, 33)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_named_cubic_instances(self, name, monkeypatch):
+        g = make_named(name).graph
+        nodes, rows = self.PINNED[name]
+        # A search runs out of a budget of b nodes exactly when it visits more.
+        assert not min_fvs_exact(g, node_budget=nodes).node_budget_hit
+        assert min_fvs_exact(g, node_budget=nodes - 1).node_budget_hit
+        searches = []
+        search = oracle_module._shortest_cycle
+        monkeypatch.setattr(oracle_module, "_shortest_cycle",
+                            lambda *args: searches.append(1) or search(*args))
+        got = []
+        for budget in (3, 7, DEFAULT_NODE_BUDGET):
+            searches.clear()
+            result = min_fvs_exact(g, node_budget=budget)
+            got.append((result.phi, result.node_budget_hit, len(searches)))
+        assert got == rows
+
+
 class TestLimits:
     def test_naive_size_cap(self):
         with pytest.raises(TooLarge):
