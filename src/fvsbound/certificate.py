@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, validate_fvs
+from .graph import EdgeKey, Graph, validate_fvs
 
 
 class BoundKind(enum.Enum):
@@ -17,25 +17,30 @@ class BoundKind(enum.Enum):
     EXACT_OPTIMUM = "exact_optimum"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionStep:
     """One rule application: what matched, what changed, who joined the set.
 
     ``designated`` lists the vertices this step adds to the feedback vertex
     set (empty for weight-free steps, two for the six-vertex double-square
-    reduction).
+    reduction). ``removed_vertices``, ``removed_edges`` and ``added_edges``
+    are tuples in ascending order, each edge written (u, v) with u < v. A
+    trace holds one step per rewrite, so these fields hold most of a
+    certificate's memory: a small tuple takes a fraction of a frozenset's,
+    its order is the order the trace prints, and an edge tuple may be the
+    very key of the graph the edge came from.
     """
 
     rule: str
     matched: tuple[int, ...]
-    removed_vertices: frozenset[int] = frozenset()
-    removed_edges: frozenset[tuple[int, int]] = frozenset()
-    added_edges: frozenset[tuple[int, int]] = frozenset()
+    removed_vertices: tuple[int, ...] = ()
+    removed_edges: tuple[EdgeKey, ...] = ()
+    added_edges: tuple[EdgeKey, ...] = ()
     designated: tuple[int, ...] = ()
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FvsCertificate:
     """A vertex set together with the exact rational bound it is certified against.
 

@@ -219,13 +219,11 @@ def _format_step(step) -> str:
     parts = [step.rule,
              f"matched={','.join(map(str, step.matched))}"]
     if step.removed_vertices:
-        parts.append(f"removed_vertices={','.join(map(str, sorted(step.removed_vertices)))}")
+        parts.append(f"removed_vertices={','.join(map(str, step.removed_vertices))}")
     if step.removed_edges:
-        parts.append("removed_edges=" + ";".join(
-            f"{u}-{v}" for u, v in sorted(step.removed_edges)))
+        parts.append("removed_edges=" + ";".join(f"{u}-{v}" for u, v in step.removed_edges))
     if step.added_edges:
-        parts.append("added_edges=" + ";".join(
-            f"{u}-{v}" for u, v in sorted(step.added_edges)))
+        parts.append("added_edges=" + ";".join(f"{u}-{v}" for u, v in step.added_edges))
     if step.designated:
         parts.append(f"designated={','.join(map(str, step.designated))}")
     return " ".join(parts)

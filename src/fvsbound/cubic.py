@@ -128,12 +128,16 @@ class _Work:
       ``twins``, the keys held by two or more of them (R4).
     """
 
-    __slots__ = ("adj", "deg2", "deg2_heap", "tri", "groups", "twins", "_weights",
+    __slots__ = ("adj", "keys", "deg2", "deg2_heap", "tri", "groups", "twins", "_weights",
                  "boundary", "added", "pending", "cut")
 
     def __init__(self, g: Graph):
         self.adj = {v: g.neighbors(v) for v in g.vertices}
-        self._weights = g.edge_weights()
+        # g's own weight map, only read. ``keys`` maps each current edge's
+        # key to the one tuple that stands for it: g's key, or the tuple of
+        # the step that added the edge. Steps share these tuples.
+        self._weights = g._weights
+        self.keys: dict[EdgeKey, EdgeKey] = {e: e for e in g._weights}
         self.deg2: set[int] = set()
         self.deg2_heap: list[int] = []
         self.tri: dict[EdgeKey, list[int]] = {}
@@ -186,13 +190,14 @@ class _Work:
 
         One walk of the dropped vertices' rings finds the dirty vertices with
         their surviving neighbors and the removed edge keys. Returns the dirty
-        vertices, each with its new neighbors in ascending order, and the
-        removed and added edge keys. Adds the dirty set to ``boundary``; while
+        vertices, each with its new neighbors in ascending order, the removed
+        edge keys as the tuples ``keys`` held for them, and the added edge
+        keys, which ``keys`` then holds. Adds the dirty set to ``boundary``; while
         G0 is known, ``added`` follows, and the cut is forgotten. Raises
         ValueError, before changing anything, on a loop, a parallel edge, or
         an endpoint that is not in the reduced graph.
         """
-        adj = self.adj
+        adj, keys = self.adj, self.keys
         gone = set(drop)
         missing = gone.difference(adj)
         if missing:
@@ -202,13 +207,13 @@ class _Work:
         for v in gone:
             for u in adj[v]:
                 if u not in gone:
-                    removed.append((u, v) if u < v else (v, u))
+                    removed.append(keys[(u, v) if u < v else (v, u)])
                     ns = dirty.get(u)
                     if ns is None:
                         dirty[u] = ns = list(adj[u])
                     ns.remove(v)
                 elif v < u:
-                    removed.append((v, u))
+                    removed.append(keys[(v, u)])
         added: list[EdgeKey] = []
         for u, v in add:
             if u == v:
@@ -223,6 +228,10 @@ class _Work:
             dirty[u].append(v)
             dirty[v].append(u)
             added.append((u, v) if u < v else (v, u))
+        for e in removed:
+            del keys[e]
+        for e in added:
+            keys[e] = e
         self._unindex([*gone, *dirty])
         if self.boundary is not None:
             self.added.difference_update(removed)
@@ -595,9 +604,9 @@ def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
                 f"{rule.value} on {match}: reduced graph exceeds degree 3")
     step = ReductionStep(
         rule=rule.value, matched=match,
-        removed_vertices=frozenset(drop),
-        removed_edges=frozenset(removed),
-        added_edges=frozenset(added),
+        removed_vertices=tuple(sorted(drop)),
+        removed_edges=tuple(sorted(removed)),
+        added_edges=tuple(sorted(added)),
         designated=designated)
     cover.difference_update(drop)
     cover.update(dirty)
@@ -822,7 +831,7 @@ def _exact_base(g: Graph) -> FvsCertificate:
     """``base_case`` without its precondition checks."""
     result = min_fvs_exact(g)
     step = ReductionStep(rule=RuleId.R0_BASE.value, matched=(),
-                         removed_vertices=frozenset(g.vertices),
+                         removed_vertices=g.vertices,
                          designated=tuple(sorted(result.witness)))
     cert = FvsCertificate(fvs=result.witness,
                           bound_kind=BoundKind.CUBIC_N_PLUS_2_OVER_3,

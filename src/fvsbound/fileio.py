@@ -33,7 +33,7 @@ from .planar import RotationSystem
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphFile:
     graph: Graph
     rotation: RotationSystem | None = None

@@ -52,7 +52,7 @@ from .planar import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolverConfig:
     """Knobs for the weighted solver; g is the certified minimum cycle weight."""
 
@@ -130,9 +130,8 @@ def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionS
         # P0: vertices of degree <= 1 lie on no cycle.
         dropped = peel_degree_le1(graph)
         if dropped:
-            trace.append(ReductionStep(
-                rule="P0_prune", matched=tuple(sorted(dropped)),
-                removed_vertices=frozenset(dropped)))
+            gone = tuple(sorted(dropped))
+            trace.append(ReductionStep(rule="P0_prune", matched=gone, removed_vertices=gone))
             rest = plane_subgraph(pg, set(graph.vertices) - dropped)
             todo.append((None, *_check_child(cfg, measure, rest)))
             continue
@@ -172,7 +171,7 @@ def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionS
         if spec is not None:
             trace.append(ReductionStep(
                 rule="P2_merge", matched=(spec.f0, spec.f1, spec.f2),
-                removed_edges=spec.removed_edges, designated=(spec.crucial,)))
+                removed_edges=tuple(sorted(spec.removed_edges)), designated=(spec.crucial,)))
             chosen.add(spec.crucial)
             todo.append((None, *_check_child(cfg, measure, apply_merger(pg, spec))))
             continue
@@ -195,7 +194,7 @@ def _solve(pg: PlaneGraph, cfg: SolverConfig) -> tuple[set[int], list[ReductionS
             raise InternalInvariantBroken("cubic bound chain missed the weight bound")
         trace.append(ReductionStep(
             rule="P5_cubic_base", matched=(),
-            removed_vertices=frozenset(graph.vertices),
+            removed_vertices=graph.vertices,
             designated=tuple(sorted(cert.fvs))))
         trace.extend(cert.trace)
         chosen |= {lift.get(x, x) for x in cert.fvs}
@@ -231,8 +230,7 @@ def _split_and_suppress(pg: PlaneGraph, cfg: SolverConfig, measure: Measure | No
         if neg_deg < -4:
             heapq.heappush(heap, (neg_deg + 1, w_prime))
         steps.append(ReductionStep(
-            rule="P3_split", matched=(v, w, w_prime),
-            removed_vertices=frozenset([v])))
+            rule="P3_split", matched=(v, w, w_prime), removed_vertices=(v,)))
         lift[w] = lift[w_prime] = lift.get(v, v)
         if cfg.validate_every_step:
             out, measure = _check_tail_edit(cfg, measure, order, weights, "split")
@@ -247,9 +245,8 @@ def _split_and_suppress(pg: PlaneGraph, cfg: SolverConfig, measure: Measure | No
                 "degree-2 vertex on a triangle survived past the merger rule")
         _suppress_in_place(order, weights, v)
         steps.append(ReductionStep(
-            rule="P4_suppress", matched=(v, u, w),
-            removed_vertices=frozenset([v]),
-            added_edges=frozenset([(u, w)])))
+            rule="P4_suppress", matched=(v, u, w), removed_vertices=(v,),
+            added_edges=((u, w),)))
         if cfg.validate_every_step:
             out, measure = _check_tail_edit(cfg, measure, order, weights, "suppression")
 
@@ -334,9 +331,9 @@ def trivial_baseline(pg: PlaneGraph) -> FvsCertificate:
         if all(a == b for a, b in sides):
             continue  # only bridges: dropping them merges no faces
         chosen.add(v)
-        steps.append(ReductionStep(rule="baseline_remove", matched=(v,),
-                                   removed_vertices=frozenset([v]),
-                                   designated=(v,)))
+        one = (v,)
+        steps.append(ReductionStep(rule="baseline_remove", matched=one,
+                                   removed_vertices=one, designated=one))
         for a, b in sides:
             parent[find(a)] = find(b)
     # A forest has g infinite, so 2*weight/g is 0.

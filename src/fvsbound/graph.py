@@ -150,23 +150,24 @@ def validate_fvs(g: Graph, s: Iterable[int]) -> bool:
 def _acyclic(edges: Iterable[EdgeKey], skip) -> bool:
     """True iff the edges with no end in ``skip`` form a forest: one union-find pass."""
     # Union-find beats DFS bookkeeping here and has no parent-edge subtlety.
+    # A root has no entry in ``parent``; each find, inline, halves its path.
     parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
     for u, v in edges:
         if u in skip or v in skip:
             continue
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        while u in parent:
+            p = parent[u]
+            if p in parent:
+                parent[u] = p = parent[p]
+            u = p
+        while v in parent:
+            p = parent[v]
+            if p in parent:
+                parent[v] = p = parent[p]
+            v = p
+        if u == v:
             return False
-        parent[ru] = rv
+        parent[u] = v
     return True
 
 
@@ -458,7 +459,7 @@ def has_two_edge_cut(g: Graph) -> bool:
     return next(_two_edge_cuts(g), None) is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CutStructure:
     """A small cut with the two vertex sets it separates."""
 

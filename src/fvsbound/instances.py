@@ -26,7 +26,7 @@ _K4_FACES = (((0, 1), (1, 2), (2, 0)), ((0, 3), (3, 1), (1, 0)),
              ((0, 2), (2, 3), (3, 0)), ((1, 3), (3, 2), (2, 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NamedInstance:
     name: str
     graph: Graph

@@ -20,7 +20,7 @@ DEFAULT_NODE_BUDGET = 2_000_000
 NAIVE_MAX_N = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleResult:
     """Decycling number, forest number, one optimal witness, and budget status.
 

@@ -45,7 +45,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RotationSystem:
     """Per-vertex clockwise cyclic order of neighbors."""
 
@@ -60,7 +60,7 @@ class RotationSystem:
                     f"rotation at {v} is not a permutation of its neighbors")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     """A face boundary: the closed walk of directed edges tracing it."""
 
@@ -79,7 +79,7 @@ class Face:
         return len(self.boundary)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlaneGraph:
     """A graph, the rotation system embedding it, the derived faces, and the
     walk's map from each dart to its face: an edge's two darts name the faces
@@ -171,7 +171,7 @@ def plane_subgraph(pg: PlaneGraph, keep: Iterable[int]) -> PlaneGraph:
 # -- mergers -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MergerSpec:
     """Three mergeable faces, their crucial vertex, and the edges a merger removes.
 

@@ -11,10 +11,12 @@ reference generator grows from.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import inspect
 import random
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -127,6 +129,35 @@ def rewired(g: Graph, drop_vertices=(), add_edges=()) -> Graph:
     drop = set(drop_vertices)
     kept = [(u, v, g.weight(u, v)) for u, v in g.edges() if u not in drop and v not in drop]
     return Graph(set(g.vertices) - drop, kept + list(add_edges))
+
+
+def assert_canonical(step) -> None:
+    """A step's removed vertices, removed edges and added edges are tuples in
+    strictly ascending order, and each edge (u, v) has u < v."""
+    for field in (step.removed_vertices, step.removed_edges, step.added_edges):
+        assert type(field) is tuple
+        assert all(a < b for a, b in zip(field, field[1:]))
+    assert all(u < v for u, v in step.removed_edges + step.added_edges)
+
+
+def retained_bytes_per_step(solve) -> float:
+    """Bytes that the certificate ``solve()`` returns holds, per trace step.
+
+    Traced by tracemalloc from just before the call until the certificate
+    is back and the garbage collected. A first call runs untraced, so the
+    allocations any first call makes once are not counted.
+    """
+    solve()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cert = solve()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained / len(cert.trace)
 
 
 def shifted(g: Graph) -> tuple[Graph, int]:

@@ -35,6 +35,7 @@ from fvsbound.instances import make_named, random_cubic_2connected, triangle_rep
 from fvsbound.oracle import min_fvs_exact, min_fvs_naive
 
 from bruteforce import (
+    assert_canonical,
     blob_ring,
     chorded_c6,
     cut_joined_pair,
@@ -46,6 +47,7 @@ from bruteforce import (
     r5_gadget_pair,
     random_max_deg3_graph,
     reference_find_rule,
+    retained_bytes_per_step,
     rewired,
     subdivided,
 )
@@ -125,7 +127,7 @@ class TestApplyRules:
                              (2, 4), (3, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)])
         reduced, step = apply_rule(g, RuleId.R2_ADJACENT_TRIANGLES, (0, 1, 2, 3))
         # removes {x, y, z} = {0, 1, 2}, joins z's third neighbor 4 to z' = 3
-        assert step.removed_vertices == frozenset({0, 1, 2})
+        assert step.removed_vertices == (0, 1, 2)
         assert step.designated == (0,)
         assert reduced.has_edge(4, 3)
 
@@ -134,7 +136,7 @@ class TestApplyRules:
         rule, match = find_rule(g)
         assert rule is RuleId.R4_TWO_SQUARES and match == (0, 1, 2, 3, 4)
         reduced, step = apply_rule(g, rule, match)
-        assert step.removed_vertices == frozenset({0, 2, 3, 4})
+        assert step.removed_vertices == (0, 2, 3, 4)
         assert step.designated == (0,)
         # kept hub inherits the three spoke thirds
         assert sorted(reduced.neighbors(1)) == [5, 6, 7]
@@ -145,14 +147,14 @@ class TestApplyRules:
         assert rule is RuleId.R4_TWO_SQUARES and match == (0, 1, 2, 3, 4)
         reduced, step = apply_rule(g, rule, match)
         assert step.designated == (0, 1)
-        assert step.removed_vertices == frozenset({0, 1, 2, 3, 4, 5})
+        assert step.removed_vertices == (0, 1, 2, 3, 4, 5)
         assert reduced.n == 8
 
     def test_r5_triangle_branch(self):
         g = r5_gadget_pair()
         reduced, step = apply_rule(g, RuleId.R5_TWO_EDGE_CUT, (0, 10))
-        assert step.removed_vertices == frozenset({0, 1, 2})
-        assert step.added_edges == frozenset({(4, 10)})
+        assert step.removed_vertices == (0, 1, 2)
+        assert step.added_edges == ((4, 10),)
         assert step.designated == (1,)
 
     def test_r7_on_dodecahedron(self):
@@ -258,7 +260,14 @@ class TestSolveCubic:
         for step in cert.trace[:-1]:
             if step.rule != RuleId.R0_BASE.value:
                 assert len(step.removed_vertices) >= 1
-                assert set(step.designated) <= step.removed_vertices
+                assert step.removed_vertices == tuple(sorted(set(step.removed_vertices)))
+                assert set(step.designated) <= set(step.removed_vertices)
+
+    def test_trace_retains_at_most_590_bytes_per_step(self):
+        # 396 steps; sorted tuples that share the graph's edge keys held
+        # about 472 bytes a step, frozensets of fresh tuples 1491.
+        g = random_cubic_2connected(800, 1)
+        assert retained_bytes_per_step(lambda: solve_cubic(g)) <= 590
 
     def test_broken_rule_application_propagates(self, monkeypatch):
         # a rule that leaves the class is a bug: no fallback may hide it
@@ -535,8 +544,8 @@ def dirty_set(before, drop, add):
 
 
 def edges_at(g, vertices):
-    """The edge keys of g with an end in ``vertices``."""
-    return {e for e in g.edges() if e[0] in vertices or e[1] in vertices}
+    """The edge keys of g with an end in ``vertices``, sorted."""
+    return [e for e in g.edges() if e[0] in vertices or e[1] in vertices]
 
 
 def assert_records_current(work, g0):
@@ -839,8 +848,10 @@ class TestWorkingGraph:
             _, step = apply_rule(work, rule, match)
             frozen = work.freeze()
             assert frozen == rewired(before, step.removed_vertices, step.added_edges)
-            assert step.removed_edges == edges_at(before, step.removed_vertices)
-            assert step.added_edges == {e for e in frozen.edges() if not before.has_edge(*e)}
+            assert_canonical(step)
+            assert step.removed_vertices == tuple(v for v in before.vertices if v not in frozen)
+            assert step.removed_edges == tuple(edges_at(before, step.removed_vertices))
+            assert step.added_edges == tuple(e for e in frozen.edges() if not before.has_edge(*e))
             # The public path on a caller's Graph gives the same result and step.
             assert apply_rule(before, rule, match) == (frozen, step)
             assert_indices_current(work)

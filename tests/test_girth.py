@@ -22,9 +22,9 @@ from fvsbound.oracle import min_fvs_exact
 from fvsbound.planar import embed, faces_of, split_high_degree_vertex, suppress_degree2_vertex
 
 from bruteforce import (far_cut_triangle_chain, plane, random_simple_graph,
-                        reference_trivial_baseline_picks, rewired, shallow_recursion_limit,
-                        subdivided_rim_wheel, triangle_chain, weighted_chorded_cycle, wheel,
-                        without_edges)
+                        reference_trivial_baseline_picks, retained_bytes_per_step, rewired,
+                        shallow_recursion_limit, subdivided_rim_wheel, triangle_chain,
+                        weighted_chorded_cycle, wheel, without_edges)
 
 # The package re-exports graph.girth under the submodule's name.
 girth_module = importlib.import_module("fvsbound.girth")
@@ -63,6 +63,14 @@ class TestSolveWeighted:
         cert = solve_planar_weighted(pg, SolverConfig(g=4, validate_every_step=True))
         assert cert.validate(g)
         assert 3 * 4 * cert.size <= 4 * g.total_weight()
+
+    def test_trace_retains_at_most_465_bytes_per_step(self):
+        # A weighted-mixed-sized instance: 33 steps, the cubic hand-off's
+        # included. Sorted tuples held about 371 bytes a step, frozensets 823.
+        g0, rotation = random_planar_girth(44, 5, 3)
+        g = reweighted(g0, random.Random(3), 1, 8)
+        pg, cfg = faces_of(g, rotation), SolverConfig(g=int(weighted_girth(g)))
+        assert retained_bytes_per_step(lambda: solve_planar_weighted(pg, cfg)) <= 465
 
     def test_zero_weight_edges(self):
         g = Graph(range(6), [(0, 1, 2), (1, 2, 1), (2, 3, 0), (3, 4, 3),
@@ -292,15 +300,14 @@ def reference_tail(pg):
         pg, (w, w_prime, _) = split_high_degree_vertex(pg, v)
         graph = pg.graph
         steps.append(ReductionStep(rule="P3_split", matched=(v, w, w_prime),
-                                   removed_vertices=frozenset([v])))
+                                   removed_vertices=(v,)))
         lift[w] = lift[w_prime] = lift.get(v, v)
     for v in [v for v in graph.vertices if graph.degree(v) == 2]:
         u, w = graph.neighbors(v)
         pg = suppress_degree2_vertex(pg, v)
         graph = pg.graph
         steps.append(ReductionStep(rule="P4_suppress", matched=(v, u, w),
-                                   removed_vertices=frozenset([v]),
-                                   added_edges=frozenset([(u, w)])))
+                                   removed_vertices=(v,), added_edges=((u, w),)))
     return pg, lift, steps
 
 
@@ -448,7 +455,7 @@ class TestBaseline:
             cert = trivial_baseline(pg)
             assert cert.trace == tuple(
                 ReductionStep(rule="baseline_remove", matched=(v,),
-                              removed_vertices=frozenset([v]), designated=(v,))
+                              removed_vertices=(v,), designated=(v,))
                 for v in picks)
             assert cert.fvs == frozenset(picks)
             picked += len(picks)

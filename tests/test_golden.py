@@ -25,6 +25,7 @@ from fvsbound.instances import (
 from fvsbound.planar import embed, faces_of
 
 from bruteforce import (
+    assert_canonical,
     cut_joined_pair,
     far_cut_triangle_chain,
     r4_all_distinct_instance,
@@ -198,3 +199,9 @@ GOLDEN = {
 def test_golden_digest(case):
     text = canonical_text(CASES[case]())
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trace_fields_are_sorted_tuples(case):
+    for step in CASES[case]().trace:
+        assert_canonical(step)
