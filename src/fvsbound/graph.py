@@ -332,7 +332,8 @@ def _components(g: Graph, skip: Iterable[EdgeKey]) -> list[set[int]]:
     return comps
 
 
-def _lowpoint_dfs(g: Graph) -> tuple[list[int], list[EdgeKey], int, list[tuple], list[tuple]]:
+def _lowpoint_dfs(g: Graph, skip: int | None = None
+                  ) -> tuple[list[int], list[EdgeKey], int, list[tuple], list[tuple]]:
     """Sorted cut vertices and bridges, the component count, and the DFS forest.
 
     One iterative Hopcroft-Tarjan lowpoint DFS per component (Tarjan, SIAM
@@ -341,8 +342,12 @@ def _lowpoint_dfs(g: Graph) -> tuple[list[int], list[EdgeKey], int, list[tuple],
     it has two or more tree children, and a tree edge (v, c) is a bridge iff
     low[c] > disc[v]. The forest: tree edges (parent, child) in postorder and
     back edges (descendant, ancestor) as found. A root is its own parent.
+
+    With ``skip``, the answers are those of g - skip, without building it:
+    ``skip`` starts out discovered, later than any vertex will be, so it is
+    never a root and every arc into it reads as a finished descendant's.
     """
-    disc: dict[int, int] = {}
+    disc: dict[int, int] = {} if skip is None else {skip: g.n}
     low: dict[int, int] = {}
     cuts: set[int] = set()
     cut_edges: list[EdgeKey] = []
@@ -491,7 +496,8 @@ def connectivity_le3(g: Graph) -> tuple[int, int]:
     A value of 3 means "at least 3"; smaller values are exact. One lowpoint
     DFS gives components, cut vertices and bridges. At maximum degree <= 3
     the two connectivities agree. Otherwise a pair {u, v} separates g exactly
-    when u is a cut vertex of g - v, so one more DFS per vertex settles it.
+    when u is a cut vertex of g - v, so one more DFS per vertex, skipping v,
+    settles it.
     """
     if g.n <= 1:
         return 0, 0
@@ -504,5 +510,5 @@ def connectivity_le3(g: Graph) -> tuple[int, int]:
     if g.max_degree() <= 3:
         return edge, edge
     # Here n >= 5, so the cap n - 1 on k-connectivity is above 3.
-    separated = any(_lowpoint_dfs(g.without_vertices([v]))[0] for v in g.vertices)
+    separated = any(_lowpoint_dfs(g, v)[0] for v in g.vertices)
     return (2 if separated else 3), edge

@@ -1,6 +1,7 @@
 """Graph core: forests, girth, connectivity, small cuts."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -43,6 +44,7 @@ from bruteforce import (
     shifted,
     vertex_connectivity_le3_bruteforce,
     weighted_girth_by_enumeration,
+    wheel,
     without_edges,
 )
 
@@ -368,6 +370,29 @@ class TestConnectivity:
             assert ec == edge_connectivity_le3_bruteforce(g)
             assert connectivity_le3(shifted(g)[0]) == (vc, ec)
 
+    def test_matches_bruteforce_above_degree_3(self):
+        # Above degree 3 the vertex connectivity comes from one lowpoint DFS
+        # per skipped vertex: wheels, dense random graphs, and 2-connected
+        # graphs glued at two vertices, so that a separation pair exists.
+        rng = random.Random(9)
+        graphs = [wheel(k) for k in range(4, 41)]
+        while len(graphs) < 37 + 100:
+            g = random_simple_graph(rng.randint(5, 11), rng, rng.choice((0.3, 0.45, 0.6)))
+            if g.max_degree() >= 4:
+                graphs.append(g)
+        parts = [wheel(4), wheel(6), K4, PRISM, CUBE, cycle_graph(5)]
+        glued = [glued_at_pair(rng.choice(parts), rng.choice(parts), rng) for _ in range(40)]
+        seen = Counter()
+        for g in graphs + glued:
+            vc, ec = connectivity_le3(g)
+            assert vc == vertex_connectivity_le3_bruteforce(g)
+            if g.n <= 12:
+                assert ec == edge_connectivity_le3_bruteforce(g)
+            assert connectivity_le3(shifted(g)[0]) == (vc, ec)
+            seen[vc] += 1
+        assert all(connectivity_le3(g)[0] == 2 for g in glued)
+        assert seen[2] >= 60 and seen[3] >= 60
+
     def test_equivalence_max_degree3(self):
         # vertex and edge connectivity coincide up to 3 at max degree 3
         rng = random.Random(6)
@@ -375,6 +400,20 @@ class TestConnectivity:
             g = random_max_deg3_graph(rng.randint(1, 10), rng)
             vc, ec = connectivity_le3(g)
             assert vc == ec
+
+
+def glued_at_pair(g1: Graph, g2: Graph, rng: random.Random) -> Graph:
+    """g1 and g2, each on ids 0..n-1, with two vertices of g2 identified with
+    two of g1, then every id permuted at random: the two shared vertices
+    separate the rest."""
+    a, b = rng.sample(g1.vertices, 2)
+    c, d = rng.sample(g2.vertices, 2)
+    to = {v: g1.n + i for i, v in enumerate(v for v in g2.vertices if v not in (c, d))}
+    to[c], to[d] = a, b
+    keys = set(g1.edges()) | {edge_key(to[u], to[v]) for u, v in g2.edges()}
+    n = g1.n + g2.n - 2
+    perm = rng.sample(range(n), n)
+    return Graph(perm, [(perm[u], perm[v]) for u, v in keys])
 
 
 def bridgeless_simple_graphs(rng, count):

@@ -11,6 +11,7 @@ from fvsbound.instances import (
     _K4_FACES,
     _K4_ROTATION,
     _GrowingCubicBase,
+    _shuffle,
     chain,
     disjoint_cycles,
     make_named,
@@ -158,6 +159,18 @@ class TestRandomCubic:
         with pytest.raises(PreconditionViolated):
             random_cubic_2connected(7, 0)
 
+    def test_draws_replay_random_shuffle(self):
+        # The generator's graphs stay those of ``Random.shuffle`` only while
+        # ``_shuffle`` leaves the same list and the same generator state.
+        for length in [*range(71), 300, 2400, 9600]:
+            for seed in range(20):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                x, y = list(range(length)), list(range(length))
+                _shuffle(x, ours.getrandbits)
+                theirs.shuffle(y)
+                assert x == y, (length, seed)
+                assert ours.getstate() == theirs.getstate(), (length, seed)
+
 
 class TestRandomPlanarGirth:
     def test_girth_scales_with_subdivision(self):
@@ -248,6 +261,11 @@ class TestGeneratorPins:
     @pytest.mark.parametrize("args, digest", [
         ((100, 1), "7f9e615cd9b61eb476bb0ada90893bd8b8084cc700aae82f66ccd51c3e6412d3"),
         ((800, 2), "30e5c5c234bd98ee61c682c6f46c9bdc0a16b9a4a33c16b17d9477d07ab5f6ee"),
+        ((4, 0), "b68fb7de3d4c450107307a6d055e1d97e292335557965c26edfc710d3104e6dd"),
+        ((10, 3), "5f27be367d3ec42150faba5bb11d88a6375bbf07f43204ed509dfdb2813eb2b7"),
+        # CI's smoke graph, and the rung above it.
+        ((3200, 1), "96e008b559eebe3c42fced6a674e429c1449ba02ef2caa5e3fada801cd8ec9f6"),
+        ((12800, 1), "b40f80044b8b7fd8a9975d17b694a2c87e0f44d73c7e9edb6a0dcbea43ad941f"),
     ])
     def test_random_cubic_2connected(self, args, digest):
         assert generator_digest(random_cubic_2connected(*args)) == digest
