@@ -22,6 +22,15 @@ amortized time rather than by a scan of every degree-2 vertex, so a long
 cycle solves in near-linear time. Every match is the lexicographically first one in ascending
 vertex/edge order, so identical inputs produce identical traces.
 
+Inside the working graph, vertices carry dense ids: the input's ids, in
+ascending order, are renamed 0..n-1 once per solve, so the adjacency and the
+searches' labels are lists indexed by id rather than dicts. The renaming is
+strictly increasing, so every "least", "sorted" and "lexicographically first"
+choice picks the same vertices, and each id is named back to the input's only
+where it leaves the solver: in a ``ReductionStep``, an error message, a frozen
+``Graph``, and the match of ``find_rule`` or ``apply_rule`` on a caller's
+``Graph``.
+
 The two connectivity questions each step raises are answered locally, by
 unit-capacity flow tests on the boundary, and exactly. The lemma: rewrites
 only delete vertices and add edges between survivors, so if some earlier
@@ -78,6 +87,7 @@ of the set is always global.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import permutations
 
@@ -112,12 +122,15 @@ class RuleId(enum.Enum):
 class _Work:
     """The solver's mutable graph, with the match indices kept current.
 
-    ``adj`` maps each vertex to its sorted neighbor tuple. It is built once in
-    ascending vertex order and vertices are only ever deleted, so it stays
-    ascending. It offers the read API of ``Graph`` that the matchers, the
-    appliers and the graph queries use. ``rewrite`` changes it in place and
-    then re-indexes only the dirty set D, the surviving neighbors of the
-    dropped vertices plus the endpoints of the added edges:
+    Vertices carry dense ids: ``ids[i]`` is the input's id of vertex i, and
+    ``ids`` ascends, so renaming to dense ids keeps every comparison of ids
+    and with it every tie-break (see the module docstring). ``adj[i]`` is
+    vertex i's sorted neighbor tuple, or None once i is dropped; ``n`` counts
+    the vertices left, and no vertex below ``first`` is left, since vertices
+    are only ever deleted. It offers the read API of ``Graph`` that the
+    matchers, the appliers and the graph queries use. ``rewrite`` changes it
+    in place and then re-indexes only the dirty set D, the surviving
+    neighbors of the dropped vertices plus the endpoints of the added edges:
 
     - ``deg2``: the degree-2 vertices (R1), and ``deg2_heap``, a min-heap
       that holds each of them and maybe stale entries, which are dropped
@@ -126,24 +139,36 @@ class _Work:
       R3, R6); only edges at D can change;
     - ``groups``: degree-3 vertices keyed by their neighbor tuple, and
       ``twins``, the keys held by two or more of them (R4).
+
+    The flow tests label vertices in ``mark`` and ``link``, lists by id.
+    Each search takes the next ``epoch``, a multiple of 8, and writes labels
+    from epoch to epoch + 6, so any label below its epoch is left over from
+    an earlier search and reads as unlabelled: nothing is cleared between
+    searches.
     """
 
-    __slots__ = ("adj", "keys", "deg2", "deg2_heap", "tri", "groups", "twins", "_weights",
-                 "boundary", "added", "pending", "cut")
+    __slots__ = ("adj", "ids", "n", "first", "keys", "deg2", "deg2_heap", "tri", "groups",
+                 "twins", "_weights", "boundary", "added", "pending", "cut",
+                 "mark", "link", "epoch")
 
     def __init__(self, g: Graph):
-        self.adj = {v: g.neighbors(v) for v in g.vertices}
+        ids = self.ids = g.vertices
+        dense = dict(zip(ids, range(len(ids))))
+        rename = dense.__getitem__
+        self.adj: list[tuple[int, ...] | None] = [tuple(map(rename, ns)) for ns in g._adj.values()]
+        self.n = len(ids)
+        self.first = 0
         # g's own weight map, only read. ``keys`` maps each current edge's
-        # key to the one tuple that stands for it: g's key, or the tuple of
-        # the step that added the edge. Steps share these tuples.
+        # dense key to the one tuple that stands for it: g's key, or the
+        # tuple of the step that added the edge. Steps share these tuples.
         self._weights = g._weights
-        self.keys: dict[EdgeKey, EdgeKey] = {e: e for e in g._weights}
+        self.keys: dict[EdgeKey, EdgeKey] = {(dense[e[0]], dense[e[1]]): e for e in g._weights}
         self.deg2: set[int] = set()
         self.deg2_heap: list[int] = []
         self.tri: dict[EdgeKey, list[int]] = {}
         self.groups: dict[tuple[int, ...], set[int]] = {}
         self.twins: set[tuple[int, ...]] = set()
-        self._index(self.adj)
+        self._index(range(self.n))
         # The dirty sets accumulated since the graph was last proven
         # 3-edge-connected, less the vertices dropped since; None before that.
         # While it is known, ``added`` holds the edges added since that graph
@@ -151,18 +176,18 @@ class _Work:
         self.boundary: set[int] | None = None
         self.added: set[EdgeKey] = set()
         # A deferred check leaves the dirty sets since the last graph proven
-        # 2-connected, and the rule and match of the step they start at.
+        # 2-connected, and the rule and match (in the input's ids) of the
+        # step they start at.
         self.pending: tuple[set[int], tuple[str, tuple[int, ...]]] | None = None
         # The match R5 found on the current graph, with its cut.
         self.cut: tuple[tuple[int, ...], CutStructure] | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.adj)
+        self.mark = [0] * self.n
+        self.link = [0] * self.n
+        self.epoch = 0
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(self.adj)
+        return tuple([v for v, ns in enumerate(self.adj) if ns is not None])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
@@ -171,13 +196,31 @@ class _Work:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj.get(u, ())
+        return v in self.adj[u]
+
+    def __contains__(self, v: int) -> bool:
+        return 0 <= v < len(self.adj) and self.adj[v] is not None
+
+    def named(self, vertices) -> tuple[int, ...]:
+        """The input's ids of these vertices, in the same order."""
+        ids = self.ids
+        return tuple([ids[v] for v in vertices])
+
+    def _name(self, v: int) -> int | str:
+        """For rewrite's errors: the input's id of v, or "#v" if no vertex had id v."""
+        return self.ids[v] if 0 <= v < len(self.ids) else f"#{v}"
 
     def freeze(self) -> Graph:
-        """The current graph as an immutable Graph; added edges weigh 1."""
-        weights = self._weights
-        return Graph(self.adj, [(v, u, weights.get((v, u), 1))
-                                for v, ns in self.adj.items() for u in ns if v < u])
+        """The current graph in the input's ids, as an immutable Graph; added edges weigh 1."""
+        adj, keys, weights = self.adj, self.keys, self._weights
+        live = [v for v, ns in enumerate(adj) if ns is not None]
+        edges = []
+        for v in live:
+            for u in adj[v]:
+                if v < u:
+                    e = keys[(v, u)]
+                    edges.append((e[0], e[1], weights.get(e, 1)))
+        return Graph(self.named(live), edges)
 
     def mark_three_edge_connected(self) -> None:
         """Make the current graph, proven 3-edge-connected, the new G0."""
@@ -189,49 +232,52 @@ class _Work:
         """Remove vertices, then add edges among the survivors, in place.
 
         One walk of the dropped vertices' rings finds the dirty vertices with
-        their surviving neighbors and the removed edge keys. Returns the dirty
+        their surviving neighbors and the removed edges. Returns the dirty
         vertices, each with its new neighbors in ascending order, the removed
-        edge keys as the tuples ``keys`` held for them, and the added edge
-        keys, which ``keys`` then holds. Adds the dirty set to ``boundary``; while
-        G0 is known, ``added`` follows, and the cut is forgotten. Raises
-        ValueError, before changing anything, on a loop, a parallel edge, or
-        an endpoint that is not in the reduced graph.
+        edges as the tuples ``keys`` held for them, and the added edges as new
+        tuples in the input's ids, which ``keys`` then holds. Adds the dirty
+        set to ``boundary``; while G0 is known, ``added`` follows, and the cut
+        is forgotten. Raises ValueError, before changing anything, on a loop,
+        a parallel edge, or an endpoint that is not in the reduced graph.
         """
-        adj, keys = self.adj, self.keys
+        adj, keys, ids = self.adj, self.keys, self.ids
         gone = set(drop)
-        missing = gone.difference(adj)
+        missing = [v for v in gone if v not in self]
         if missing:
-            raise ValueError(f"vertices {sorted(missing)} not in graph")
+            raise ValueError(f"vertices {[self._name(v) for v in sorted(missing)]} not in graph")
         dirty: dict[int, list[int]] = {}
         removed: list[EdgeKey] = []
         for v in gone:
             for u in adj[v]:
                 if u not in gone:
-                    removed.append(keys[(u, v) if u < v else (v, u)])
+                    removed.append((u, v) if u < v else (v, u))
                     ns = dirty.get(u)
                     if ns is None:
                         dirty[u] = ns = list(adj[u])
                     ns.remove(v)
                 elif v < u:
-                    removed.append(keys[(v, u)])
+                    removed.append((v, u))
         added: list[EdgeKey] = []
         for u, v in add:
             if u == v:
-                raise ValueError(f"loop at vertex {u}")
+                raise ValueError(f"loop at vertex {self._name(u)}")
             for x in (u, v):
                 if x not in dirty:
-                    if x in gone or x not in adj:
-                        raise ValueError(f"vertex {x} not in the reduced graph")
+                    if x in gone or x not in self:
+                        raise ValueError(f"vertex {self._name(x)} not in the reduced graph")
                     dirty[x] = list(adj[x])
             if v in dirty[u]:
-                raise ValueError(f"parallel edge ({u}, {v})")
+                raise ValueError(f"parallel edge ({ids[u]}, {ids[v]})")
             dirty[u].append(v)
             dirty[v].append(u)
             added.append((u, v) if u < v else (v, u))
+        removed_keys = [keys[e] for e in removed]
         for e in removed:
             del keys[e]
+        added_keys = []
         for e in added:
-            keys[e] = e
+            keys[e] = named = (ids[e[0]], ids[e[1]])
+            added_keys.append(named)
         self._unindex([*gone, *dirty])
         if self.boundary is not None:
             self.added.difference_update(removed)
@@ -239,13 +285,14 @@ class _Work:
             self.boundary -= gone
             self.boundary.update(dirty)
         for v in gone:
-            del adj[v]
+            adj[v] = None
+        self.n -= len(gone)
         for v, ns in dirty.items():
             ns.sort()
             adj[v] = tuple(ns)
         self._index(dirty)
         self.cut = None
-        return dirty, removed, added
+        return dirty, removed_keys, added_keys
 
     def least_deg2(self) -> int | None:
         """The least degree-2 vertex, or None; drops the stale tops of the heap."""
@@ -253,6 +300,14 @@ class _Work:
         while heap and heap[0] not in deg2:
             heappop(heap)
         return heap[0] if heap else None
+
+    def least_vertex(self) -> int:
+        """The least vertex left; moves ``first`` past the dropped ones."""
+        adj, v = self.adj, self.first
+        while adj[v] is None:
+            v += 1
+        self.first = v
+        return v
 
     def _unindex(self, vertices) -> None:
         adj, tri, groups = self.adj, self.tri, self.groups
@@ -297,24 +352,29 @@ def _third(g: _Work, v: int, excluded: tuple[int, ...]) -> int:
     rest = [u for u in g.neighbors(v) if u not in excluded]
     if len(rest) != 1:
         raise InternalInvariantBroken(
-            f"vertex {v} should have exactly one neighbor outside {excluded}")
+            f"vertex {g.ids[v]} should have exactly one neighbor outside {g.named(excluded)}")
     return rest[0]
 
 
 # -- local connectivity tests --------------------------------------------------
 
 
-def _residual_path(adj: dict[int, tuple[int, ...]], s: int, t: int,
+def _residual_path(g: _Work, s: int, t: int,
                    used: set[tuple[int, int]], busy: set[int]) -> list[int] | None:
     """An s-t path over the arcs with residual capacity, or None.
 
     ``used`` holds the arcs (u, v) that carry one unit of flow from u to v and
     ``busy`` their tails; every other arc has residual capacity. A BFS grows
     from s and another into t, one level of the smaller frontier at a time,
-    and the first vertex both reach closes the path.
+    and the first arc from one tree to the other closes the path. A vertex
+    the search from s reaches is marked ``epoch``, one the search into t
+    reaches ``epoch + 1``, and ``link`` holds its tree parent.
     """
-    pred = {s: s}
-    succ = {t: t}
+    adj, mark, link = g.adj, g.mark, g.link
+    fore = g.epoch = g.epoch + 8
+    aft = fore + 1
+    mark[s], link[s] = fore, s
+    mark[t], link[t] = aft, t
     front, back = [s], [t]
     while front and back:
         nxt = []
@@ -322,32 +382,33 @@ def _residual_path(adj: dict[int, tuple[int, ...]], s: int, t: int,
             for u in front:
                 free = u not in busy
                 for v in adj[u]:
-                    if v not in pred and (free or (u, v) not in used):
-                        pred[v] = u
-                        if v in succ:
-                            return _joined(pred, succ, v)
+                    if mark[v] != fore and (free or (u, v) not in used):
+                        if mark[v] == aft:
+                            return _joined(link, u, v)
+                        mark[v], link[v] = fore, u
                         nxt.append(v)
             front = nxt
         else:
             for v in back:
                 for u in adj[v]:
-                    if u not in succ and (u not in busy or (u, v) not in used):
-                        succ[u] = v
-                        if u in pred:
-                            return _joined(pred, succ, u)
+                    if mark[u] != aft and (u not in busy or (u, v) not in used):
+                        if mark[u] == fore:
+                            return _joined(link, u, v)
+                        mark[u], link[u] = aft, v
                         nxt.append(u)
             back = nxt
     return None
 
 
-def _joined(pred: dict[int, int], succ: dict[int, int], meet: int) -> list[int]:
-    """The path through ``meet`` along ``pred`` back to its root and ``succ`` on to its root."""
-    path = [meet]
-    while pred[path[-1]] != path[-1]:
-        path.append(pred[path[-1]])
+def _joined(link: list[int], u: int, v: int) -> list[int]:
+    """The path along ``link`` from its root to u, then from v on to its root."""
+    path = [u]
+    while link[path[-1]] != path[-1]:
+        path.append(link[path[-1]])
     path.reverse()
-    while succ[path[-1]] != path[-1]:
-        path.append(succ[path[-1]])
+    path.append(v)
+    while link[path[-1]] != path[-1]:
+        path.append(link[path[-1]])
     return path
 
 
@@ -363,7 +424,7 @@ _MATCHINGS = [sum(1 << (3 * i + j) for i, j in enumerate(p)) for p in permutatio
 _PERFECT = tuple(any(mask & m == m for m in _MATCHINGS) for mask in range(512))
 
 
-def _three_disjoint_paths(adj: dict[int, tuple[int, ...]], s: int, t: int) -> bool:
+def _three_disjoint_paths(g: _Work, s: int, t: int) -> bool:
     """True if a colored search finds three internally vertex-disjoint s-t paths.
 
     For s and t of degree 3, not adjacent. Each neighbor of s roots a tree of
@@ -375,17 +436,22 @@ def _three_disjoint_paths(adj: dict[int, tuple[int, ...]], s: int, t: int) -> bo
     the pair (i, j) for the path s-w-t, so no other pair uses t-color j.
     Three pairs forming a perfect matching are three such paths, so
     λ(s, t) >= 3. False when a frontier empties first, which proves nothing.
+    Vertex v has color ``mark[v] - base`` for this search's epoch ``base``,
+    and none if ``mark[v]`` is below it.
     """
-    color = {s: 6, t: 6}
+    adj, mark = g.adj, g.mark
+    base = g.epoch = g.epoch + 8
+    mark[s] = mark[t] = base + 6
     front, back = list(adj[s]), []
     for i, a in enumerate(front):
-        color[a] = i
+        mark[a] = base + i
     mask = 0
     for j, b in enumerate(adj[t]):
-        if b in color:
-            mask |= _PAIR[color[b]][3 + j]
+        c = mark[b] - base
+        if c >= 0:
+            mask |= _PAIR[c][3 + j]
         else:
-            color[b] = 3 + j
+            mark[b] = base + 3 + j
             back.append(b)
     if _PERFECT[mask]:
         return True
@@ -394,22 +460,22 @@ def _three_disjoint_paths(adj: dict[int, tuple[int, ...]], s: int, t: int) -> bo
             front, back = back, front
         nxt = []
         for u in front:
-            cu = color[u]
-            pairs = _PAIR[cu]
+            cu = mark[u]
+            pairs = _PAIR[cu - base]
             for v in adj[u]:
-                if v not in color:
-                    color[v] = cu
+                mv = mark[v]
+                if mv < base:
+                    mark[v] = cu
                     nxt.append(v)
-                elif pairs[color[v]]:
-                    mask |= pairs[color[v]]
+                elif mv != cu and pairs[mv - base]:
+                    mask |= pairs[mv - base]
                     if _PERFECT[mask]:
                         return True
         front = nxt
     return False
 
 
-def _edge_disjoint_paths(adj: dict[int, tuple[int, ...]], s: int, t: int,
-                         k: int) -> bool:
+def _edge_disjoint_paths(g: _Work, s: int, t: int, k: int) -> bool:
     """True iff k edge-disjoint paths join s and t, i.e. λ(s, t) >= k.
 
     Ford-Fulkerson with unit capacities: k augmenting paths, each found by a
@@ -421,15 +487,16 @@ def _edge_disjoint_paths(adj: dict[int, tuple[int, ...]], s: int, t: int,
     exist whenever λ(s, t) >= 3, and the colored search misses them only by
     growing its trees greedily. Then Ford-Fulkerson decides.
     """
+    adj = g.adj
     if len(adj[s]) < k or len(adj[t]) < k:
         return False
     if (k == 3 and len(adj[s]) == len(adj[t]) == 3 and t not in adj[s]
-            and _three_disjoint_paths(adj, s, t)):
+            and _three_disjoint_paths(g, s, t)):
         return True
     used: set[tuple[int, int]] = set()
     busy: set[int] = set()
     for _ in range(k - 1):
-        path = _residual_path(adj, s, t, used, busy)
+        path = _residual_path(g, s, t, used, busy)
         if path is None:
             return False
         for u, v in zip(path, path[1:]):
@@ -438,10 +505,10 @@ def _edge_disjoint_paths(adj: dict[int, tuple[int, ...]], s: int, t: int,
             else:
                 used.add((u, v))
         busy = {u for u, _ in used}
-    return _residual_path(adj, s, t, used, busy) is not None
+    return _residual_path(g, s, t, used, busy) is not None
 
 
-def _edge_connected_within(adj: dict[int, tuple[int, ...]], boundary, k: int) -> bool:
+def _edge_connected_within(g: _Work, boundary, k: int) -> bool:
     """True iff no cut of fewer than k edges separates two vertices of ``boundary``.
 
     Fixes one boundary vertex s and tests λ(s, t) >= k for every other t: a
@@ -449,7 +516,7 @@ def _edge_connected_within(adj: dict[int, tuple[int, ...]], boundary, k: int) ->
     """
     rest = iter(boundary)
     s = next(rest, None)
-    return all(_edge_disjoint_paths(adj, s, t, k) for t in rest)
+    return all(_edge_disjoint_paths(g, s, t, k) for t in rest)
 
 
 def _three_edge_connected(g: _Work) -> bool:
@@ -460,10 +527,10 @@ def _three_edge_connected(g: _Work) -> bool:
     """
     for v in g.boundary:
         if len(g.adj[v]) != 3:
-            return _edge_connected_within(g.adj, sorted(g.boundary), 3)
+            return _edge_connected_within(g, sorted(g.boundary), 3)
     s = min(g.boundary, default=None)
     for t in _split_targets(s, g.added):
-        if not _edge_disjoint_paths(g.adj, s, t, 3):
+        if not _edge_disjoint_paths(g, s, t, 3):
             return False
     return True
 
@@ -563,20 +630,24 @@ def find_rule(g: Graph | _Work) -> tuple[RuleId, tuple[int, ...]]:
     R7 is total on the graphs the solver feeds it (cubic, 3-connected,
     triangle-free, no doubled 4-cycles); the matcher itself is well-defined
     on any graph with min degree 2. A Graph is wrapped in a fresh working
-    graph; the solver passes its own, whose indices are already current.
+    graph, and the match is named in the Graph's ids; the solver passes its
+    own, whose indices are already current, and gets dense ids back.
     """
-    work = g if isinstance(g, _Work) else _Work(g)
-    v = work.least_deg2()
+    if not isinstance(g, _Work):
+        work = _Work(g)
+        rule, match = find_rule(work)
+        return rule, work.named(match)
+    v = g.least_deg2()
     if v is not None:
-        u, w = work.adj[v]
+        u, w = g.adj[v]
         return RuleId.R1_DEGREE2, (v, u, w)
-    triangles = sorted(work.tri.items())
+    triangles = sorted(g.tri.items())
     for rule, matcher in _MATCHERS:
-        match = matcher(work, triangles)
+        match = matcher(g, triangles)
         if match is not None:
             return rule, match
-    v = next(iter(work.adj))
-    nbrs = work.adj[v]
+    v = g.least_vertex()
+    nbrs = g.adj[v]
     return RuleId.R7_GENERIC, (v, nbrs[0], nbrs[1])
 
 
@@ -587,27 +658,28 @@ def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
            rule: RuleId, match: tuple[int, ...],
            designated: tuple[int, ...]) -> ReductionStep:
     n_before = g.n
+    named = g.named(match)
     # ``cover`` gathers the dirty sets since the last graph proven 2-connected.
-    cover, (name, matched) = g.pending or (set(), (rule.value, match))
+    cover, (name, matched) = g.pending or (set(), (rule.value, named))
     g.pending = None
     try:
         dirty, removed, added = g.rewrite(drop, add)
     except ValueError as exc:
         raise InternalInvariantBroken(
-            f"{rule.value} on {match}: reduced graph is not simple ({exc})")
+            f"{rule.value} on {named}: reduced graph is not simple ({exc})")
     if g.n >= n_before:
         raise InternalInvariantBroken(f"{rule.value} did not shrink the graph")
     # Only the dirty vertices changed degree.
     for ns in dirty.values():
         if len(ns) > 3:
             raise InternalInvariantBroken(
-                f"{rule.value} on {match}: reduced graph exceeds degree 3")
+                f"{rule.value} on {named}: reduced graph exceeds degree 3")
     step = ReductionStep(
-        rule=rule.value, matched=match,
-        removed_vertices=tuple(sorted(drop)),
+        rule=rule.value, matched=named,
+        removed_vertices=g.named(sorted(drop)),
         removed_edges=tuple(sorted(removed)),
         added_edges=tuple(sorted(added)),
-        designated=designated)
+        designated=g.named(designated))
     cover.difference_update(drop)
     cover.update(dirty)
     least = g.least_deg2()
@@ -619,7 +691,7 @@ def _build(g: _Work, drop: list[int], add: list[tuple[int, int]],
     if (g.boundary is not None and least is None and g.n >= 3
             and _three_edge_connected(g)):
         g.mark_three_edge_connected()
-    elif not (g.n >= 3 and _edge_connected_within(g.adj, cover, 2)):
+    elif not (g.n >= 3 and _edge_connected_within(g, cover, 2)):
         raise InternalInvariantBroken(f"{name} on {matched}: reduced graph is not 2-connected")
     return step
 
@@ -631,8 +703,8 @@ def _remove_triangle(g: _Work, rule: RuleId, match: tuple[int, ...],
     b = _third(g, q, (apex, p))
     if a == b or g.has_edge(a, b):
         raise InternalInvariantBroken(
-            f"{rule.value} on {match}: outer neighbors of triangle {apex}-{p}-{q} "
-            "must be distinct and non-adjacent")
+            f"{rule.value} on {g.named(match)}: outer neighbors of triangle "
+            "{}-{}-{} must be distinct and non-adjacent".format(*g.named((apex, p, q))))
     return _build(g, [apex, p, q], [(a, b)], rule, match, (apex,))
 
 
@@ -768,11 +840,16 @@ def apply_rule(g: Graph | _Work, rule: RuleId,
     whole-graph exit check. Raises InternalInvariantBroken when the reduced
     graph leaves the class of simple 2-connected subcubic graphs: the rewrite
     proofs guarantee closure, so that only signals a bug or a stale match.
+    The working graph takes a match in its dense ids, a Graph in its own.
     """
     if isinstance(g, _Work):
         return g, _APPLIERS[rule](g, match)
     work = _Work(g)
-    step = _APPLIERS[rule](work, match)
+    ids = work.ids
+    dense = tuple(bisect_left(ids, v) for v in match)
+    if any(i == len(ids) or ids[i] != v for i, v in zip(dense, match)):
+        raise InternalInvariantBroken(f"{rule.value} on {match}: stale match, not in the graph")
+    step = _APPLIERS[rule](work, dense)
     return _checked_freeze(work, step), step
 
 

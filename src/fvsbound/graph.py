@@ -10,8 +10,8 @@ The connectivity queries ``connected_components``, ``is_two_connected``,
 ``min_side_two_edge_cut`` read a graph only through ``n``, ``vertices``
 (ascending) and ``neighbors`` (sorted), so the cubic solver can ask them
 about its mutable working graph without building a ``Graph``. One lowpoint
-DFS answers cut vertices, bridges and the number of components, and its
-forest feeds the cycle-space labelling of the 2-edge-cut queries.
+DFS answers cut vertices, bridges and the number of components; only the
+2-edge-cut queries have it record its forest, for their cycle-space labelling.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ def _components(g: Graph, skip: Iterable[EdgeKey]) -> list[set[int]]:
     return comps
 
 
-def _lowpoint_dfs(g: Graph, skip: int | None = None
+def _lowpoint_dfs(g: Graph, skip: int | None = None, *, forest: bool = False
                   ) -> tuple[list[int], list[EdgeKey], int, list[tuple], list[tuple]]:
     """Sorted cut vertices and bridges, the component count, and the DFS forest.
 
@@ -340,8 +340,10 @@ def _lowpoint_dfs(g: Graph, skip: int | None = None
     J. Comput. 1972), from its least vertex, neighbors ascending: a non-root v
     is a cut vertex iff some tree child c has low[c] >= disc[v], the root iff
     it has two or more tree children, and a tree edge (v, c) is a bridge iff
-    low[c] > disc[v]. The forest: tree edges (parent, child) in postorder and
-    back edges (descendant, ancestor) as found. A root is its own parent.
+    low[c] > disc[v]. Only with ``forest`` is the forest recorded, for the
+    2-edge-cut labelling; otherwise its two lists come back empty. The forest:
+    tree edges (parent, child) in postorder and back edges (descendant,
+    ancestor) as found. A root is its own parent.
 
     With ``skip``, the answers are those of g - skip, without building it:
     ``skip`` starts out discovered, later than any vertex will be, so it is
@@ -369,9 +371,10 @@ def _lowpoint_dfs(g: Graph, skip: int | None = None
                     continue
                 if u in disc:
                     # No cross edges in an undirected DFS: u is an ancestor, or
-                    # a finished descendant whose back edge to v is recorded.
+                    # a finished descendant whose back edge to v was met from u.
                     if disc[u] < disc[v]:
-                        back.append((v, u))
+                        if forest:
+                            back.append((v, u))
                         if disc[u] < low[v]:
                             low[v] = disc[u]
                 else:
@@ -383,7 +386,8 @@ def _lowpoint_dfs(g: Graph, skip: int | None = None
             else:
                 stack.pop()
                 if v != root:
-                    tree.append((parent, v))
+                    if forest:
+                        tree.append((parent, v))
                     if low[v] < low[parent]:
                         low[parent] = low[v]
                     if parent != root and low[v] >= disc[parent]:
@@ -424,7 +428,7 @@ def _two_edge_cuts(g: Graph) -> Iterator[tuple[tuple[EdgeKey, EdgeKey], list[set
     by a component search that skips both edges. Raises before yielding
     anything if the DFS finds more than one component or a bridge.
     """
-    _, cut_edges, components, tree, back = _lowpoint_dfs(g)
+    _, cut_edges, components, tree, back = _lowpoint_dfs(g, forest=True)
     if components > 1:
         raise PreconditionViolated("graph must be connected")
     if cut_edges:

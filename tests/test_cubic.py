@@ -8,7 +8,7 @@ import pytest
 
 import fvsbound.cubic as cubic_module
 import fvsbound.graph as graph_module
-from fvsbound.certificate import BoundKind
+from fvsbound.certificate import BoundKind, ReductionStep
 from fvsbound.cubic import (
     BASE_CASE_MAX_N,
     RuleId,
@@ -392,7 +392,8 @@ class TestSolveCubic:
         g = random_cubic_2connected(200, 1)
         sizes = []
         dfs = graph_module._lowpoint_dfs
-        monkeypatch.setattr(graph_module, "_lowpoint_dfs", lambda h: sizes.append(h.n) or dfs(h))
+        monkeypatch.setattr(graph_module, "_lowpoint_dfs",
+                            lambda h, **kw: sizes.append(h.n) or dfs(h, **kw))
         solve_cubic(g)
         assert sizes == [200, 9]
 
@@ -524,17 +525,33 @@ class TestSolveCubic:
         assert fired >= 2
 
 
+def dense_ids(work):
+    """The working graph's dense id of each vertex id of its input."""
+    return {v: i for i, v in enumerate(work.ids)}
+
+
+def named_indices(work):
+    """``deg2``, ``tri``, ``groups`` and ``twins`` of a working graph, in its input's ids."""
+    return ({work.ids[v] for v in work.deg2},
+            {work.named(e): work.named(common) for e, common in work.tri.items()},
+            {work.named(key): set(work.named(group)) for key, group in work.groups.items()},
+            {work.named(key) for key in work.twins})
+
+
 def assert_indices_current(work):
-    fresh = _Work(work.freeze())
-    assert work.deg2 == fresh.deg2
+    # A fresh working graph gives the survivors new dense ids, so the two
+    # are compared in the input's ids.
+    deg2, tri, groups, twins = named_indices(work)
+    fresh_deg2, fresh_tri, fresh_groups, fresh_twins = named_indices(_Work(work.freeze()))
+    assert deg2 == fresh_deg2
     # R1 reads the heap: it holds every degree-2 vertex, and its least live
     # entry is the least of them.
     assert work.deg2 <= set(work.deg2_heap)
     live = [v for v in work.deg2_heap if v in work.deg2]
     assert min(live, default=None) == min(work.deg2, default=None)
-    assert work.tri == fresh.tri
-    assert work.groups == fresh.groups
-    assert work.twins == fresh.twins
+    assert tri == fresh_tri
+    assert groups == fresh_groups
+    assert twins == fresh_twins
 
 
 def dirty_set(before, drop, add):
@@ -556,8 +573,9 @@ def assert_records_current(work, g0):
     """
     now = work.freeze()
     assert {g0.degree(v) for v in g0.vertices} == {3}
-    assert work.added == {e for e in now.edges() if not g0.has_edge(*e)}
-    added = Counter(x for e in work.added for x in e)
+    added_edges = {work.named(e) for e in work.added}
+    assert added_edges == {e for e in now.edges() if not g0.has_edge(*e)}
+    added = Counter(x for e in added_edges for x in e)
     for u in now.vertices:
         lost = sum(1 for d in g0.neighbors(u) if d not in now)
         assert lost == 3 - now.degree(u) + added[u]
@@ -572,10 +590,10 @@ class TestLocalChecks:
         rng = random.Random(71)
         for _ in range(200):
             g = random_max_deg3_graph(rng.randint(2, 9), rng)
-            adj = {v: g.neighbors(v) for v in g.vertices}
+            work = _Work(g)
             lam = edge_connectivity_le3_bruteforce(g)
             for k in (1, 2, 3):
-                assert _edge_connected_within(adj, g.vertices, k) == (lam >= k)
+                assert _edge_connected_within(work, work.vertices, k) == (lam >= k)
 
     def test_solver_graph_catches_a_bridge_behind_one_dirty_vertex(self):
         # Dropping 0 (joined to the square 1-3-2-4 at 1 and 2, and to the
@@ -604,10 +622,11 @@ class TestLocalChecks:
         assert connectivity_le3(g) == (3, 3)
         work = _Work(g)
         work.boundary = set()
+        d = dense_ids(work)
         with pytest.raises(InternalInvariantBroken, match="not 2-connected"):
-            cubic_module._build(work, [4, 5, 14, 15],
-                                [(3, 9), (7, 8), (13, 19), (17, 18)],
-                                RuleId.R7_GENERIC, (4,), ())
+            cubic_module._build(work, [d[4], d[5], d[14], d[15]],
+                                [(d[3], d[9]), (d[7], d[8]), (d[13], d[19]), (d[17], d[18])],
+                                RuleId.R7_GENERIC, (d[4],), ())
 
     def test_split_targets_after_an_r7_and_its_r1_step_are_two(self):
         # Six boundary vertices with one G0 edge each, paired by the three
@@ -668,17 +687,18 @@ class TestLocalChecks:
         assert connectivity_le3(g) == (3, 3)
         work = _Work(g)
         work.mark_three_edge_connected()
-        apply_rule(work, RuleId.R7_GENERIC, (1, 2, 6))
+        d = dense_ids(work)
+        apply_rule(work, RuleId.R7_GENERIC, (d[1], d[2], d[6]))
         assert work.pending is not None
         tests = []
         paths = cubic_module._edge_disjoint_paths
         monkeypatch.setattr(cubic_module, "_edge_disjoint_paths",
-                            lambda adj, s, t, k: tests.append((s, t)) or paths(adj, s, t, k))
-        apply_rule(work, RuleId.R1_DEGREE2, (11, 12, 16))
-        assert work.added == {(3, 7), (8, 9), (12, 16)}
+                            lambda g, s, t, k: tests.append(work.named((s, t))) or paths(g, s, t, k))
+        apply_rule(work, RuleId.R1_DEGREE2, (d[11], d[12], d[16]))
+        assert {work.named(e) for e in work.added} == {(3, 7), (8, 9), (12, 16)}
         # The λ >= 3 test fails at its second t, across the cut, and ∂ stays.
         assert tests[:2] == [(3, 8), (3, 12)]
-        assert work.boundary == {3, 7, 8, 9, 12, 16}
+        assert set(work.named(work.boundary)) == {3, 7, 8, 9, 12, 16}
         assert not _three_edge_connected(work)
         assert min_side_two_edge_cut(work.freeze()) is not None
 
@@ -708,7 +728,7 @@ class TestLocalChecks:
                            if not work.has_edge(*e)]
                 work.rewrite(drop, add)
                 local = _three_edge_connected(work)
-                assert local == _edge_connected_within(work.adj, work.boundary, 3)
+                assert local == _edge_connected_within(work, work.boundary, 3)
                 assert local == (connectivity_le3(work.freeze())[1] == 3)
                 answers[local] += 1
         assert answers[True] >= 20 and answers[False] >= 20
@@ -731,7 +751,7 @@ class TestDegree2Heap:
     def assert_steps_match_reference(work):
         while work.n > BASE_CASE_MAX_N:
             rule, match = find_rule(work)
-            assert (rule, match) == reference_find_rule(work.freeze())
+            assert (rule, work.named(match)) == reference_find_rule(work.freeze())
             apply_rule(work, rule, match)
             assert_indices_current(work)
 
@@ -778,12 +798,13 @@ class TestColoredSearch:
                 g = random_max_deg3_graph(rng.randint(4, 12), rng)
             else:
                 g = random_cubic_2connected(2 * rng.randint(3, 6), trial)
-            adj = {v: g.neighbors(v) for v in g.vertices}
+            work = _Work(g)
+            adj = work.adj
             for (s, t), lam in local_edge_connectivity_le3(g).items():
                 for k in (1, 2, 3):
-                    assert _edge_disjoint_paths(adj, s, t, k) == (lam >= k)
+                    assert _edge_disjoint_paths(work, s, t, k) == (lam >= k)
                 if len(adj[s]) == len(adj[t]) == 3 and t not in adj[s]:
-                    found = _three_disjoint_paths(adj, s, t)
+                    found = _three_disjoint_paths(work, s, t)
                     assert lam == 3 or not found, (g.edges(), s, t)
                     answers[found, lam] += 1
         assert answers[True, 3] > answers[False, 3] > 0
@@ -793,13 +814,13 @@ class TestColoredSearch:
         counts = Counter()
         search, flow = _three_disjoint_paths, _edge_disjoint_paths
 
-        def counted_search(adj, s, t):
-            found = search(adj, s, t)
+        def counted_search(g, s, t):
+            found = search(g, s, t)
             counts["certified"] += found
             return found
 
-        def counted_flow(adj, s, t, k):
-            passed = flow(adj, s, t, k)
+        def counted_flow(g, s, t, k):
+            passed = flow(g, s, t, k)
             counts["passed"] += k == 3 and passed
             return passed
 
@@ -817,14 +838,14 @@ class TestColoredSearch:
         # Ford-Fulkerson decides.
         g = Graph(range(8), [(0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 7), (2, 5),
                              (3, 4), (3, 6), (4, 7), (5, 6)])
-        adj = {v: g.neighbors(v) for v in g.vertices}
+        work = _Work(g)
         assert local_edge_connectivity_le3(g)[5, 7] == 3
-        assert not _three_disjoint_paths(adj, 5, 7)
+        assert not _three_disjoint_paths(work, 5, 7)
         searches = []
         residual = cubic_module._residual_path
         monkeypatch.setattr(cubic_module, "_residual_path",
                             lambda *args: searches.append(args[1:3]) or residual(*args))
-        assert _edge_disjoint_paths(adj, 5, 7, 3)
+        assert _edge_disjoint_paths(work, 5, 7, 3)
         assert searches == [(5, 7)] * 3
 
 
@@ -840,7 +861,7 @@ class TestWorkingGraph:
         g0 = None
         while work.n > BASE_CASE_MAX_N:
             rule, match = find_rule(work)
-            assert (rule, match) == reference_find_rule(frozen)
+            assert (rule, work.named(match)) == reference_find_rule(frozen)
             if work.boundary == set():
                 g0 = frozen  # R5's global search found no cut
             before = frozen
@@ -853,10 +874,11 @@ class TestWorkingGraph:
             assert step.removed_edges == tuple(edges_at(before, step.removed_vertices))
             assert step.added_edges == tuple(e for e in frozen.edges() if not before.has_edge(*e))
             # The public path on a caller's Graph gives the same result and step.
-            assert apply_rule(before, rule, match) == (frozen, step)
+            assert apply_rule(before, rule, work.named(match)) == (frozen, step)
             assert_indices_current(work)
+            d = dense_ids(work)
             dirty = dirty_set(before, step.removed_vertices, step.added_edges)
-            assert _edge_connected_within(work.adj, dirty, 2) == is_two_connected(frozen)
+            assert _edge_connected_within(work, [d[v] for v in dirty], 2) == is_two_connected(frozen)
             if known and not work.deg2:
                 # The step asked λ >= 3 across ∂: a pass proves the graph
                 # 3-edge-connected and empties ∂.
@@ -866,7 +888,7 @@ class TestWorkingGraph:
                 g0 = frozen
             if work.boundary is not None:
                 assert_records_current(work, g0)
-                r5_local = _edge_connected_within(work.adj, work.boundary, 3)
+                r5_local = _edge_connected_within(work, work.boundary, 3)
                 assert r5_local == (min_side_two_edge_cut(frozen) is None)
                 assert _three_edge_connected(work) == r5_local
             yield rule, r5_local
@@ -926,12 +948,12 @@ class TestWorkingGraph:
                 assert sorted(removed) == sorted(edges_at(before, drop))
                 assert sorted(added) == sorted((min(e), max(e)) for e in add)
                 if is_two_connected(before) and after.max_degree() <= 3:
-                    local = after.n >= 3 and _edge_connected_within(work.adj, dirty, 2)
+                    local = after.n >= 3 and _edge_connected_within(work, dirty, 2)
                     assert local == is_two_connected(after)
                     answers.add((2, local))
                 if work.boundary is not None:
                     assert_records_current(work, g)
-                    local = _edge_connected_within(work.adj, work.boundary, 3)
+                    local = _edge_connected_within(work, work.boundary, 3)
                     assert _three_edge_connected(work) == local
                     if after.n >= 2:
                         assert local == (connectivity_le3(after)[1] == 3)
@@ -953,3 +975,127 @@ class TestWorkingGraph:
             with pytest.raises(ValueError):
                 work.rewrite(drop, add)
             assert work.freeze() == make_named("petersen").graph
+
+
+def moved(g, rng):
+    """g with its ids moved by a strictly increasing map, and the map.
+
+    The new ids run from -10^12 to 10^12 with random gaps between them.
+    """
+    new = [-10**12, *sorted(rng.sample(range(1 - 10**12, 10**12), g.n - 2)), 10**12]
+    to = dict(zip(g.vertices, new))
+    return Graph(new, [(to[u], to[v], g.weight(u, v)) for u, v in g.edges()]), to
+
+
+def moved_step(step, to):
+    """``step`` with every vertex id moved by ``to``."""
+    def ids(vertices):
+        return tuple(to[v] for v in vertices)
+    return ReductionStep(rule=step.rule, matched=ids(step.matched),
+                         removed_vertices=ids(step.removed_vertices),
+                         removed_edges=tuple(ids(e) for e in step.removed_edges),
+                         added_edges=tuple(ids(e) for e in step.added_edges),
+                         designated=ids(step.designated), note=step.note)
+
+
+class TestDenseIds:
+    """The working graph renames ids to 0..n-1 in ascending order and back."""
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(109)
+        for trial in range(6):
+            g = random_cubic_2connected(2 * rng.randint(8, 60), trial)
+            yield g
+            yield subdivided(g, rng, rng.randint(1, g.m // 2))
+            yield triangle_replace(random_cubic_2connected(2 * rng.randint(3, 10), trial + 500))
+            g = cut_joined_pair(rng, trial)
+            if is_two_connected(g):
+                yield g
+
+    def test_solve_is_invariant_under_an_increasing_relabel(self):
+        # An increasing map keeps every comparison of ids, so the moved
+        # input's set and trace are the moved set and trace.
+        rng = random.Random(127)
+        rules = set()
+        for g in self.corpus():
+            mg, to = moved(g, rng)
+            cert, mcert = solve_cubic(g), solve_cubic(mg)
+            assert mcert.fvs == {to[v] for v in cert.fvs}
+            assert mcert.trace == tuple(moved_step(step, to) for step in cert.trace)
+            assert (mcert.bound_num, mcert.bound_den) == (cert.bound_num, cert.bound_den)
+            rules.update(step.rule for step in cert.trace)
+        assert rules == {rule.value for rule in RuleId}
+
+    def test_find_and_apply_rule_on_a_graph_use_its_own_ids(self):
+        rng = random.Random(131)
+        for g in self.corpus():
+            mg, to = moved(g, rng)
+            rule, match = find_rule(g)
+            moved_match = tuple(to[v] for v in match)
+            assert find_rule(mg) == (rule, moved_match)
+            reduced, step = apply_rule(g, rule, match)
+            mreduced, mstep = apply_rule(mg, rule, moved_match)
+            assert mstep == moved_step(step, to)
+            assert mreduced == Graph([to[v] for v in reduced.vertices],
+                                     [(to[u], to[v]) for u, v in reduced.edges()])
+            # The input's own ids are not the moved graph's: a stale match.
+            with pytest.raises(InternalInvariantBroken, match="stale match"):
+                apply_rule(mg, rule, match)
+
+    def test_stamped_searches_across_rewrites_match_brute_force(self):
+        # One working graph runs every λ test in turn, across random
+        # rewrites. Labels are never cleared, each search takes a new epoch,
+        # and a colored search that succeeds stops with its trees half grown,
+        # so the lists hold labels of many earlier searches.
+        rng = random.Random(137)
+        answers = Counter()
+        for trial in range(3):
+            g, _ = moved(random_cubic_2connected(2 * rng.randint(8, 10), trial), rng)
+            work = _Work(g)
+            while work.n > 6:
+                d = dense_ids(work)
+                adj = work.adj
+                for (s, t), lam in local_edge_connectivity_le3(work.freeze()).items():
+                    s, t = d[s], d[t]
+                    for k in (1, 2, 3):
+                        assert _edge_disjoint_paths(work, s, t, k) == (lam >= k)
+                        answers["tests"] += 1
+                    if len(adj[s]) == len(adj[t]) == 3 and t not in adj[s]:
+                        found = _three_disjoint_paths(work, s, t)
+                        assert lam == 3 or not found
+                        answers[found] += 1
+                v = rng.choice(work.vertices)
+                pairs = [e for e in combinations(work.neighbors(v), 2) if not work.has_edge(*e)]
+                work.rewrite([v], rng.sample(pairs, rng.randint(0, len(pairs))))
+        assert answers["tests"] >= 2000
+        assert answers[True] > 100 and answers[False] > 10
+
+    def test_a_random_cubic_solve_runs_the_same_searches(self, monkeypatch):
+        # Pinned counts for random_cubic_2connected(800, 1): colored searches,
+        # their successes, and λ >= 3 tests that Ford-Fulkerson decides.
+        # Storage changes must not change which searches run.
+        counts = Counter()
+        search, flow, residual = _three_disjoint_paths, _edge_disjoint_paths, cubic_module._residual_path
+
+        def counted_search(g, s, t):
+            found = search(g, s, t)
+            counts["searches"] += 1
+            counts["certified"] += found
+            return found
+
+        def counted_flow(g, s, t, k):
+            augmenting = counts["augmenting"]
+            passed = flow(g, s, t, k)
+            counts["fallbacks"] += k == 3 and counts["augmenting"] > augmenting
+            return passed
+
+        def counted_residual(*args):
+            counts["augmenting"] += 1
+            return residual(*args)
+
+        monkeypatch.setattr(cubic_module, "_three_disjoint_paths", counted_search)
+        monkeypatch.setattr(cubic_module, "_edge_disjoint_paths", counted_flow)
+        monkeypatch.setattr(cubic_module, "_residual_path", counted_residual)
+        solve_cubic(random_cubic_2connected(800, 1))
+        assert counts == Counter(searches=374, certified=373, fallbacks=7, augmenting=21)
